@@ -109,8 +109,15 @@ def _agglomerate(features: np.ndarray, target: int) -> list[np.ndarray]:
     Centroid linkage: repeatedly merge the closest pair of cluster
     centroids; ties break toward the lexicographically smallest index
     pair (``np.argmin`` over the row-major distance matrix), so the
-    partition is a pure function of the feature matrix.  Returns sorted
-    member-index arrays ordered by smallest member.
+    partition is a pure function of the feature matrix.  Returns one
+    member-index array per group (smallest member first, the rest in
+    merge order), groups ordered by smallest member.
+
+    Memory is O(n²) — the ``(n, n)`` squared-distance matrix, upper
+    triangle only — and each merge costs O(n·d).  Every pair distance is
+    the same per-row ``einsum`` reduction of a centroid difference,
+    whichever side is subtracted (squares are sign-blind), so the
+    distances and hence the partition are bitwise reproducible.
     """
     n = features.shape[0]
     target = max(1, min(int(target), n))
@@ -119,29 +126,29 @@ def _agglomerate(features: np.ndarray, target: int) -> list[np.ndarray]:
         return [np.array(m) for m in members]
     cents = np.array(features, dtype=np.float64)
     counts = np.ones(n)
-    active = np.ones(n, dtype=bool)
-    diff = cents[:, None, :] - cents[None, :, :]
-    dist = np.einsum("ijk,ijk->ij", diff, diff)
-    dist[np.tril_indices(n)] = np.inf
-    remaining = n
-    while remaining > target:
+    merged = np.zeros(n, dtype=bool)
+    # dist[i, j] for i < j; the diagonal, the lower triangle and the rows
+    # and columns of merged-away clusters stay inf.
+    dist = np.full((n, n), np.inf)
+    for i in range(n - 1):
+        d = cents[i + 1 :] - cents[i]
+        dist[i, i + 1 :] = np.einsum("ij,ij->i", d, d)
+    d = np.empty_like(cents)
+    for _ in range(n - target):
         i, j = divmod(int(np.argmin(dist)), n)  # i < j: upper triangle only
         members[i].extend(members[j])
         members[j] = None
-        active[j] = False
+        merged[j] = True
         total = counts[i] + counts[j]
         cents[i] = (cents[i] * counts[i] + cents[j] * counts[j]) / total
         counts[i] = total
-        dist[j, :] = np.inf
-        dist[:, j] = np.inf
-        idx = np.flatnonzero(active)
-        d = cents[idx] - cents[i]
+        np.subtract(cents, cents[i], out=d)
         vals = np.einsum("ij,ij->i", d, d)
-        lo = np.minimum(idx, i)
-        hi = np.maximum(idx, i)
-        dist[lo, hi] = vals
-        dist[i, i] = np.inf
-        remaining -= 1
+        vals[merged] = np.inf
+        dist[i, i + 1 :] = vals[i + 1 :]
+        dist[:i, i] = vals[:i]
+        dist[j, j + 1 :] = np.inf
+        dist[:j, j] = np.inf
     return [np.array(m) for m in members if m is not None]
 
 

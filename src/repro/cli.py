@@ -70,6 +70,7 @@ from repro.abstract.netabs import (
     ABSTRACTION_MODES,
     DEFAULT_LEVEL as NETABS_DEFAULT_LEVEL,
     cegar_verify,
+    witness_margin,
 )
 from repro.attack.pgd import PGDConfig
 from repro.backend import BACKEND_CHOICES, set_active as set_active_backend
@@ -84,7 +85,6 @@ from repro.core.verifier import BatchedVerifier, Verifier
 from repro.exec import EXECUTOR_KINDS
 from repro.learn import (
     COST_MODELS,
-    PolicyTrainer,
     TrainingProblem,
     load_policy,
     pretrained_policy,
@@ -185,13 +185,6 @@ def _add_common(
     parser.add_argument("--seed", type=int, default=0, help="random seed")
 
 
-def _witness_holds_f64(network, prop, delta: float, x) -> bool:
-    """Concrete float64 validation of a float32 screen counterexample."""
-    logits = network.forward(np.asarray(x, dtype=np.float64))
-    margin = float(logits[prop.label] - np.delete(logits, prop.label).max())
-    return margin <= delta
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     _apply_kernel_flags(args)
     network = load_network(args.network)
@@ -221,9 +214,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 outcome = build(net).verify(prop)
             if not (
                 outcome.kind == "falsified"
-                and _witness_holds_f64(
-                    net, prop, config.delta, outcome.counterexample
-                )
+                and witness_margin(net, prop.label, outcome.counterexample)
+                <= config.delta
             ):
                 outcome = build(net).verify(prop)
             return outcome
@@ -527,6 +519,9 @@ def _suite_problems(path: str) -> list[TrainingProblem]:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    # Imported here: the trainer pulls in scipy, which no other verb needs.
+    from repro.learn import PolicyTrainer
+
     _apply_kernel_flags(args)
     problems = _suite_problems(args.suite)
     cache = None

@@ -71,6 +71,7 @@ import json
 import os
 import tempfile
 import time
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -114,6 +115,21 @@ _CACHE_COUNTERS = _metrics_registry().group(
 #: and split-width floor live in the config digest), as opposed to
 #: ``"wall clock"``, which depends on the machine and the budget.
 DETERMINISTIC_TIMEOUT_REASONS = ("split depth", "degenerate region")
+
+#: What reading a damaged prefix record can raise.  A truncated or
+#: byte-flipped ``.px.npz`` fails inside ``zipfile`` (a bad central
+#: directory or CRC, a short read, an unknown compression method) or in
+#: the decoders behind it (``np.load``, the JSON meta, the record
+#: fields); every one of them makes the probe a miss.
+_DAMAGED_PREFIX_ERRORS = (
+    OSError,
+    ValueError,
+    TypeError,
+    KeyError,
+    EOFError,
+    NotImplementedError,
+    zipfile.BadZipFile,
+)
 
 
 def cacheable(outcome) -> bool:
@@ -524,7 +540,18 @@ class ResultCache:
                         for name in archive.files
                         if name != "__meta__"
                     }
-            except (OSError, ValueError, TypeError, KeyError):
+                record = PrefixBounds(
+                    boundary=int(meta["boundary"]),
+                    op_count=int(meta["op_count"]),
+                    prefix_digest=meta["prefix_digest"],
+                    regions_digest=meta["regions_digest"],
+                    domain=tuple(meta["domain"]),
+                    backend=meta["backend"],
+                    kind=meta["kind"],
+                    meta=meta["meta"],
+                    arrays=arrays,
+                )
+            except _DAMAGED_PREFIX_ERRORS:
                 _CACHE_COUNTERS["misses"] += 1
                 return None
             try:
@@ -533,17 +560,7 @@ class ResultCache:
                 pass  # recency refresh is best-effort
             _CACHE_COUNTERS["hits"] += 1
             _CACHE_COUNTERS["read_bytes"] += size
-        return PrefixBounds(
-            boundary=int(meta["boundary"]),
-            op_count=int(meta["op_count"]),
-            prefix_digest=meta["prefix_digest"],
-            regions_digest=meta["regions_digest"],
-            domain=tuple(meta["domain"]),
-            backend=meta["backend"],
-            kind=meta["kind"],
-            meta=meta["meta"],
-            arrays=arrays,
-        )
+        return record
 
     def longest_reusable_prefix(
         self,

@@ -57,8 +57,6 @@ import os
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.abstract.analyzer import (
     analyze_batch_checkpointed,
     analyze_batch_multi,
@@ -73,6 +71,7 @@ from repro.abstract.netabs import (
     DEFAULT_LEVEL,
     DEFAULT_MAX_ROUNDS,
     abstraction_for,
+    witness_margin,
 )
 from repro.backend import active as _active_backend
 from repro.backend import get as _get_backend
@@ -706,7 +705,10 @@ class Scheduler:
                         obs.inc("sched.netabs.verified")
                         accept = True
                     elif outcome.kind == "falsified":
-                        if self._witness_holds(job, outcome):
+                        margin = witness_margin(
+                            job.network, job.prop.label, outcome.counterexample
+                        )
+                        if margin <= job.config.delta:
                             obs.inc("sched.netabs.falsified")
                             accept = True
                         else:
@@ -774,8 +776,12 @@ class Scheduler:
         escalate: list[tuple[int, VerificationJob]] = []
         for index, job in indexed:
             outcome = report.results[index].outcome
-            if outcome.kind == "falsified" and self._witness_holds(
-                job, outcome
+            if (
+                outcome.kind == "falsified"
+                and witness_margin(
+                    job.network, job.prop.label, outcome.counterexample
+                )
+                <= job.config.delta
             ):
                 continue
             if (
@@ -790,16 +796,6 @@ class Scheduler:
         metrics_registry().inc("sched.escalated", len(escalate))
         if escalate:
             self._run_phase(report, escalate, executor, "numpy64")
-
-    @staticmethod
-    def _witness_holds(job: VerificationJob, outcome) -> bool:
-        """Concrete float64 re-validation of a screen counterexample."""
-        logits = job.network.forward(
-            np.asarray(outcome.counterexample, dtype=np.float64)
-        )
-        label = job.prop.label
-        margin = float(logits[label] - np.delete(logits, label).max())
-        return margin <= job.config.delta
 
     def _run_sequential(
         self,

@@ -18,6 +18,7 @@ from repro.abstract.analyzer import analyze
 from repro.abstract.domains import BASE_DOMAINS, DomainSpec
 from repro.abstract.netabs import (
     NetworkAbstraction,
+    _agglomerate,
     abstraction_for,
     cegar_verify,
     witness_margin,
@@ -186,6 +187,118 @@ def test_abstraction_for_gates():
     assert abstraction_for(net, "syntactic", 0) is None
     conv = lenet_conv()
     assert abstraction_for(conv, "syntactic", 2) is None
+
+
+# ----------------------------------------------------------------------
+# Clustering: the O(n²)-memory agglomeration against the reference
+# ----------------------------------------------------------------------
+
+
+def _reference_partitions(features):
+    """The original dense construction — an ``(n, n, d)`` difference
+    tensor for the initial distances, active-row gathers per merge —
+    kept as the oracle the production ``_agglomerate`` must match
+    exactly.  One greedy run serves every target: yields ``(target,
+    partition)`` for ``target = n, n - 1, ..., 1``."""
+    n = features.shape[0]
+    members = [[i] for i in range(n)]
+    cents = np.array(features, dtype=np.float64)
+    counts = np.ones(n)
+    active = np.ones(n, dtype=bool)
+    diff = cents[:, None, :] - cents[None, :, :]
+    dist = np.einsum("ijk,ijk->ij", diff, diff)
+    dist[np.tril_indices(n)] = np.inf
+    remaining = n
+    while True:
+        yield remaining, [np.array(m) for m in members if m is not None]
+        if remaining == 1:
+            return
+        i, j = divmod(int(np.argmin(dist)), n)
+        members[i].extend(members[j])
+        members[j] = None
+        active[j] = False
+        total = counts[i] + counts[j]
+        cents[i] = (cents[i] * counts[i] + cents[j] * counts[j]) / total
+        counts[i] = total
+        dist[j, :] = np.inf
+        dist[:, j] = np.inf
+        idx = np.flatnonzero(active)
+        d = cents[idx] - cents[i]
+        vals = np.einsum("ij,ij->i", d, d)
+        lo = np.minimum(idx, i)
+        hi = np.maximum(idx, i)
+        dist[lo, hi] = vals
+        dist[i, i] = np.inf
+        remaining -= 1
+
+
+def _fuzz_shapes():
+    """Seeded ``(n, d)`` pairs over n in 2..120 and d in 1..300,
+    log-uniform, with the four corners always included."""
+    rng = np.random.default_rng(2024)
+    shapes = [(2, 1), (2, 300), (120, 1), (120, 300)]
+    for _ in range(20):
+        n = int(np.exp(rng.uniform(np.log(2), np.log(121))))
+        d = int(np.exp(rng.uniform(0.0, np.log(301))))
+        shapes.append((n, d))
+    return shapes
+
+
+def test_agglomerate_matches_reference_fuzz():
+    """Identical partitions — members and their order, which fixes the
+    summation order of the merged columns and so the abstract network's
+    bits — for every target over a seeded range of shapes.
+    Integer-valued features make exact distance ties common, so the
+    first-minimum tie-break is exercised; real-valued features check
+    that the distances agree to the bit."""
+    rng = np.random.default_rng(7)
+    for case, (n, d) in enumerate(_fuzz_shapes()):
+        if case % 3 == 2:
+            features = rng.standard_normal((n, d))
+        else:
+            features = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+        if case % 4 == 1:
+            # Exact duplicate rows: zero distances, ties everywhere.
+            features[n // 2 :] = features[: n - n // 2]
+        for target, want in _reference_partitions(features):
+            got = _agglomerate(features, target)
+            assert [g.tolist() for g in got] == [g.tolist() for g in want], (
+                f"partition differs at n={n} d={d} target={target}"
+            )
+
+
+def test_agglomerate_edge_targets():
+    features = np.arange(12.0).reshape(4, 3)
+    singletons = _agglomerate(features, 10)
+    assert [g.tolist() for g in singletons] == [[0], [1], [2], [3]]
+    assert [g.tolist() for g in _agglomerate(features, 0)] == [[0, 1, 2, 3]]
+    assert [g.tolist() for g in _agglomerate(features[:1], 1)] == [[0]]
+
+
+#: ``network_digest`` of the abstract network built below, recorded with
+#: the dense reference construction.  The O(n²) clustering must
+#: reproduce it bit for bit in both modes.
+_PINNED_ABSTRACT_DIGESTS = {
+    "syntactic": (
+        "4d5897d938ad42e9124a7ec1b7baa03afca111d00d91d605f1965863224d2bdc"
+    ),
+    "semantic": (
+        "0cd7a6e113d819ce1b6fb93a2ee5c0e136d827fc7997c2f9715787eff25caad4"
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(_PINNED_ABSTRACT_DIGESTS))
+def test_abstract_network_digest_pinned(mode):
+    net = redundant_mlp(6, [10, 10], 4, dup=3, noise=5e-2, rng=21)
+    region = Box.from_center_radius(np.full(6, 0.5), 0.05)
+    abstraction = NetworkAbstraction(
+        net, mode, level=2, regions=[region], seed=3
+    )
+    assert abstraction.hidden_abstract == 16
+    assert network_digest(abstraction.build()) == (
+        _PINNED_ABSTRACT_DIGESTS[mode]
+    )
 
 
 # ----------------------------------------------------------------------

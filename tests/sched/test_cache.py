@@ -599,3 +599,76 @@ class TestLongestReusablePrefix:
         )
         assert common == 0
         assert record is None
+
+
+class TestFaultInjection:
+    """Truncated or byte-flipped records of either family are misses (or,
+    when the damage leaves a well-formed file, a decoded record) — never
+    an exception out of ``get`` / ``get_prefix``."""
+
+    DAMAGES = 150
+
+    @staticmethod
+    def _damaged(good: bytes, rng):
+        """Seeded damage: a truncation (``True``) or 1–3 byte flips."""
+        if rng.random() < 0.5:
+            return True, good[: int(rng.integers(0, len(good)))]
+        buf = bytearray(good)
+        for _ in range(int(rng.integers(1, 4))):
+            buf[int(rng.integers(len(buf)))] ^= int(rng.integers(1, 256))
+        return False, bytes(buf)
+
+    def test_result_records(self, cache):
+        stats = VerificationStats(pgd_calls=2, analyze_calls=1)
+        cache.put("f" * 64, CacheRecord.from_outcome(
+            Falsified(np.array([0.25, 0.75]), -0.5, stats), "d", 1,
+            {"epsilon": 0.1},
+        ))
+        path = cache._path("f" * 64)
+        good = path.read_bytes()
+        rng = np.random.default_rng(11)
+        for _ in range(self.DAMAGES):
+            truncated, data = self._damaged(good, rng)
+            path.write_bytes(data)
+            record = cache.get("f" * 64)
+            if truncated:
+                assert record is None
+            else:
+                assert record is None or isinstance(record, CacheRecord)
+
+    def test_prefix_records(self, tmp_path):
+        from repro.abstract.analyzer import analyze_batch_checkpointed
+        from repro.abstract.checkpoint import PrefixBounds
+        from repro.abstract.domains import DEEPPOLY
+        from repro.sched.cache import prefix_key
+        from repro.utils.boxes import Box
+
+        net = mlp(4, [8, 6], 3, rng=0)
+        regions = [Box.from_center_radius(np.full(4, 0.3), 0.05)]
+        _, captured = analyze_batch_checkpointed(
+            net, regions, [0], DEEPPOLY, capture_boundaries=[2]
+        )
+        (record,) = captured
+        cache = ResultCache(tmp_path / "c")
+        cache.put_prefix(record)
+        probe = (
+            record.prefix_digest,
+            record.regions_digest,
+            record.domain,
+            record.backend,
+        )
+        path = cache._prefix_path(
+            prefix_key(*probe[:2], *record.domain, record.backend)
+        )
+        good = path.read_bytes()
+        rng = np.random.default_rng(12)
+        for _ in range(self.DAMAGES):
+            truncated, data = self._damaged(good, rng)
+            path.write_bytes(data)
+            loaded = cache.get_prefix(*probe)
+            if truncated:
+                assert loaded is None
+            else:
+                assert loaded is None or isinstance(loaded, PrefixBounds)
+        path.write_bytes(good)
+        assert cache.get_prefix(*probe) is not None
