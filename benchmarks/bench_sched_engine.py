@@ -1,12 +1,14 @@
-"""Multi-property scheduler vs per-property BatchedVerifier loops.
+"""Multi-property scheduler vs per-property one-job scheduler runs.
 
 Not a paper figure: this bench pins the performance contract of the
 cross-property scheduler (``repro.sched``; see ``scripts/sched_baseline.py``
 for the full-suite trajectory run that writes ``BENCH_sched.json``).
 Shape checked here:
 
-- every job's outcome and witness is identical between per-property solo
-  runs and one fused scheduler run (the reproducibility contract);
+- every job's outcome and witness is identical between per-property
+  one-job runs (``Scheduler([job]).run()`` per job, what
+  ``BatchedVerifier`` runs) and one fused scheduler run (the
+  reproducibility contract);
 - cross-property scheduling beats the per-property loop by >= 1.5x work
   throughput at equal ``batch_size`` — the fused sweeps keep GEMM batch
   slots full where solo frontiers run half-empty;
@@ -51,24 +53,33 @@ def _build_jobs(config):
     ]
 
 
+def _per_property(jobs):
+    """The per-property baseline: one ``Scheduler([job]).run()`` per job."""
+    return [Scheduler([job]).run() for job in jobs]
+
+
 def test_cross_property_scheduling_throughput(benchmark):
     config = VerifierConfig(timeout=None, max_depth=10, batch_size=16)
     jobs = _build_jobs(config)
 
     # Warm caches (lazy network op lowering, BLAS threads) outside the
-    # measured comparison so neither engine pays them.
-    Scheduler(jobs[:4], engine="sequential").run()
+    # measured comparison so neither side pays them.
+    _per_property(jobs[:4])
     Scheduler(jobs[:4], frontier="priority").run()
 
     def run():
-        seq = Scheduler(jobs, engine="sequential").run()
+        seq = _per_property(jobs)
         bat = Scheduler(jobs, frontier="priority").run()
         return seq, bat
 
     seq, bat = one_shot(benchmark, run)
+    seq_wall = sum(report.wall_clock for report in seq)
+    seq_throughput = sum(report.fresh_calls() for report in seq) / seq_wall
 
     # Identical outcomes, witnesses, and counters per job.
-    for solo, fused in zip(seq.results, bat.results):
+    for solo, fused in zip(
+        (report.results[0] for report in seq), bat.results
+    ):
         assert solo.outcome.kind == fused.outcome.kind
         if solo.outcome.kind == "falsified":
             np.testing.assert_array_equal(
@@ -80,11 +91,11 @@ def test_cross_property_scheduling_throughput(benchmark):
             == fused.outcome.stats.analyze_calls
         )
 
-    ratio = bat.throughput() / seq.throughput()
+    ratio = bat.throughput() / seq_throughput
     print()
     print(
-        f"throughput: per-property {seq.throughput():.0f}/s "
-        f"({seq.wall_clock:.2f}s), cross-property {bat.throughput():.0f}/s "
+        f"throughput: per-property {seq_throughput:.0f}/s "
+        f"({seq_wall:.2f}s), cross-property {bat.throughput():.0f}/s "
         f"({bat.wall_clock:.2f}s) -> {ratio:.2f}x"
     )
     # The contract: fused cross-property sweeps must beat per-property

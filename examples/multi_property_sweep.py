@@ -28,7 +28,7 @@ def main() -> None:
 
     # Deterministic workload: no wall-clock timeout, bounded by the split
     # depth cap (whose timeouts are scheduling-independent), so the two
-    # engines below do identical work and the comparison is pure batching.
+    # runs below do identical work and the comparison is pure batching.
     config = VerifierConfig(timeout=None, max_depth=10, batch_size=16)
     policy = BisectionPolicy(domain=DEEPPOLY)
     jobs = [
@@ -43,23 +43,26 @@ def main() -> None:
         for problem in problems
     ]
 
-    print(f"\n--- one property at a time ({len(jobs)} solo runs) ---")
-    solo = Scheduler(jobs, engine="sequential").run()
-    for result in solo.results:
+    print(f"\n--- one property at a time ({len(jobs)} one-job runs) ---")
+    solo = [Scheduler([job]).run() for job in jobs]
+    solo_results = [report.results[0] for report in solo]
+    solo_wall = sum(report.wall_clock for report in solo)
+    solo_throughput = sum(report.fresh_calls() for report in solo) / solo_wall
+    for result in solo_results:
         print(f"  {result.job.name:<16} {result.outcome.kind}")
-    print(f"  wall clock {solo.wall_clock:.2f}s, "
-          f"{solo.throughput():.0f} work items/s")
+    print(f"  wall clock {solo_wall:.2f}s, "
+          f"{solo_throughput:.0f} work items/s")
 
     print("\n--- one shared frontier (hardest-first) ---")
     fused = Scheduler(jobs, frontier="priority").run()
-    for result, ref in zip(fused.results, solo.results):
+    for result, ref in zip(fused.results, solo_results):
         marker = "==" if result.outcome.kind == ref.outcome.kind else "!!"
         print(f"  {result.job.name:<16} {result.outcome.kind} {marker}")
     print(f"  wall clock {fused.wall_clock:.2f}s, "
           f"{fused.throughput():.0f} work items/s, "
           f"{fused.sweeps} fused sweeps")
     print(f"  cross-property speedup: "
-          f"{fused.throughput() / solo.throughput():.2f}x")
+          f"{fused.throughput() / solo_throughput:.2f}x")
 
     print("\n--- replay against a persistent cache ---")
     with tempfile.TemporaryDirectory() as tmp:

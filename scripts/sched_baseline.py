@@ -1,10 +1,10 @@
 """Perf baseline for the multi-property scheduler -> BENCH_sched.json.
 
 Measures what the scheduler exists for: the throughput ratio between
-**single-property** execution (each fig06 property through its own solo
-``BatchedVerifier``, the scheduler's ``sequential`` engine) and
+**single-property** execution (each fig06 property through its own
+one-job ``Scheduler([job])`` run — what ``BatchedVerifier`` runs) and
 **cross-property** execution (all properties of the suite through one
-shared frontier, the ``batched`` engine) at the *same* ``batch_size`` —
+shared frontier) at the *same* ``batch_size`` —
 so the ratio isolates batch-slot filling, not kernel changes.  Outcomes
 are asserted identical per job (the scheduler's reproducibility contract).
 
@@ -67,7 +67,7 @@ from repro.core.config import VerifierConfig
 from repro.core.policy import BisectionPolicy
 from repro.exec import PooledExecutor, ProcessExecutor
 from repro.learn.pretrained import pretrained_policy
-from repro.sched import ResultCache, Scheduler, VerificationJob
+from repro.sched import ResultCache, ScheduleReport, Scheduler, VerificationJob
 
 EXECUTOR_POOLS = {"pooled": PooledExecutor, "process": ProcessExecutor}
 
@@ -109,8 +109,7 @@ def phase_shares(report):
     run's wall clock turns them into a where-does-the-time-go breakdown
     each BENCH row carries.  Shares need not sum to 1.0: submission-side
     work and report assembly fall outside the timed phases, and pooled
-    stages overlap the wall clock.  Sequential-engine rows report zeros —
-    the phases decompose the fused sweep, which solo runs do not execute.
+    stages overlap the wall clock.
     """
     wall = max(report.wall_clock, 1e-9)
     return {
@@ -165,6 +164,27 @@ def run_pool_scaling(jobs, serial, widths, label):
                 f"serial, agree={summary['outcomes_agree']}", flush=True,
             )
     return scaling
+
+
+def per_property(jobs) -> ScheduleReport:
+    """The single-property baseline: one ``Scheduler([job]).run()`` per
+    job, folded into one report (results in job order, summed wall clock,
+    sweeps, and metric counters) so it summarizes like any other run."""
+    reports = [Scheduler([job]).run() for job in jobs]
+    metrics: dict = {}
+    for report in reports:
+        for name, value in report.metrics.items():
+            metrics[name] = metrics.get(name, 0) + value
+    return ScheduleReport(
+        results=[report.results[0] for report in reports],
+        wall_clock=sum(report.wall_clock for report in reports),
+        sweeps=sum(report.sweeps for report in reports),
+        swept_items=sum(report.swept_items for report in reports),
+        frontier=reports[0].frontier,
+        executor=reports[0].executor,
+        final_batch_target=max(r.final_batch_target for r in reports),
+        metrics=metrics,
+    )
 
 
 def outcomes_agree(a, b) -> bool:
@@ -325,8 +345,8 @@ def main(argv=None):
     }
     for policy_name, (policy, policy_config, policy_problems) in policies.items():
         jobs = build_jobs(policy_problems, networks, policy, policy_config)
-        print(f"[{policy_name}] sequential (per-property) ...", flush=True)
-        seq = Scheduler(jobs, engine="sequential").run()
+        print(f"[{policy_name}] per-property (one-job runs) ...", flush=True)
+        seq = per_property(jobs)
         entry = {
             "problems": len(jobs),
             "max_depth": policy_config.max_depth,

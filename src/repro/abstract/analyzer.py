@@ -426,57 +426,6 @@ def analyze_batch_checkpointed(
     return results, captured
 
 
-def analyze_checkpointed(
-    network: Network,
-    region: Box,
-    label: int,
-    domain: DomainSpec,
-    deadline: Deadline | None = None,
-    resume=None,
-    capture_boundaries: Sequence[int] = (),
-):
-    """:func:`analyze` with prefix-checkpoint emit/resume.
-
-    Sequential elements are *not* interchangeable with height-1 batches
-    (GEMV vs GEMM round-off), so sequential checkpoints live under a
-    ``seq-``-prefixed region digest — the two families can never collide
-    in the cache.
-    """
-    from repro.abstract.checkpoint import (
-        region_batch_digest,
-        supports_checkpoint,
-    )
-
-    if region.ndim != network.input_size:
-        raise ValueError(
-            f"region has {region.ndim} dims, network expects "
-            f"{network.input_size}"
-        )
-    if not 0 <= label < network.output_size:
-        raise ValueError(
-            f"label {label} out of range for {network.output_size} outputs"
-        )
-    if not supports_checkpoint(domain):
-        raise ValueError(
-            f"domain {domain} does not support prefix checkpoints"
-        )
-    regions_digest = (
-        resume.regions_digest
-        if resume is not None
-        else "seq-" + region_batch_digest([region])
-    )
-    element = domain.lift(region) if resume is None else None
-    element, captured = _checkpointed_walk(
-        network, element, regions_digest, domain, deadline, resume,
-        capture_boundaries,
-    )
-    margin = float(np.asarray(element.min_margin(label)).reshape(-1)[0])
-    result = AnalysisResult(
-        verified=margin > 0.0, margin_lower_bound=margin, output=element
-    )
-    return result, captured
-
-
 def analyze_checkpointed_entry(payload: dict):
     """Process-worker entry point for a marshalled checkpointed call.
 

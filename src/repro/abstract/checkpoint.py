@@ -29,9 +29,10 @@ makes that reuse concrete:
   height, so only an identical batch resumes bitwise.  Labels are
   excluded — they play no role until the output margin check.
 
-Only single-disjunct interval, zonotope, and DeepPoly states are
-checkpointable (:func:`supports_checkpoint`); symbolic intervals and
-powersets fall back to cold runs gracefully.
+Only single-disjunct interval, zonotope, and DeepPoly *batch* states
+are checkpointable (:func:`supports_checkpoint`); symbolic intervals and
+powersets fall back to cold runs gracefully.  Single-region resume is a
+height-1 batch — the sequential elements have no codec.
 """
 
 from __future__ import annotations
@@ -43,17 +44,14 @@ import numpy as np
 
 from repro.abstract.deeppoly import (
     DeepPolyBatch,
-    DeepPolyState,
     _DenseBounds,
     _DiagBounds,
     _LayerBounds,
 )
-from repro.abstract.interval import IntervalBatch, IntervalElement
-from repro.abstract.zonotope import Zonotope
+from repro.abstract.interval import IntervalBatch
 from repro.abstract.zonotope_batch import ZonotopeBatch
 from repro.nn.layers import Flatten, ReLU
 from repro.nn.network import AffineOp, Network
-from repro.utils.boxes import Box
 
 #: Base domains with a checkpoint codec.  Symbolic intervals keep their
 #: relations entangled with the input box in a form no boundary state
@@ -255,7 +253,7 @@ def _restore_deeppoly_relations(meta, arrays, ops) -> list:
 
 
 def capture_element(element, ops) -> tuple[str, list | None, dict]:
-    """Encode an abstract element as ``(kind, meta, arrays)``.
+    """Encode a batched abstract element as ``(kind, meta, arrays)``.
 
     ``ops`` is the lowered op sequence the element was propagated
     through (used to recognize DeepPoly relations that alias op arrays).
@@ -263,12 +261,6 @@ def capture_element(element, ops) -> tuple[str, list | None, dict]:
     if isinstance(element, IntervalBatch):
         return (
             "interval_batch",
-            None,
-            {"low": _snap(element.low), "high": _snap(element.high)},
-        )
-    if isinstance(element, IntervalElement):
-        return (
-            "interval",
             None,
             {"low": _snap(element.low), "high": _snap(element.high)},
         )
@@ -282,26 +274,11 @@ def capture_element(element, ops) -> tuple[str, list | None, dict]:
                 "errs": _snap(element.errs),
             },
         )
-    if isinstance(element, Zonotope):
-        return (
-            "zonotope",
-            None,
-            {
-                "center": _snap(element.center),
-                "gens": _snap(element.gens),
-                "err": _snap(element.err),
-            },
-        )
     if isinstance(element, DeepPolyBatch):
         meta, arrays = _capture_deeppoly_relations(element.layers, ops)
         arrays["box_low"] = _snap(element.box_low)
         arrays["box_high"] = _snap(element.box_high)
         return "deeppoly_batch", meta, arrays
-    if isinstance(element, DeepPolyState):
-        meta, arrays = _capture_deeppoly_relations(element.layers, ops)
-        arrays["box_low"] = _snap(element.box.low)
-        arrays["box_high"] = _snap(element.box.high)
-        return "deeppoly", meta, arrays
     raise TypeError(
         f"no checkpoint codec for element type {type(element).__name__}"
     )
@@ -311,26 +288,16 @@ def restore_element(record: PrefixBounds, ops):
     """Decode a :class:`PrefixBounds` back into a live abstract element.
 
     The constructors used here are bitwise-idempotent on checkpoint
-    data: ``IntervalElement``/``IntervalBatch`` re-apply
-    ``np.maximum(high, low)`` (a fixpoint on stored bounds), the zonotope
-    constructors only validate, and the DeepPoly states take their
-    relation lists verbatim.
+    data: ``IntervalBatch`` re-applies ``np.maximum(high, low)`` (a
+    fixpoint on stored bounds), the zonotope constructor only validates,
+    and the DeepPoly batch takes its relation list verbatim.
     """
     kind, arrays = record.kind, record.arrays
     if kind == "interval_batch":
         return IntervalBatch(arrays["low"], arrays["high"])
-    if kind == "interval":
-        return IntervalElement(arrays["low"], arrays["high"])
     if kind == "zonotope_batch":
         return ZonotopeBatch(arrays["centers"], arrays["gens"], arrays["errs"])
-    if kind == "zonotope":
-        return Zonotope(arrays["center"], arrays["gens"], arrays["err"])
     if kind == "deeppoly_batch":
         relations = _restore_deeppoly_relations(record.meta, arrays, ops)
         return DeepPolyBatch(arrays["box_low"], arrays["box_high"], relations)
-    if kind == "deeppoly":
-        relations = _restore_deeppoly_relations(record.meta, arrays, ops)
-        return DeepPolyState(
-            Box(arrays["box_low"], arrays["box_high"]), relations
-        )
     raise ValueError(f"unknown checkpoint kind {kind!r}")

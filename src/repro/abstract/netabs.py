@@ -35,7 +35,10 @@ absolute-weight amplification) is split in two — and the job retries at
 the finer level.  Refinement terminates: every split strictly reduces
 some group, and the all-singleton partition *is* the concrete network
 (:meth:`NetworkAbstraction.build` returns the original object, digest
-and all).  See DESIGN.md §13 for the full soundness argument.
+and all).  The CEGAR loop itself is the scheduler's network-abstraction
+pre-pass (:meth:`repro.sched.scheduler.Scheduler._run_netabs`), which
+every verify path runs through.  See DESIGN.md §13 for the full
+soundness argument.
 
 The abstraction is built over a fixed domain box (the unit box hulled
 with the job regions), not per region, so one abstract network — and
@@ -44,8 +47,6 @@ every job and survives across refinement retries and scheduler runs.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -476,72 +477,3 @@ def abstraction_for(
     if abstraction.is_identity:
         return None
     return abstraction
-
-
-@dataclass(frozen=True)
-class CegarResult:
-    """Outcome of :func:`cegar_verify` plus its refinement trajectory.
-
-    Attributes:
-        outcome: the accepted verification outcome (abstract outcomes are
-            only accepted when sound: VERIFIED directly, FALSIFIED after
-            concrete float64 witness validation).
-        rounds: refinement rounds performed.
-        abstracted: whether an abstract network was tried at all.
-        fallback: whether the final outcome came from the concrete
-            network (refinement exhausted, abstract timeout, or the
-            partition refined down to singletons).
-    """
-
-    outcome: object
-    rounds: int
-    abstracted: bool
-    fallback: bool
-
-
-def cegar_verify(
-    network: Network,
-    prop,
-    verify_fn,
-    *,
-    mode: str | None,
-    level: int = DEFAULT_LEVEL,
-    delta: float = 0.0,
-    max_rounds: int = DEFAULT_MAX_ROUNDS,
-    seed: int = 0,
-) -> CegarResult:
-    """The single-property CEGAR loop (the ``verify`` command's driver).
-
-    ``verify_fn(network) -> outcome`` runs one verification attempt
-    (any engine); ``delta`` is the falsification threshold the concrete
-    witness check uses.  Abstract VERIFIED and concretely-validated
-    FALSIFIED outcomes are returned as-is; spurious witnesses refine and
-    retry; timeouts, exhausted rounds, and all-singleton partitions fall
-    back to one concrete run.
-    """
-    abstraction = abstraction_for(
-        network, mode, level, regions=[prop.region], seed=seed
-    )
-    if abstraction is None:
-        return CegarResult(verify_fn(network), 0, False, False)
-    rounds = 0
-    while True:
-        abstract = abstraction.build()
-        if abstract is network:
-            return CegarResult(verify_fn(network), rounds, True, True)
-        outcome = verify_fn(abstract)
-        if outcome.kind == "verified":
-            return CegarResult(outcome, rounds, True, False)
-        if (
-            outcome.kind == "falsified"
-            and witness_margin(network, prop.label, outcome.counterexample)
-            <= delta
-        ):
-            return CegarResult(outcome, rounds, True, False)
-        if (
-            outcome.kind == "timeout"
-            or rounds >= max_rounds
-            or not abstraction.refine_round()
-        ):
-            return CegarResult(verify_fn(network), rounds, True, True)
-        rounds += 1

@@ -22,6 +22,11 @@ Commands:
 - ``info``     — print a saved network's architecture summary.
 - ``stats``    — summarize one ``--trace`` dump, or diff two.
 
+``verify`` is a one-job ``schedule`` run: both verbs build their jobs
+through one path and run them through the same
+:class:`~repro.sched.Scheduler` call, so abstraction, precision
+escalation, backend selection and the printed mode lines behave alike.
+
 ``verify`` and ``schedule`` accept ``--abstraction {off,syntactic,semantic}``
 (with ``--abstraction-level N``): a CEGAR pre-pass that merges similar
 neurons into a smaller strictly-over-approximating network, accepts
@@ -54,7 +59,9 @@ Per-job keys override ``defaults``; ``label`` pins the target class
 (otherwise the network's own prediction at ``center`` is used);
 ``domain``/``disjuncts`` pin the abstract domain (otherwise the learned
 policy chooses per sub-region); networks referenced by several jobs are
-loaded once.
+loaded once.  A malformed job (a bad ``epsilon``, ``center``,
+``timeout``, ``batch_size``... or an unreadable network file) exits with
+one line naming the job and the key, never a traceback.
 """
 
 from __future__ import annotations
@@ -69,19 +76,14 @@ from repro.abstract.domains import BASE_DOMAINS, DomainSpec
 from repro.abstract.netabs import (
     ABSTRACTION_MODES,
     DEFAULT_LEVEL as NETABS_DEFAULT_LEVEL,
-    cegar_verify,
-    witness_margin,
 )
 from repro.attack.pgd import PGDConfig
 from repro.backend import BACKEND_CHOICES, set_active as set_active_backend
-from repro.backend import use_backend
 from repro.attack.search import find_counterexample
 from repro.core.config import VerifierConfig
-from repro.core.parallel import ParallelVerifier
 from repro.core.policy import BisectionPolicy
 from repro.core.property import RobustnessProperty, linf_property
 from repro.core.radius import certified_radius
-from repro.core.verifier import BatchedVerifier, Verifier
 from repro.exec import EXECUTOR_KINDS
 from repro.learn import (
     COST_MODELS,
@@ -101,19 +103,11 @@ from repro.obs.trace import tracer
 from repro.sched import (
     FRONTIER_POLICIES,
     ResultCache,
-    SCHED_ENGINES,
+    ScheduleReport,
     Scheduler,
     VerificationJob,
     point_digest,
 )
-
-#: ``--engine`` menu: every engine decides the same property with the same
-#: soundness/δ-completeness semantics; they differ in execution shape.
-ENGINES = {
-    "sequential": Verifier,
-    "batched": BatchedVerifier,
-    "parallel": ParallelVerifier,
-}
 
 #: ``--domain`` menu: ``policy`` lets the learned policy pick per
 #: sub-region; any base domain pins a fixed :class:`DomainSpec` (combine
@@ -186,65 +180,21 @@ def _add_common(
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    """One property as a one-job scheduler run (same path as ``schedule``)."""
     _apply_kernel_flags(args)
-    network = load_network(args.network)
-    center = _load_point(args.center, network.input_size)
-    prop = linf_property(network, center, args.epsilon)
-    config = VerifierConfig(
-        timeout=args.timeout, delta=args.delta, batch_size=args.batch_size
-    )
-    policy = _resolve_policy(args.domain, args.disjuncts, args.policy_file)
-
-    def build(net):
-        if args.engine == "parallel":
-            return ParallelVerifier(
-                net, policy, config, workers=args.workers, rng=args.seed
-            )
-        return ENGINES[args.engine](net, policy, config, rng=args.seed)
-
-    def run_once(net):
-        if args.precision_escalation:
-            # Two-phase mixed precision for a single property: screen on
-            # the float32 backend, keep a falsification once its witness
-            # reproduces under a concrete float64 forward pass, otherwise
-            # re-run on the float64 reference (a single job carries no
-            # margin comfort signal, so every non-falsified screen
-            # verdict escalates).
-            with use_backend("numpy32"):
-                outcome = build(net).verify(prop)
-            if not (
-                outcome.kind == "falsified"
-                and witness_margin(net, prop.label, outcome.counterexample)
-                <= config.delta
-            ):
-                outcome = build(net).verify(prop)
-            return outcome
-        return build(net).verify(prop)
-
-    if args.abstraction != "off":
-        cegar = cegar_verify(
-            network,
-            prop,
-            run_once,
-            mode=args.abstraction,
-            level=args.abstraction_level,
-            delta=config.delta,
-            seed=args.seed,
-        )
-        outcome = cegar.outcome
-        if cegar.abstracted:
-            suffix = ", concrete fallback" if cegar.fallback else ""
-            print(
-                f"abstraction: {args.abstraction} level "
-                f"{args.abstraction_level}, {cegar.rounds} refinement "
-                f"rounds{suffix}"
-            )
-        else:
-            print("abstraction: not applicable (ran concrete)")
-    else:
-        outcome = run_once(network)
+    spec = {
+        "name": "verify",
+        "network": args.network,
+        "center": args.center,
+        "epsilon": args.epsilon,
+    }
+    network = _load_networks([spec])[args.network]
+    job = _spec_job(spec, network, args)
+    report = _run_jobs(args, [job])
+    _print_modes(report)
+    outcome = report.results[0].outcome
     print(f"result: {outcome.kind}")
-    print(f"label under test: {prop.label}")
+    print(f"label under test: {job.prop.label}")
     stats = outcome.stats
     print(
         f"stats: {stats.pgd_calls} PGD calls, {stats.analyze_calls} analyses, "
@@ -256,6 +206,26 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print("counterexample written to counterexample.npy")
         return 1
     return 0 if outcome.kind == "verified" else 2
+
+
+def _load_networks(specs: list[dict]) -> dict[str, object]:
+    """Every archive the specs reference, each loaded exactly once.
+
+    An unreadable archive exits naming the first job that references it.
+    """
+    networks: dict[str, object] = {}
+    for spec in specs:
+        path = spec["network"]
+        if path in networks:
+            continue
+        try:
+            networks[path] = load_network(path)
+        except (OSError, ValueError, KeyError) as exc:
+            raise SystemExit(
+                f"job {spec['name']!r}: bad 'network': cannot load "
+                f"{path}: {exc}"
+            ) from None
+    return networks
 
 
 def _load_manifest(
@@ -277,18 +247,15 @@ def _load_manifest(
     if not specs:
         raise SystemExit("manifest has no jobs")
     defaults = manifest.get("defaults", {})
-    networks: dict[str, object] = {}
     merged_specs = []
     for i, spec in enumerate(specs):
         merged = {**defaults, **spec}
         for required in ("network", "center"):
             if required not in merged:
                 raise SystemExit(f"job {i} is missing {required!r}")
-        net_path = merged["network"]
-        if load_networks and net_path not in networks:
-            networks[net_path] = load_network(net_path)
         merged.setdefault("name", f"job-{i}")
         merged_specs.append(merged)
+    networks = _load_networks(merged_specs) if load_networks else {}
     return merged_specs, networks
 
 
@@ -304,62 +271,127 @@ def _manifest_jobs(
     specs, networks = _load_manifest(
         args.manifest, load_networks=override_network is None
     )
-    jobs = []
-    for spec in specs:
-        merged = spec
-        network = override_network or networks[merged["network"]]
-        center = _load_point(str(merged["center"]), network.input_size)
-        epsilon = float(merged.get("epsilon", 0.05))
-        name = str(merged["name"])
-        job_domain = str(merged.get("domain", args.domain))
-        # A job that pins its own domain opts out of the policy artifact;
-        # every "policy" job deploys it.
-        policy = _resolve_policy(
-            job_domain,
-            int(merged.get("disjuncts", args.disjuncts)),
-            getattr(args, "policy_file", None) if job_domain == "policy" else None,
+    return [
+        _spec_job(spec, override_network or networks[spec["network"]], args)
+        for spec in specs
+    ]
+
+
+def _spec_value(spec: dict, key: str, default, convert):
+    """``convert(spec.get(key, default))``; a bad value exits naming the
+    job and the key instead of raising a traceback."""
+    try:
+        return convert(spec.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise SystemExit(f"job {spec['name']!r}: bad {key!r}: {exc}") from None
+
+
+def _spec_job(spec: dict, network, args: argparse.Namespace) -> VerificationJob:
+    """One job from a merged spec — a manifest entry, or ``verify``'s flags.
+
+    The single place both verbs turn user input into a job, so every
+    malformed value is guarded once: it exits with one line naming the
+    job and the bad key.
+    """
+    name = str(spec["name"])
+    try:
+        center = _load_point(str(spec["center"]), network.input_size)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"job {name!r}: bad 'center': {exc}") from None
+    epsilon = _spec_value(spec, "epsilon", 0.05, float)
+    if not epsilon >= 0.0:  # also rejects NaN
+        raise SystemExit(
+            f"job {name!r}: bad 'epsilon': must be a number >= 0, "
+            f"got {epsilon}"
         )
-        # Radius-query metadata is only attached when the target label is
-        # the network's own prediction at the center — the semantics a
-        # certified-radius bracket assumes.  A pinned label asks a
-        # different question, so such records must not fold into
-        # ResultCache.radius_bounds.
-        metadata = {}
-        if "label" in merged:
-            label = int(merged["label"])
-            if not 0 <= label < network.output_size:
-                raise SystemExit(
-                    f"job {name!r}: label {label} out of range for "
-                    f"{network.output_size}-class network {merged['network']}"
-                )
-            prop = RobustnessProperty(
-                linf_property(network, center, epsilon).region,
-                label,
-                name=name,
+    job_domain = str(spec.get("domain", args.domain))
+    # A job that pins its own domain opts out of the policy artifact;
+    # every "policy" job deploys it, and a --domain flag pinned next to
+    # --policy-file is a conflict _resolve_policy reports.
+    policy_file = getattr(args, "policy_file", None)
+    if "domain" in spec and job_domain != "policy":
+        policy_file = None
+    policy = _resolve_policy(
+        job_domain,
+        _spec_value(spec, "disjuncts", args.disjuncts, int),
+        policy_file,
+    )
+    # Radius-query metadata is only attached when the target label is
+    # the network's own prediction at the center — the semantics a
+    # certified-radius bracket assumes.  A pinned label asks a
+    # different question, so such records must not fold into
+    # ResultCache.radius_bounds.
+    metadata = {}
+    if "label" in spec:
+        label = _spec_value(spec, "label", None, int)
+        if not 0 <= label < network.output_size:
+            raise SystemExit(
+                f"job {name!r}: label {label} out of range for "
+                f"{network.output_size}-class network {spec['network']}"
             )
-        else:
-            prop = linf_property(network, center, epsilon, name=name)
-            metadata = {
-                "center_digest": point_digest(center),
-                "epsilon": epsilon,
-            }
+        prop = RobustnessProperty(
+            linf_property(network, center, epsilon).region,
+            label,
+            name=name,
+        )
+    else:
+        prop = linf_property(network, center, epsilon, name=name)
+        metadata = {
+            "center_digest": point_digest(center),
+            "epsilon": epsilon,
+        }
+    timeout = _spec_value(spec, "timeout", args.timeout, float)
+    delta = _spec_value(spec, "delta", args.delta, float)
+    batch_size = _spec_value(spec, "batch_size", args.batch_size, int)
+    try:
         config = VerifierConfig(
-            timeout=float(merged.get("timeout", args.timeout)),
-            delta=float(merged.get("delta", args.delta)),
-            batch_size=int(merged.get("batch_size", args.batch_size)),
+            timeout=timeout, delta=delta, batch_size=batch_size
         )
-        jobs.append(
-            VerificationJob(
-                network,
-                prop,
-                config=config,
-                policy=policy,
-                seed=int(merged.get("seed", args.seed)),
-                name=name,
-                metadata=metadata,
-            )
+    except ValueError as exc:
+        # VerifierConfig's messages name the offending knob.
+        raise SystemExit(f"job {name!r}: {exc}") from None
+    return VerificationJob(
+        network,
+        prop,
+        config=config,
+        policy=policy,
+        seed=_spec_value(spec, "seed", args.seed, int),
+        name=name,
+        metadata=metadata,
+    )
+
+
+def _run_jobs(
+    args: argparse.Namespace,
+    jobs: list[VerificationJob],
+    cache: ResultCache | None = None,
+    incremental: bool = False,
+) -> ScheduleReport:
+    """Run ``jobs`` through the scheduler under the verb's flags.
+
+    ``verify``, ``schedule`` and ``diff-verify`` all land here; flags a
+    verb does not offer keep the scheduler's defaults.
+    """
+    try:
+        scheduler = Scheduler(
+            jobs,
+            frontier=getattr(args, "frontier", "dfs"),
+            cache=cache,
+            workers=getattr(args, "workers", 1),
+            executor_kind=getattr(args, "executor", None),
+            shm_threshold=getattr(args, "shm_threshold", None),
+            backend=args.backend,
+            precision_escalation=True if args.precision_escalation else None,
+            escalation_margin=args.escalation_margin,
+            abstraction=getattr(args, "abstraction", "off"),
+            abstraction_level=getattr(
+                args, "abstraction_level", NETABS_DEFAULT_LEVEL
+            ),
+            incremental=incremental,
         )
-    return jobs
+    except (KeyError, ValueError) as exc:
+        raise SystemExit(str(exc))
+    return scheduler.run()
 
 
 def cmd_schedule(args: argparse.Namespace) -> int:
@@ -380,25 +412,7 @@ def cmd_schedule(args: argparse.Namespace) -> int:
             )
         except ValueError as exc:
             raise SystemExit(str(exc))
-    try:
-        scheduler = Scheduler(
-            jobs,
-            frontier=args.frontier,
-            cache=cache,
-            engine=args.engine,
-            workers=args.workers,
-            executor_kind=args.executor,
-            shm_threshold=args.shm_threshold,
-            backend=args.backend,
-            precision_escalation=True if args.precision_escalation else None,
-            escalation_margin=args.escalation_margin,
-            abstraction=args.abstraction,
-            abstraction_level=args.abstraction_level,
-            incremental=args.incremental,
-        )
-    except (KeyError, ValueError) as exc:
-        raise SystemExit(str(exc))
-    report = scheduler.run()
+    report = _run_jobs(args, jobs, cache, incremental=args.incremental)
     return _print_schedule_report(report, jobs, cache)
 
 
@@ -417,11 +431,23 @@ def _print_schedule_report(report, jobs, cache) -> int:
         f"falsified: {counts['falsified']}  timeout: {counts['timeout']}"
     )
     print(
-        f"engine: {report.engine} ({report.frontier} frontier, "
-        f"{report.executor} executor x{report.workers}), "
+        f"run: {report.frontier} frontier, "
+        f"{report.executor} executor x{report.workers}, "
         f"{report.sweeps} fused sweeps, {report.swept_items} work items, "
         f"{report.wall_clock:.2f}s wall clock"
     )
+    _print_modes(report, cache)
+    # Same convention as ``verify``: 0 only when everything is proven,
+    # 1 when any property is falsified, 2 when budgets ran out — so a CI
+    # gate never mistakes an all-timeout run for success.
+    if counts["falsified"]:
+        return 1
+    return 2 if counts["timeout"] else 0
+
+
+def _print_modes(report, cache=None) -> None:
+    """The run's mode lines — abstraction, backend, cache, prefix —
+    printed by every verb that runs the scheduler."""
     if report.abstraction != "off":
         print(
             f"abstraction: {report.abstraction} level "
@@ -431,8 +457,8 @@ def _print_schedule_report(report, jobs, cache) -> int:
         )
     if report.escalation:
         print(
-            f"backend: {report.backend} screen, {report.escalated} jobs "
-            "escalated to numpy64"
+            f"backend: {report.screen_backend} screen, {report.escalated} "
+            "jobs escalated to numpy64"
         )
     elif report.backend != "numpy64":
         print(f"backend: {report.backend}")
@@ -443,12 +469,6 @@ def _print_schedule_report(report, jobs, cache) -> int:
             f"prefix: {report.prefix_hits} hits, "
             f"{report.prefix_layers_skipped} layers skipped"
         )
-    # Same convention as ``verify``: 0 only when everything is proven,
-    # 1 when any property is falsified, 2 when budgets ran out — so a CI
-    # gate never mistakes an all-timeout run for success.
-    if counts["falsified"]:
-        return 1
-    return 2 if counts["timeout"] else 0
 
 
 def cmd_diff_verify(args: argparse.Namespace) -> int:
@@ -474,21 +494,7 @@ def cmd_diff_verify(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise SystemExit(str(exc))
-    try:
-        scheduler = Scheduler(
-            jobs,
-            frontier=args.frontier,
-            cache=cache,
-            engine="batched",
-            workers=args.workers,
-            executor_kind=args.executor,
-            shm_threshold=args.shm_threshold,
-            backend=args.backend,
-            incremental=True,
-        )
-    except (KeyError, ValueError) as exc:
-        raise SystemExit(str(exc))
-    report = scheduler.run()
+    report = _run_jobs(args, jobs, cache, incremental=True)
     return _print_schedule_report(report, jobs, cache)
 
 
@@ -843,7 +849,7 @@ def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
         type=float,
         default=1e-2,
         help="PGD-margin comfort threshold below which a screen-phase "
-        "certification escalates to float64 (scheduler batched engine)",
+        "certification escalates to float64",
     )
 
 
@@ -934,22 +940,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--delta", type=float, default=1e-6, help="δ-completeness slack"
     )
     verify_parser.add_argument(
-        "--engine",
-        choices=sorted(ENGINES),
-        default="batched",
-        help="execution engine (same semantics, different shape)",
-    )
-    verify_parser.add_argument(
         "--batch-size",
         type=int,
         default=16,
         help="frontier sub-regions per batched sweep",
-    )
-    verify_parser.add_argument(
-        "--workers",
-        type=int,
-        default=4,
-        help="worker threads of the parallel engine (ignored by the others)",
     )
     _add_domain_flags(verify_parser)
     _add_abstraction_flags(verify_parser)
@@ -963,13 +957,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     schedule_parser.add_argument(
         "manifest", help="path to a JSON job manifest (see module docstring)"
-    )
-    schedule_parser.add_argument(
-        "--engine",
-        choices=sorted(SCHED_ENGINES),
-        default="batched",
-        help="batched = fused cross-property sweeps; sequential = solo "
-        "BatchedVerifier per job",
     )
     schedule_parser.add_argument(
         "--frontier",
@@ -1008,8 +995,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=10.0,
         help="per-job budget in seconds, counted from the job's first "
-        "fused sweep (under the batched engine it bounds completion "
-        "latency, since fused kernel time is shared across jobs)",
+        "fused sweep (it bounds completion latency, since fused kernel "
+        "time is shared across jobs)",
     )
     schedule_parser.add_argument(
         "--delta", type=float, default=1e-6, help="δ-completeness slack"
@@ -1025,8 +1012,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="cores for independent fused kernel groups (batched engine) "
-        "or whole jobs (sequential engine); 1 = serial executor",
+        help="cores for independent fused kernel groups; 1 = serial "
+        "executor",
     )
     _add_executor_flag(schedule_parser)
     _add_domain_flags(schedule_parser)

@@ -29,12 +29,9 @@ from repro.core.verifier import (
     verify,
     verify_batched,
 )
-from repro.core.parallel import ParallelVerifier, verify_parallel
 from repro.core.radius import RadiusResult, certified_accuracy, certified_radius
 
 __all__ = [
-    "ParallelVerifier",
-    "verify_parallel",
     "RadiusResult",
     "certified_radius",
     "certified_accuracy",

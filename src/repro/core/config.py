@@ -26,10 +26,11 @@ class VerifierConfig:
             on each side (enforces Assumption 1 / the paper's §6 boundary
             offset).
         pgd: counterexample-search settings used at every node.
-        batch_size: how many frontier sub-regions the batched engines
-            (:class:`~repro.core.verifier.BatchedVerifier`,
-            :class:`~repro.core.parallel.ParallelVerifier`) minimize and
-            analyze per sweep.  The sequential :class:`Verifier` ignores it.
+        batch_size: how many frontier sub-regions a job contributes to
+            each sweep of the frontier engine
+            (:class:`~repro.sched.scheduler.Scheduler`, and
+            :class:`~repro.core.verifier.BatchedVerifier` on top of it).
+            The sequential :class:`Verifier` ignores it.
     """
 
     delta: float = 1e-6

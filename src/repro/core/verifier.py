@@ -21,20 +21,26 @@ Randomness is attached to the *work item*, not the verifier: every item
 carries a :class:`numpy.random.SeedSequence` and spawns child sequences for
 its PGD call and its two split halves.  A sub-region's random stream is
 therefore a pure function of its path from the root, which is what lets the
-frontier-based :class:`BatchedVerifier` (and the thread pool in
-:mod:`repro.core.parallel`) process items in any order — or many at once —
-and still reproduce the sequential engine's per-region results.
+frontier engine (:class:`~repro.sched.scheduler.Scheduler`) process items
+in any order — or many at once, across many properties — and still
+reproduce this reference's per-region results.
 
-:class:`BatchedVerifier` is the GEMM-shaped engine: it restructures the
-stack into a frontier that pops up to ``config.batch_size`` items per
-sweep, runs one batched Minimize and one batched Analyze over all of them
-(§6's "independent sub-region analyses"), and pushes every resulting split.
-Every domain the policy menu commonly selects — intervals, DeepPoly,
-zonotopes, and bounded zonotope powersets — has a batched kernel behind
+:class:`Verifier` is the paper-faithful sequential reference.
+:class:`BatchedVerifier` is the GEMM-shaped route: a one-job
+:class:`~repro.sched.scheduler.Scheduler` run, whose frontier pops up to
+``config.batch_size`` items per sweep and runs one batched Minimize and
+one batched Analyze per domain group over all of them (§6's "independent
+sub-region analyses").  Every domain the policy menu commonly selects —
+intervals, DeepPoly, zonotopes, and bounded zonotope powersets — has a
+batched kernel behind
 :meth:`~repro.abstract.domains.DomainSpec.lift_batch`, so the Analyze step
-stays GEMM-shaped regardless of the domain policy's choices.
-Soundness, δ-completeness, budgets, and statistics semantics are identical
-to :class:`Verifier`; differences are traversal order and BLAS round-off.
+stays GEMM-shaped regardless of the domain policy's choices.  The three
+per-chunk steps live here as hooks
+(:func:`first_falsified`, :func:`choose_domains`,
+:func:`refine_unverified`) so the scheduler's fused sweeps cannot drift
+from Algorithm 1's per-chunk semantics.  Soundness, δ-completeness,
+budgets, and statistics semantics are identical to :class:`Verifier`;
+differences are traversal order and BLAS round-off.
 """
 
 from __future__ import annotations
@@ -43,10 +49,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.abstract.analyzer import analyze, analyze_batch
+from repro.abstract.analyzer import analyze
 from repro.abstract.domains import INTERVAL, DomainSpec
 from repro.attack.objective import MarginObjective
-from repro.attack.pgd import PGDConfig, pgd_minimize, pgd_minimize_batch
+from repro.attack.pgd import PGDConfig, pgd_minimize
 from repro.core.config import VerifierConfig
 from repro.core.policy import VerificationPolicy, default_policy
 from repro.core.property import RobustnessProperty
@@ -177,83 +183,14 @@ def refine_unverified(
     return None, pairs
 
 
-def batched_sweep(
-    network: Network,
-    policy: VerificationPolicy,
-    config: VerifierConfig,
-    objective: MarginObjective,
-    pgd_config: PGDConfig,
-    prop: RobustnessProperty,
-    items: list[WorkItem],
-    deadline: Deadline | None,
-) -> tuple["tuple | None", list[tuple[WorkItem, WorkItem]], VerificationStats]:
-    """One Algorithm-1 sweep over a frontier batch (items[0] = DFS-first).
-
-    Runs one batched Minimize over all items, one batched Analyze per
-    chosen-domain group, and refines every unverified item.  Returns
-    ``(terminal, child_pairs, sweep_stats)`` — the shared kernel of
-    :class:`BatchedVerifier` and the parallel engine's worker chunks, so
-    the two can never drift apart semantically.  May raise
-    :class:`TimeoutError` from the analyzer's deadline checks.
-
-    The three steps are exposed as standalone hooks (:func:`first_falsified`,
-    :func:`choose_domains`, :func:`refine_unverified`) so the multi-property
-    scheduler (:mod:`repro.sched`) can interleave many properties' frontier
-    chunks through shared kernel calls without re-implementing — or silently
-    diverging from — the per-chunk semantics.
-    """
-    sweep = VerificationStats()
-    count = len(items)
-    seeds = [item.derive_seeds() for item in items]
-
-    # --- 1. Batched Minimize ---------------------------------------------
-    x_stars, f_stars = pgd_minimize_batch(
-        objective,
-        [item.region for item in items],
-        pgd_config,
-        [pgd_rng for pgd_rng, _, _ in seeds],
-        deadline,
-    )
-    sweep.pgd_calls = count
-    sweep.max_depth_reached = max(item.depth for item in items)
-    idx = first_falsified(f_stars, config.delta)
-    if idx is not None:
-        return ("falsified", x_stars[idx], float(f_stars[idx])), [], sweep
-
-    # --- 2. Batched Analyze, grouped by chosen domain --------------------
-    domains = choose_domains(
-        network, policy, prop, items, x_stars, f_stars, sweep
-    )
-    groups: dict[DomainSpec, list[int]] = {}
-    for idx, domain in enumerate(domains):
-        groups.setdefault(domain, []).append(idx)
-    results: list = [None] * count
-    for domain, idxs in groups.items():
-        analyses = analyze_batch(
-            network,
-            [items[i].region for i in idxs],
-            prop.label,
-            domain,
-            deadline,
-        )
-        for i, analysis in zip(idxs, analyses):
-            results[i] = analysis
-
-    # --- 3. Refine every unverified item ---------------------------------
-    terminal, pairs = refine_unverified(
-        network, policy, config, prop, items, seeds, x_stars, f_stars,
-        results, sweep,
-    )
-    return terminal, pairs, sweep
-
-
 def minimize_pgd_config(config: VerifierConfig) -> PGDConfig:
     """The PGD settings every engine's Minimize step must share.
 
     PGD exits early once it drops to δ: anything at or below δ is already
-    a δ-counterexample.  Centralized so the sequential, parallel, and
-    scheduler engines can never drift on the early-exit threshold (the
-    solo/fused equivalence contract depends on identical PGD configs).
+    a δ-counterexample.  Centralized so the sequential reference and the
+    scheduler can never drift on the early-exit threshold (the
+    reference/frontier equivalence contract depends on identical PGD
+    configs).
     """
     pgd = config.pgd
     return PGDConfig(
@@ -359,13 +296,13 @@ class Verifier:
 class BatchedVerifier(Verifier):
     """Algorithm 1 over a frontier of sub-regions, batched per sweep.
 
-    Pops up to ``config.batch_size`` items from the refinement frontier,
-    runs **one** batched PGD minimization and **one** batched abstract
-    interpretation per domain group over all of them, then pushes every
-    resulting split.  Children are pushed so the frontier preserves the
-    sequential engine's depth-first orientation (the first popped item's
-    left child ends on top), making the traversal a DFS with a
-    ``batch_size``-wide lookahead.
+    A one-job :class:`~repro.sched.scheduler.Scheduler` run: the frontier
+    pops up to ``config.batch_size`` items per sweep, runs **one** batched
+    PGD minimization and **one** batched abstract interpretation per
+    domain group over all of them, then pushes every resulting split.
+    Children are pushed so the frontier preserves the sequential engine's
+    depth-first orientation (the first popped item's left child ends on
+    top), making the traversal a DFS with a ``batch_size``-wide lookahead.
 
     Because work-item randomness is path-keyed (see :class:`WorkItem`),
     each sub-region's PGD search matches the sequential engine's per-region
@@ -373,48 +310,28 @@ class BatchedVerifier(Verifier):
     Terminal sweeps may have minimized a few frontier companions the
     sequential engine would never have reached — order-only, speculative
     work that the statistics count honestly.
+
+    The run pins ``precision_escalation=False`` (a stray
+    ``REPRO_PRECISION_ESCALATION`` must not turn a plain verify into a
+    two-phase one) and hands the job this instance's generator, so a
+    reused instance draws successive root seeds exactly like
+    :class:`Verifier`.
     """
 
     def verify(self, prop: RobustnessProperty):
-        config = self.config
-        stats = VerificationStats()
-        deadline = Deadline(config.timeout)
-        watch = Stopwatch().start()
-        objective = MarginObjective(self.network, prop.label)
-        pgd_config = self._pgd_config()
+        # Imported here: the scheduler builds on this module's hooks.
+        from repro.sched.job import VerificationJob
+        from repro.sched.scheduler import Scheduler
 
-        def finish(outcome_cls, *args):
-            stats.time_seconds = watch.stop()
-            return outcome_cls(*args, stats)
-
-        frontier: list[WorkItem] = [root_item(prop.region, self._rng)]
-        try:
-            while frontier:
-                if deadline.expired():
-                    return finish(Timeout, "wall clock")
-                count = min(config.batch_size, len(frontier))
-                # items[0] is the stack top: the item the sequential
-                # engine would pop next.
-                items = [frontier.pop() for _ in range(count)]
-                terminal, pairs, sweep = batched_sweep(
-                    self.network, self.policy, config, objective,
-                    pgd_config, prop, items, deadline,
-                )
-                stats.merge(sweep)
-                if terminal is not None:
-                    if terminal[0] == "falsified":
-                        return finish(Falsified, terminal[1], terminal[2])
-                    return finish(Timeout, terminal[1])
-                # Reverse push order keeps the DFS orientation: the first
-                # popped item's left child ends on top of the frontier.
-                for left_item, right_item in reversed(pairs):
-                    frontier.append(right_item)
-                    frontier.append(left_item)
-        except TimeoutError:
-            return finish(Timeout, "wall clock")
-
-        stats.time_seconds = watch.stop()
-        return Verified(stats)
+        job = VerificationJob(
+            self.network,
+            prop,
+            config=self.config,
+            policy=self.policy,
+            seed=self._rng,
+        )
+        report = Scheduler([job], precision_escalation=False).run()
+        return report.results[0].outcome
 
 
 def verify(

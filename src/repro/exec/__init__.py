@@ -1,18 +1,16 @@
 """Kernel execution layer: serial, thread-pooled, and process-pooled
 execution of independent kernel calls (§6's "different threads"), shared
-by the scheduler, the parallel verifier, and scheduled policy training.
+by the scheduler and scheduled policy training.
 Process submissions cross as picklable descriptors (:mod:`repro.exec.calls`)
 that ship each network once per worker; large operands ride
 ``multiprocessing.shared_memory`` segments (:mod:`repro.exec.shm`)."""
 
 from repro.exec.executor import (
     EXECUTOR_KINDS,
-    FirstOutcome,
     KernelExecutor,
     PooledExecutor,
     ProcessExecutor,
     SerialExecutor,
-    future_result,
     make_executor,
     validate_executor_spec,
 )
@@ -24,10 +22,8 @@ __all__ = [
     "PooledExecutor",
     "ProcessExecutor",
     "EXECUTOR_KINDS",
-    "FirstOutcome",
     "ShmArena",
     "ShmHandle",
     "make_executor",
     "validate_executor_spec",
-    "future_result",
 ]

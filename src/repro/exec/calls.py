@@ -6,8 +6,8 @@ of kilobytes of weights — into every submission.  This module is the
 boundary layer that makes process execution cheap and faithful:
 
 - **Descriptors.**  :func:`marshal_call` recognizes the kernel calls the
-  engines actually submit (fused PGD, fused multi-label Analyze, solo
-  verification jobs, parallel-verifier sweep chunks) and rewrites each
+  scheduler actually submits (fused PGD, fused multi-label Analyze, and
+  its prefix-checkpointed twin) and rewrites each
   into a :class:`KernelCall`: the name of a module-level entry point plus
   a payload of plain arrays, config dicts, and small picklable objects.
   Unknown calls return ``None`` and the executor falls back to plain
@@ -299,47 +299,6 @@ def _marshal_analyze_checkpointed(
     )
 
 
-def _marshal_sweep_chunk(args, kwargs, store: NetworkStore) -> KernelCall | None:
-    """``sweep_chunk(network, policy, config, prop, chunk, deadline[, stop])``.
-
-    The trailing ``stop`` flag is advisory thread-shared state (see
-    :func:`repro.core.parallel.sweep_chunk`); it cannot pickle and is
-    deliberately not transported — a worker without it just runs the
-    sweep, which the coordinator already tolerates.
-    """
-    if kwargs or len(args) not in (6, 7):
-        return None
-    network, policy, config, prop, chunk, deadline = args[:6]
-    return KernelCall(
-        "repro.core.parallel:sweep_chunk_entry",
-        {
-            "network": store.handle(network),
-            "policy": policy,
-            "config": config,
-            "prop": prop,
-            "chunk": chunk,
-            "deadline": deadline,
-        },
-    )
-
-
-def _marshal_solo_verify(args, kwargs, store: NetworkStore) -> KernelCall | None:
-    """``solo_verify(job)`` — the sequential engine's whole-job unit."""
-    if kwargs or len(args) != 1:
-        return None
-    job = args[0]
-    return KernelCall(
-        "repro.sched.scheduler:solo_verify_entry",
-        {
-            "network": store.handle(job.network),
-            "prop": job.prop,
-            "config": job.config,
-            "policy": job.policy,
-            "seed": job.seed,
-        },
-    )
-
-
 #: Known kernel calls, keyed by (module, qualname) so registration never
 #: imports the heavy engine modules (workers import only what they run).
 _MARSHALLERS: dict[tuple[str, str], Callable] = {
@@ -349,8 +308,6 @@ _MARSHALLERS: dict[tuple[str, str], Callable] = {
         "repro.abstract.analyzer",
         "analyze_batch_checkpointed",
     ): _marshal_analyze_checkpointed,
-    ("repro.core.parallel", "sweep_chunk"): _marshal_sweep_chunk,
-    ("repro.sched.scheduler", "solo_verify"): _marshal_solo_verify,
 }
 
 

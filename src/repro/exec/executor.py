@@ -1,10 +1,9 @@
 """The kernel execution layer: where batched kernel calls actually run.
 
 The paper's §6 observes that "different calls to the abstract interpreter
-can be run on different threads".  Every engine in this codebase reduces
-its work to *independent kernel calls* — a fused PGD sweep here, a batched
-Analyze group there — that share no arrays and may therefore run on any
-core.  This module is the one place that decides *where* such calls run:
+can be run on different threads".  The scheduler reduces every round to
+*independent kernel calls* — a fused PGD sweep here, a batched Analyze
+group there — that share no arrays and may therefore run on any core.  This module is the one place that decides *where* such calls run:
 
 - :class:`SerialExecutor` runs each call inline at submission, on the
   caller's thread.  Submission order is execution order, making it the
@@ -30,13 +29,6 @@ all randomness) before submitting, and they consume results in
 deterministic (submission) order.  Under that discipline a pooled run is
 bitwise identical to a serial run; the scheduler's executor-equivalence
 matrix pins this.
-
-**Failure plumbing.**  Engines that race many calls against a single
-terminal outcome (a counterexample settles the whole query) coordinate
-through :class:`FirstOutcome` — first writer wins, everyone else observes
-the stop flag — and retire the backlog with
-:meth:`KernelExecutor.cancel_pending`, which drops not-yet-started calls
-instead of letting every pending chunk run to completion.
 """
 
 from __future__ import annotations
@@ -46,15 +38,8 @@ import os
 import threading
 import time
 from abc import ABC, abstractmethod
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    CancelledError,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
-from typing import Callable, Iterable
+from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from typing import Callable
 
 from repro.obs.metrics import registry
 from repro.obs.trace import tracer
@@ -177,54 +162,6 @@ class KernelExecutor(ABC):
         future.add_done_callback(_done)
         return future
 
-    @abstractmethod
-    def wait_any(self, futures: set) -> tuple[set, set]:
-        """Block until at least one future completes.
-
-        Returns ``(done, pending)``.  Cancelled futures count as done
-        (their ``result()`` raises ``CancelledError``; use
-        :func:`future_result` to treat them as empty).
-        """
-
-    def run_all(self, calls: Iterable[tuple]) -> list:
-        """Submit every ``(fn, *args)`` call, then gather results in
-        submission order.
-
-        The deterministic fan-out/fan-in primitive the scheduler's fused
-        sweeps are built on: all calls are in flight before the first
-        result is awaited, and the caller observes results in exactly the
-        order it would have produced them serially.  The first exception
-        (in submission order) propagates after every call has finished,
-        so no kernel is left running against freed state.
-        """
-        futures = [self.submit(fn, *args) for fn, *args in calls]
-        results, first_error = [], None
-        for future in futures:
-            try:
-                results.append(future.result())
-            except BaseException as exc:  # noqa: BLE001 - re-raised below
-                if first_error is None:
-                    first_error = exc
-                results.append(None)
-        if first_error is not None:
-            raise first_error
-        return results
-
-    def cancel_pending(self, futures: set) -> set:
-        """Cancel every future that has not started; return the rest.
-
-        The falsification-latency path: once a terminal outcome is known,
-        queued-but-unstarted calls are dropped immediately instead of each
-        being scheduled just to notice the stop flag.  Futures already
-        running (or inline-completed) cannot be cancelled and are returned
-        for the caller to drain.
-        """
-        remaining = set()
-        for future in futures:
-            if not future.cancel():
-                remaining.add(future)
-        return remaining
-
     def shutdown(self, cancel_pending: bool = False) -> None:
         """Release the executor's resources (idempotent)."""
 
@@ -267,9 +204,6 @@ class SerialExecutor(KernelExecutor):
         except BaseException as exc:  # noqa: BLE001 - stored, not swallowed
             future.set_exception(exc)
         return future
-
-    def wait_any(self, futures: set) -> tuple[set, set]:
-        return set(futures), set()
 
 
 def _run_after_wait(fn, name, submitted_at, args, kwargs):
@@ -323,10 +257,6 @@ class PooledExecutor(KernelExecutor):
         )
         return self._observe_submit(future, _call_label(fn))
 
-    def wait_any(self, futures: set) -> tuple[set, set]:
-        done, pending = wait(futures, return_when=FIRST_COMPLETED)
-        return set(done), set(pending)
-
     def shutdown(self, cancel_pending: bool = False) -> None:
         with self._lock:
             pool, self._pool = self._pool, None
@@ -341,15 +271,15 @@ class _EnvelopeFuture(Future):
 
     Descriptor calls return an envelope — the entry point's value plus
     the worker-side counter delta — and the parent must (a) merge the
-    delta into its registry and (b) hand callers the bare value.  A plain
-    proxy object cannot do this: ``concurrent.futures.wait`` (the
-    executor's ``wait_any``) inspects Future internals, so the unwrapper
-    must *be* a Future.  Chaining via ``add_done_callback`` keeps every
-    transition synchronous with the inner future's own completion: the
-    merge happens before any ``result()`` on this future returns, which
-    is what makes a run's metrics delta complete by the time its report
-    is assembled.  ``cancel()`` forwards to the inner future, so
-    ``cancel_pending`` semantics are unchanged.
+    delta into its registry and (b) hand callers the bare value.
+    Callers use it wherever a pool future would go (``result()``,
+    ``add_done_callback``, ``cancel()``), so the unwrapper *is* a Future.
+    Chaining via ``add_done_callback`` keeps every transition synchronous
+    with the inner future's own completion: the merge happens before any
+    ``result()`` on this future returns, which is what makes a run's
+    metrics delta complete by the time its report is assembled.
+    ``cancel()`` forwards to the inner future, and an inner future
+    cancelled by ``shutdown(cancel_pending=True)`` cancels this one.
     """
 
     def __init__(self, inner: Future, executor_name: str) -> None:
@@ -505,10 +435,6 @@ class ProcessExecutor(KernelExecutor):
             pool.submit(fn, *args, **kwargs), _call_label(fn)
         )
 
-    def wait_any(self, futures: set) -> tuple[set, set]:
-        done, pending = wait(futures, return_when=FIRST_COMPLETED)
-        return set(done), set(pending)
-
     def shutdown(self, cancel_pending: bool = False) -> None:
         with self._lock:
             pool, self._pool = self._pool, None
@@ -587,52 +513,3 @@ def validate_executor_spec(
     )
     if owned:
         built.shutdown()
-
-
-def future_result(future, default=None):
-    """``future.result()``, with cancelled futures yielding ``default``.
-
-    Engines that cancel their backlog on a terminal outcome drain the
-    remaining futures through this helper so a cancelled chunk reads as
-    "no work produced" rather than an error.
-    """
-    try:
-        return future.result()
-    except CancelledError:
-        return default
-
-
-class FirstOutcome:
-    """First-writer-wins outcome slot with a stop flag.
-
-    The shared failure plumbing of every engine that races independent
-    work against a single terminal answer (ParallelVerifier's frontier
-    chunks; any one δ-counterexample settles the query): the first
-    recorded outcome sticks, every later record is ignored, and the
-    ``stop`` event tells in-flight work to bail early.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._outcome = None
-        self.stop = threading.Event()
-
-    def record(self, outcome) -> bool:
-        """Record ``outcome`` if none is set; always raises the stop flag.
-
-        Returns True when this call's outcome won.
-        """
-        with self._lock:
-            won = self._outcome is None
-            if won:
-                self._outcome = outcome
-        self.stop.set()
-        return won
-
-    def is_set(self) -> bool:
-        return self.stop.is_set()
-
-    def get(self):
-        """The winning outcome, or ``None`` when nothing terminal happened."""
-        with self._lock:
-            return self._outcome

@@ -26,11 +26,12 @@ Two cost models:
   deterministic — a candidate's score is a pure function of (θ, suite,
   seed) regardless of workers, co-scheduled candidates, or cache state —
   which is what makes training traces reproducible and cacheable.
-- ``"time"`` — the paper's wall-clock cost.  Jobs run solo
-  (``engine="sequential"``) so each problem's clock is its own; scores are
-  measurements, not pure functions, so the result cache and concurrent
-  workers are both refused (a cached job reports zero seconds; pooled jobs
-  contend for the cores whose time is being measured).
+- ``"time"`` — the paper's wall-clock cost.  Each job runs alone, one
+  ``Scheduler([job])`` run per problem, so each problem's clock is its
+  own; scores are measurements, not pure functions, so the result cache
+  and concurrent workers are both refused (a cached job reports zero
+  seconds; pooled jobs contend for the cores whose time is being
+  measured).
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ class PolicyCostObjective:
         penalty: unsolved-problem multiplier ``p`` (both models).
         base_config: verifier knobs shared by every evaluation; the
             per-problem budget comes from the objective, not from here.
-        rng_seed: every job's seed (the solo engine's ``rng``).
+        rng_seed: every job's seed (the verifiers' ``rng``).
         cost_model: ``"work"`` or ``"time"`` — see the module docstring.
         workers: cores for each evaluation's scheduler run.
         cache: optional persistent result cache; ``"work"`` model only.
@@ -230,28 +231,31 @@ class PolicyCostObjective:
         """
         if not theta_vecs:
             return []
+        jobs = self._jobs(theta_vecs)
         # The work model fuses every candidate's sub-regions into shared
         # sweeps; the time model needs each problem's clock to itself.
-        engine = "batched" if self.cost_model == "work" else "sequential"
-        report = Scheduler(
-            self._jobs(theta_vecs),
-            cache=self.cache,
-            engine=engine,
-            workers=self.workers,
-            executor=self._run_executor(),
-        ).run()
+        batches = [jobs] if self.cost_model == "work" else [[j] for j in jobs]
+        results = []
+        for batch in batches:
+            report = Scheduler(
+                batch,
+                cache=self.cache,
+                workers=self.workers,
+                executor=self._run_executor(),
+            ).run()
+            results.extend(report.results)
+            self.fresh_calls += report.fresh_calls()
+            # The registry delta rather than the scheduler's own tally:
+            # the merged ``cache.hits`` counter also covers probes made
+            # outside the run loop (and is the quantity the obs layer
+            # pins equal across executors), so the trainer's summary can
+            # never drift from a trace dump of the same run.
+            self.cache_hits += int(report.metrics.get("cache.hits", 0))
         self.evaluations += len(theta_vecs)
-        self.fresh_calls += report.fresh_calls()
-        # The registry delta rather than the scheduler's own tally: the
-        # merged ``cache.hits`` counter also covers probes made outside
-        # the run loop (and is the quantity the obs layer pins equal
-        # across executors), so the trainer's summary can never drift
-        # from a trace dump of the same run.
-        self.cache_hits += int(report.metrics.get("cache.hits", 0))
         count = len(self.problems)
         scores = []
         for cand in range(len(theta_vecs)):
-            span = report.results[cand * count : (cand + 1) * count]
+            span = results[cand * count : (cand + 1) * count]
             scores.append(-sum(self._problem_cost(r.outcome) for r in span))
         return scores
 

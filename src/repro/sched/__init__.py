@@ -12,13 +12,14 @@ properties of the same network and keep every ``batch_size`` slot full.
 - :mod:`repro.sched.cache` — the persistent content-addressed result
   cache (network/property/config digests, certified-radius queries).
 - :mod:`repro.sched.scheduler` — the :class:`Scheduler` engine and its
-  :class:`ScheduleReport`.
+  :class:`ScheduleReport`.  It is the only frontier engine: a one-job run
+  is the single-property case (``BatchedVerifier``, ``repro verify``).
 
-Per-job results are independent of scheduling — identical to solo
-``BatchedVerifier`` runs up to the same BLAS-kernel round-off budget the
-PR 1 engines share (fusing changes GEMM operand shapes, nothing else; the
-equivalence tests pin exact-equal witnesses and counters on the stock
-numpy build); see DESIGN.md §6.
+Per-job results are independent of scheduling — identical to the job's
+one-job run up to the BLAS-kernel round-off budget of the batched kernels
+(fusing changes GEMM operand shapes, nothing else; the equivalence tests
+pin exact-equal witnesses and counters on the stock numpy build); see
+DESIGN.md §6.
 """
 
 from repro.sched.cache import (
@@ -44,7 +45,6 @@ from repro.sched.frontier import (
 )
 from repro.sched.job import JobQueue, VerificationJob
 from repro.sched.scheduler import (
-    SCHED_ENGINES,
     JobResult,
     ScheduleReport,
     Scheduler,
@@ -56,7 +56,6 @@ __all__ = [
     "Scheduler",
     "ScheduleReport",
     "JobResult",
-    "SCHED_ENGINES",
     "FrontierPolicy",
     "FifoFrontier",
     "DfsFrontier",

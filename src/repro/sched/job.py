@@ -1,13 +1,13 @@
 """Verification jobs: the unit of work the multi-property scheduler runs.
 
 A :class:`VerificationJob` is one ``(network, property)`` pair plus the
-knobs a solo :class:`~repro.core.verifier.BatchedVerifier` run would take —
-config, policy, and an integer seed.  The seed matters: each job derives
-its own ``SeedSequence`` root from it exactly the way the solo engine
-does, so a job's refinement tree, witnesses, and statistics are a pure
-function of the job itself, never of which other jobs share the scheduler
-run or how the frontier interleaves them (the reproducibility contract,
-DESIGN.md §6).
+knobs of one Algorithm-1 run — config, policy, and a seed.  The seed
+matters: each job derives its own ``SeedSequence`` root from it exactly
+the way the sequential :class:`~repro.core.verifier.Verifier` does, so a
+job's refinement tree, witnesses, and statistics are a pure function of
+the job itself, never of which other jobs share the scheduler run or how
+the frontier interleaves them (the reproducibility contract, DESIGN.md
+§6).
 
 :class:`JobQueue` is the ordered intake: manifests and programmatic callers
 submit jobs, the :class:`~repro.sched.scheduler.Scheduler` drains them.
@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Iterator
+
+import numpy as np
 
 from repro.core.config import VerifierConfig
 from repro.core.policy import VerificationPolicy
@@ -32,11 +34,13 @@ class VerificationJob:
         network: the network under analysis.
         prop: the robustness property to decide.
         config: Algorithm-1 knobs; ``config.batch_size`` is the width of
-            this job's frontier chunks inside fused sweeps, exactly as it
-            would be in a solo ``BatchedVerifier`` run.
+            this job's frontier chunks inside fused sweeps.
         policy: domain/partition policy; ``None`` selects the default.
-        seed: root of the job's ``SeedSequence`` tree (the solo engine's
-            ``rng`` argument).
+        seed: root of the job's ``SeedSequence`` tree (the verifiers'
+            ``rng`` argument).  An integer, or a ``numpy`` Generator the
+            root seed is drawn from — what ``BatchedVerifier`` passes so
+            a reused instance keeps its rng stream.  Cached runs need an
+            integer: it is part of the cache key.
         name: identifier used in reports and manifests.
         metadata: free-form caller data carried into cache records — e.g.
             ``{"epsilon": 0.05, "center_digest": ...}`` for L∞ jobs, which
@@ -47,7 +51,7 @@ class VerificationJob:
     prop: RobustnessProperty
     config: VerifierConfig = field(default_factory=VerifierConfig)
     policy: VerificationPolicy | None = None
-    seed: int = 0
+    seed: int | np.random.Generator = 0
     name: str = ""
     metadata: dict = field(default_factory=dict)
 

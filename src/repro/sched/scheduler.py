@@ -1,11 +1,13 @@
-"""The multi-property verification scheduler: one shared frontier.
+"""The verification scheduler: Algorithm 1's one frontier engine.
 
-``BatchedVerifier`` keeps its GEMM batches full only while a *single*
-property's frontier is at least ``batch_size`` wide — which it rarely is
-near the root and near the leaves.  The :class:`Scheduler` accepts a whole
-manifest of (network, property) jobs and drives them through fused sweeps:
-each round, the frontier policy picks which jobs run, every chosen job
-contributes exactly the chunk its solo ``BatchedVerifier`` would pop next,
+Every verify path runs here — a one-property ``BatchedVerifier`` call and
+``repro verify`` are one-job runs, ``repro schedule`` and policy training
+are many-job runs.  A *single* property's frontier keeps GEMM batches
+full only while it is at least ``batch_size`` wide — which it rarely is
+near the root and near the leaves — so the :class:`Scheduler` accepts a
+whole manifest of (network, property) jobs and drives them through fused
+sweeps: each round, the frontier policy picks which jobs run, every
+chosen job contributes exactly the next chunk of its own DFS frontier,
 and the union of chunks goes through **one** batched PGD call per
 (network, PGD-config) group and **one** batched Analyze call per
 (network, domain) group.  Properties disagree on the target class, so the
@@ -15,17 +17,17 @@ fused kernels use the per-region-label variants
 
 **Reproducibility contract.**  Fusing changes only which rows share a
 GEMM, never the per-row semantics: work-item randomness is path-keyed
-from each job's own seed, chunk composition and order within a job are
-exactly the solo engine's, and each chunk's falsified/refine logic is the
-very same code (:func:`~repro.core.verifier.first_falsified` /
+from each job's own seed, chunk composition and order within a job do
+not depend on its batch mates, and each chunk's falsified/refine logic
+is Algorithm 1's own code (:func:`~repro.core.verifier.first_falsified` /
 :func:`~repro.core.verifier.choose_domains` /
 :func:`~repro.core.verifier.refine_unverified`).  A job therefore produces
 the same outcome, witness, and statistics under every frontier policy,
-every adaptive batch width, and every co-scheduled job mix as a solo
-``BatchedVerifier(network, policy, config, rng=seed).verify(prop)`` run,
-up to the §4 BLAS round-off caveat (fused batches have different operand
-shapes) — pinned exact on the stock numpy build by
-``tests/sched/test_scheduler.py``.
+every adaptive batch width, and every co-scheduled job mix as its
+one-job run (``BatchedVerifier(network, policy, config,
+rng=seed).verify(prop)``), up to the §4 BLAS round-off caveat (fused
+batches have different operand shapes) — pinned exact on the stock numpy
+build by ``tests/sched/test_scheduler.py``.
 
 **Execution layer.**  Every kernel call a round produces — one fused PGD
 call per (network, PGD-config) group, one fused Analyze call per
@@ -42,9 +44,6 @@ reproducibility contract survives untouched because group composition and
 within-group row order never change — only *which core* runs a group
 (process workers pin BLAS to one thread so even GEMM rounding matches;
 DESIGN.md §9).
-The ``sequential`` engine pools at the job level instead: each solo
-``BatchedVerifier`` run is self-contained, so whole jobs ride the same
-executor.
 
 Decided jobs are recorded in an optional persistent
 :class:`~repro.sched.cache.ResultCache`; a later run with the same key
@@ -86,7 +85,6 @@ from repro.core.results import (
     Verified,
 )
 from repro.core.verifier import (
-    BatchedVerifier,
     WorkItem,
     choose_domains,
     first_falsified,
@@ -108,45 +106,8 @@ from repro.sched.job import JobQueue, VerificationJob
 from repro.utils.rng import as_generator
 from repro.utils.timing import Deadline, Stopwatch
 
-#: ``--engine`` menu of the ``schedule`` command.  ``batched`` fuses
-#: cross-property sweeps; ``sequential`` runs each job through a solo
-#: :class:`BatchedVerifier` in submission order (the baseline the fused
-#: engine is benchmarked against — both are cache-aware).
-SCHED_ENGINES = ("batched", "sequential")
-
-
-def solo_verify(job: VerificationJob):
-    """One whole job through a solo :class:`BatchedVerifier`.
-
-    The sequential engine's executor unit: module-level (and pure, given
-    the job) so it can ride any executor — including a
-    :class:`~repro.exec.ProcessExecutor`, which marshals it through
-    :func:`solo_verify_entry`.  Returns ``(outcome, elapsed_seconds)``.
-    """
-    watch = Stopwatch().start()
-    outcome = BatchedVerifier(
-        job.network, job.policy, job.config, rng=job.seed
-    ).verify(job.prop)
-    return outcome, watch.stop()
-
-
-def solo_verify_entry(payload: dict):
-    """Process-worker entry point for a marshalled solo job."""
-    from repro.exec.calls import resolve_network
-
-    return solo_verify(
-        VerificationJob(
-            resolve_network(payload["network"]),
-            payload["prop"],
-            config=payload["config"],
-            policy=payload["policy"],
-            seed=payload["seed"],
-        )
-    )
-
-
 class _JobState:
-    """Mutable per-job scheduling state (the solo engine's locals)."""
+    """Mutable per-job scheduling state: one Algorithm-1 frontier."""
 
     __slots__ = (
         "index", "job", "policy", "config", "pgd_config", "frontier",
@@ -165,10 +126,9 @@ class _JobState:
         self.stats = VerificationStats()
         # The wall-clock budget starts when the job is first *scheduled*,
         # not when the run starts: queue wait behind other jobs must not
-        # consume a job's own timeout (the solo engine starts its clock at
-        # verify(); this is the closest shared-executor analogue).  Time
-        # spent in fused kernels between a job's sweeps still counts —
-        # under a shared executor the timeout bounds completion latency.
+        # consume a job's own timeout.  Time spent in fused kernels
+        # between a job's sweeps still counts — under a shared executor
+        # the timeout bounds completion latency.
         self.deadline: Deadline | None = None
         self.watch = Stopwatch().start()
         self.outcome = None
@@ -184,7 +144,8 @@ class _JobState:
         return self.deadline is not None and self.deadline.expired()
 
     def pop_chunk(self) -> list[WorkItem]:
-        """Exactly the chunk a solo ``BatchedVerifier`` sweep would pop."""
+        """The next ``batch_size`` items off the top of the DFS frontier
+        (``chunk[0]`` is the item Algorithm 1's stack would pop next)."""
         if self.deadline is None:
             self.deadline = Deadline(self.config.timeout)
         count = min(self.config.batch_size, len(self.frontier))
@@ -221,6 +182,10 @@ class JobResult:
 class ScheduleReport:
     """Everything a scheduler run did, per job and in aggregate.
 
+    ``backend`` is the run's base backend; under precision escalation
+    ``screen_backend`` is the backend the screen phase actually ran on
+    (empty otherwise).
+
     ``metrics`` is the run's counter delta from the process-local
     :mod:`repro.obs.metrics` registry (dotted names — ``kernel.pgd_rows``,
     ``cache.hits``, ``fused.calls``, ``phase.pgd_s``...).  Worker-process
@@ -236,12 +201,12 @@ class ScheduleReport:
     cache_hits: int = 0
     cache_errors: int = 0
     frontier: str = ""
-    engine: str = ""
     executor: str = ""
     workers: int = 1
     final_batch_target: int = 0
     backend: str = "numpy64"
     escalation: bool = False
+    screen_backend: str = ""
     escalated: int = 0
     abstraction: str = "off"
     abstraction_level: int = 0
@@ -287,11 +252,8 @@ class Scheduler:
             without spawning any verification work.
         controller: adaptive batch-width controller; defaults to probing
             upward from the largest job ``batch_size``.
-        engine: ``"batched"`` (fused cross-property sweeps) or
-            ``"sequential"`` (solo ``BatchedVerifier`` per job).
-        workers: cores for independent kernel groups (batched engine) or
-            whole jobs (sequential engine); ``1`` runs everything inline
-            on a :class:`~repro.exec.SerialExecutor`.
+        workers: cores for independent kernel groups; ``1`` runs
+            everything inline on a :class:`~repro.exec.SerialExecutor`.
         executor: a ready :class:`~repro.exec.KernelExecutor` to use
             instead of building one from ``workers`` (the caller keeps
             ownership of its lifecycle).
@@ -320,18 +282,17 @@ class Scheduler:
             screen-phase certification without escalation; jobs whose
             attack never got within this margin of the decision
             boundary keep their float32 verdict.
-        incremental: enable prefix-checkpoint reuse for the batched
-            engine's fused Analyze groups.  Each group probes ``cache``
+        incremental: enable prefix-checkpoint reuse for the fused
+            Analyze groups.  Each group probes ``cache``
             for the deepest :class:`~repro.abstract.checkpoint.PrefixBounds`
             captured under the network's own digest chain (a fine-tuned
             network shares chain links with its ancestor for every
             unchanged prefix layer, so no "old network" is ever named),
             resumes the analyzer from it — bitwise-identical to a cold
             run — and emits checkpoints at the deeper boundaries for
-            future runs.  Requires ``cache``; silently inert for the
-            ``sequential`` engine and for domains without checkpoint
-            support (powerset, symbolic), which degrade to exactly the
-            cold call.
+            future runs.  Requires ``cache``; silently inert for domains
+            without checkpoint support (powerset, symbolic), which
+            degrade to exactly the cold call.
     """
 
     def __init__(
@@ -340,7 +301,6 @@ class Scheduler:
         frontier: str | FrontierPolicy = "dfs",
         cache: ResultCache | None = None,
         controller: AdaptiveBatchController | None = None,
-        engine: str = "batched",
         workers: int = 1,
         executor: KernelExecutor | None = None,
         executor_kind: str | None = None,
@@ -353,10 +313,6 @@ class Scheduler:
         netabs_max_rounds: int = DEFAULT_MAX_ROUNDS,
         incremental: bool = False,
     ) -> None:
-        if engine not in SCHED_ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; choose from {SCHED_ENGINES}"
-            )
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if isinstance(jobs, JobQueue):
@@ -366,7 +322,6 @@ class Scheduler:
         self.policy = make_frontier(frontier)
         self.cache = cache
         self.controller = controller
-        self.engine = engine
         self.workers = workers
         self.executor = executor
         self.executor_kind = executor_kind
@@ -534,14 +489,19 @@ class Scheduler:
             kind=self.executor_kind,
             shm_threshold=self.shm_threshold,
         )
+        screen = ""
+        if self.precision_escalation:
+            # The one place the screen rule lives: float32 in front of
+            # the float64 reference; any other backend screens itself.
+            screen = "numpy32" if self.backend == "numpy64" else self.backend
         report = ScheduleReport(
             results=[None] * len(jobs),
             frontier=self.policy.name,
-            engine=self.engine,
             executor=executor.name,
             workers=executor.workers,
             backend=self.backend,
             escalation=self.precision_escalation,
+            screen_backend=screen,
             abstraction=self.abstraction,
             abstraction_level=(
                 self.abstraction_level if self.abstraction != "off" else 0
@@ -581,9 +541,8 @@ class Scheduler:
         :attr:`backend`; escalation chains a float32 phase and a float64
         phase.  Cache probes and records use the phase backend's keys,
         so a mixed-precision phase can never serve (or poison) reference
-        entries.  Returns the batched engine's per-job final PGD margins
-        (empty for sequential) — the escalation driver's near-margin
-        signal.
+        entries.  Returns the per-job final PGD margins — the escalation
+        driver's near-margin signal.
         """
         obs = metrics_registry()
         with _use_default_backend(backend):
@@ -604,9 +563,6 @@ class Scheduler:
                     pending.append((index, job))
             if self.cache is not None:
                 obs.add("phase.cache_s", time.perf_counter() - probe_started)
-            if self.engine == "sequential":
-                self._run_sequential(report, pending, executor, backend)
-                return {}
             return self._run_batched(report, pending, executor, backend)
 
     def _dispatch(
@@ -765,14 +721,13 @@ class Scheduler:
         points, so validation is exact, not abstract).  Certified
         verdicts are sound by the outward-rounding construction, but
         near-margin ones are re-run so job-level outcomes match a pure
-        float64 run; the batched engine's final PGD margin is the
-        comfort signal (the sequential engine carries no margin, so it
-        escalates every non-falsified job).  Phase 2 re-runs the
-        escalated jobs on the float64 reference backend, overwriting
-        their screen results.
+        float64 run; each job's final PGD margin is the comfort signal.
+        Phase 2 re-runs the escalated jobs on the float64 reference
+        backend, overwriting their screen results.
         """
-        screen = "numpy32" if self.backend == "numpy64" else self.backend
-        margins = self._run_phase(report, indexed, executor, screen)
+        margins = self._run_phase(
+            report, indexed, executor, report.screen_backend
+        )
         escalate: list[tuple[int, VerificationJob]] = []
         for index, job in indexed:
             outcome = report.results[index].outcome
@@ -796,32 +751,6 @@ class Scheduler:
         metrics_registry().inc("sched.escalated", len(escalate))
         if escalate:
             self._run_phase(report, escalate, executor, "numpy64")
-
-    def _run_sequential(
-        self,
-        report: ScheduleReport,
-        pending: list[tuple[int, VerificationJob]],
-        executor: KernelExecutor,
-        backend: str,
-    ) -> None:
-        # A solo BatchedVerifier run is entirely self-contained (path-keyed
-        # randomness, private frontier, private stats), so whole jobs are
-        # the executor's unit here: submit all, gather in submission order.
-        futures = [
-            (index, job, executor.submit(solo_verify, job))
-            for index, job in pending
-        ]
-        for index, job, future in futures:
-            with span("sched.job", cat="sched", index=index, backend=backend):
-                outcome, elapsed = future.result()
-            self._record(report, job, outcome, backend)
-            report.results[index] = JobResult(
-                index, job, outcome, cached=False, elapsed=elapsed
-            )
-            # Same unit as the batched engine's accounting: one swept item
-            # per frontier item minimized (every popped item gets exactly
-            # one PGD call, whether or not its analysis ran).
-            report.swept_items += outcome.stats.pgd_calls
 
     # ------------------------------------------------------------------
     # Fused engine
@@ -917,8 +846,8 @@ class Scheduler:
     ) -> None:
         """One scheduler round: fused Minimize, fused Analyze, refine.
 
-        Mirrors :func:`~repro.core.verifier.batched_sweep` chunk by chunk;
-        only the kernel-call grouping spans jobs.  Each stage's groups are
+        Algorithm 1's three steps chunk by chunk; only the kernel-call
+        grouping spans jobs.  Each stage's groups are
         pairwise independent — their operands (regions, labels, rngs) are
         built here on the scheduler thread before submission, and their
         results are consumed in submission order after — so the executor
@@ -1035,8 +964,7 @@ class Scheduler:
                     # The group deadline is the latest of its members, so
                     # every member is over budget.  They must retire *now*:
                     # their chunks never completed analysis, so an empty
-                    # frontier here means "aborted", not "verified" (the
-                    # solo engine maps this TimeoutError the same way).
+                    # frontier here means "aborted", not "verified".
                     for state in group_states:
                         if state.outcome is None:
                             state.finish(Timeout("wall clock", state.stats))
@@ -1048,7 +976,7 @@ class Scheduler:
                     results_by_state[state.index][pos] = analysis
         obs.add("phase.analyze_s", time.perf_counter() - stage_started)
 
-        # --- 3. Refine per chunk (identical to the solo engine) ----------
+        # --- 3. Refine per chunk (Algorithm 1's step 3) ------------------
         stage_started = time.perf_counter()
         for state, chunk, seeds, xs, fs in survivors:
             if state.outcome is not None:

@@ -8,18 +8,17 @@ equality of outcomes under a different float sequence would silently
 depend on decision margins.  The matrix below pins bitwise equality
 across domains × batch heights × split depths × backends, both from
 in-memory captures and through the ``ResultCache`` disk round-trip
-(``.px.npz``), plus the sequential path, conv networks, and the
-mismatch guards that keep a checkpoint from resuming the wrong run.
+(``.px.npz``), plus conv networks and the mismatch guards that keep a
+checkpoint from resuming the wrong run.  Single-region resume is the
+height-1 row of the batched matrix.
 """
 
 import numpy as np
 import pytest
 
 from repro.abstract.analyzer import (
-    analyze,
     analyze_batch_checkpointed,
     analyze_batch_multi,
-    analyze_checkpointed,
 )
 from repro.abstract.checkpoint import (
     PrefixBounds,
@@ -219,40 +218,6 @@ class TestResumeMatrix:
         )
         assert_results_bitwise_equal(plain, mute)
         assert_results_bitwise_equal(plain, loud)
-
-
-class TestSequentialResume:
-    @pytest.mark.parametrize("domain", DOMAINS, ids=lambda d: d.base)
-    def test_sequential_resume_equals_cold(self, domain):
-        net = mlp(5, [12, 10, 8], 3, rng=2)
-        region = _batch(5, 1, 0)[0]
-        cold, captured = analyze_checkpointed(
-            net, region, 1, domain,
-            capture_boundaries=checkpoint_boundaries(net),
-        )
-        assert captured
-        for record in captured:
-            resumed, _ = analyze_checkpointed(
-                net, region, 1, domain, resume=record
-            )
-            assert resumed.verified == cold.verified
-            assert resumed.margin_lower_bound == cold.margin_lower_bound
-        single = analyze(net, region, 1, domain)
-        assert cold.margin_lower_bound == single.margin_lower_bound
-
-    def test_sequential_and_batched_digests_never_collide(self):
-        # GEMV vs height-1 GEMM round-off differs, so the families are
-        # kept apart by the seq- digest prefix.
-        net = mlp(5, [12], 3, rng=2)
-        region = _batch(5, 1, 0)[0]
-        _, seq = analyze_checkpointed(
-            net, region, 1, DEEPPOLY, capture_boundaries=[2]
-        )
-        _, bat = analyze_batch_checkpointed(
-            net, [region], [1], DEEPPOLY, capture_boundaries=[2]
-        )
-        assert seq[0].regions_digest.startswith("seq-")
-        assert seq[0].regions_digest != bat[0].regions_digest
 
 
 class TestGuards:

@@ -20,7 +20,6 @@ from repro.abstract.netabs import (
     NetworkAbstraction,
     _agglomerate,
     abstraction_for,
-    cegar_verify,
     witness_margin,
 )
 from repro.core.config import VerifierConfig
@@ -28,7 +27,7 @@ from repro.core.property import linf_property
 from repro.core.results import Falsified, Verified, VerificationStats
 from repro.nn.builders import lenet_conv, mlp, redundant_mlp
 from repro.nn.serialize import network_digest
-from repro.sched import Scheduler, VerificationJob
+from repro.sched import JobResult, Scheduler, VerificationJob
 from repro.utils.boxes import Box
 
 #: Slack for comparing abstract bounds against concrete float64 forwards.
@@ -117,48 +116,86 @@ def test_refinement_terminates_at_concrete_network():
     assert abstraction.merged_ratio == 1.0
 
 
-def test_cegar_spurious_counterexample_refines_then_falls_back():
+_REAL_DISPATCH = Scheduler._dispatch
+
+
+def _stub_abstract_dispatch(monkeypatch, concrete, outcome_for):
+    """Stub the scheduler's dispatch for *abstract* networks only.
+
+    Abstract passes of the netabs pre-pass get ``outcome_for(job)`` as
+    their verdict; a pass over the ``concrete`` network runs for real.
+    Returns the list of dispatched network lists, one entry per pass.
+    """
+    passes = []
+
+    def dispatch(self, report, indexed, executor):
+        networks = [job.network for _, job in indexed]
+        passes.append(networks)
+        if all(network is concrete for network in networks):
+            return _REAL_DISPATCH(self, report, indexed, executor)
+        for index, job in indexed:
+            report.results[index] = JobResult(
+                index, job, outcome_for(job), cached=False, elapsed=0.0
+            )
+
+    monkeypatch.setattr(Scheduler, "_dispatch", dispatch)
+    return passes
+
+
+def test_cegar_spurious_counterexample_refines_then_falls_back(monkeypatch):
     """A persistently spurious abstract witness must never be accepted:
-    the loop refines, then decides on the concrete network."""
+    the pre-pass refines, then the concrete run decides."""
     net = redundant_mlp(4, [8, 8], 3, dup=4, noise=1e-6, rng=2)
     center = np.full(4, 0.5)
     prop = linf_property(net, center, 0.01)
     # The center itself classifies as prop.label, so it is spurious as a
     # counterexample by construction.
     assert witness_margin(net, prop.label, center) > 0.0
-    calls = []
+    job = VerificationJob(net, prop, config=VerifierConfig(timeout=10.0))
+    concrete = Scheduler([job]).run().results[0].outcome
 
-    def verify_fn(candidate):
-        calls.append(candidate)
-        if candidate is net:
-            return Verified(VerificationStats())
-        return Falsified(center, -1.0, VerificationStats())
-
-    result = cegar_verify(
-        net, prop, verify_fn, mode="syntactic", level=2, max_rounds=3
+    passes = _stub_abstract_dispatch(
+        monkeypatch, net,
+        lambda _job: Falsified(center, -1.0, VerificationStats()),
     )
-    assert result.outcome.kind == "verified"
-    assert result.abstracted and result.fallback
-    assert result.rounds >= 1  # at least one refinement round happened
-    assert calls[-1] is net  # decided on the concrete network
-    for candidate in calls[:-1]:
-        assert candidate is not net  # earlier attempts were abstract
+    report = Scheduler(
+        [job], abstraction="syntactic", abstraction_level=2,
+        netabs_max_rounds=3,
+    ).run()
+    result = report.results[0]
+    assert report.metrics["sched.netabs.spurious"] >= 1
+    assert report.netabs_accepted == 0
+    assert report.netabs_rounds >= 1  # at least one refinement round
+    # The concrete run decided: same verdict and counters as a plain run.
+    assert result.job is job
+    assert result.outcome.kind == concrete.kind
+    assert result.outcome.stats.pgd_calls == concrete.stats.pgd_calls
+    assert passes[-1] == [net]
+    for networks in passes[:-1]:
+        assert networks[0] is not net  # earlier passes were abstract
 
 
-def test_cegar_accepts_sound_abstract_verdicts():
+def test_cegar_accepts_sound_abstract_verdicts(monkeypatch):
     """Abstract VERIFIED and concretely-validated FALSIFIED are accepted
-    without touching the concrete network."""
+    in round 0 without touching the concrete network."""
     net = redundant_mlp(4, [8, 8], 3, dup=4, noise=1e-9, rng=4)
     center = np.full(4, 0.5)
     prop = linf_property(net, center, 0.005)
+    job = VerificationJob(net, prop, config=VerifierConfig(timeout=10.0))
 
-    def verify_ok(candidate):
-        assert candidate is not net
-        return Verified(VerificationStats())
+    def run(outcome):
+        passes = _stub_abstract_dispatch(monkeypatch, net, lambda _: outcome)
+        report = Scheduler(
+            [job], abstraction="syntactic", abstraction_level=2
+        ).run()
+        assert report.netabs_rounds == 0 and report.netabs_accepted == 1
+        assert passes and all(nets[0] is not net for nets in passes)
+        assert report.results[0].job is job
+        return report
 
-    result = cegar_verify(net, prop, verify_ok, mode="syntactic", level=2)
-    assert result.outcome.kind == "verified"
-    assert result.rounds == 0 and not result.fallback
+    report = run(Verified(VerificationStats()))
+    assert report.results[0].outcome.kind == "verified"
+    assert report.metrics["sched.netabs.verified"] == 1
 
     # A genuine concrete misclassification as the abstract witness: the
     # float64 check passes, so the falsification is accepted directly.
@@ -171,12 +208,12 @@ def test_cegar_accepts_sound_abstract_verdicts():
             break
     assert witness is not None, "workload never misclassifies"
 
-    def verify_bad(candidate):
-        return Falsified(witness, -1.0, VerificationStats())
-
-    result = cegar_verify(net, prop, verify_bad, mode="syntactic", level=2)
-    assert result.outcome.kind == "falsified"
-    assert result.rounds == 0 and not result.fallback
+    report = run(Falsified(witness, -1.0, VerificationStats()))
+    outcome = report.results[0].outcome
+    assert outcome.kind == "falsified"
+    np.testing.assert_array_equal(outcome.counterexample, witness)
+    assert report.metrics["sched.netabs.falsified"] == 1
+    assert report.metrics.get("sched.netabs.spurious", 0) == 0
 
 
 def test_abstraction_for_gates():

@@ -80,7 +80,7 @@ def suite():
 
 @pytest.fixture(scope="module")
 def reference(suite):
-    return Scheduler(suite, engine="batched").run()
+    return Scheduler(suite).run()
 
 
 def _witness_margin_f64(job, outcome) -> float:
@@ -94,7 +94,7 @@ def _witness_margin_f64(job, outcome) -> float:
 @pytest.mark.parametrize("backend_name", BACKENDS)
 def test_outcome_matrix(suite, reference, backend_name):
     _torch_or_skip(backend_name)
-    report = Scheduler(suite, engine="batched", backend=backend_name).run()
+    report = Scheduler(suite, backend=backend_name).run()
     assert report.backend == backend_name
     kinds = [r.outcome.kind for r in report.results]
     assert kinds == [r.outcome.kind for r in reference.results]
@@ -106,24 +106,14 @@ def test_outcome_matrix(suite, reference, backend_name):
             )
 
 
-@pytest.mark.parametrize("engine", ("batched", "sequential"))
-def test_escalation_matches_reference(suite, reference, engine):
-    report = Scheduler(
-        suite, engine=engine, precision_escalation=True
-    ).run()
+def test_escalation_matches_reference(suite, reference):
+    report = Scheduler(suite, precision_escalation=True).run()
     assert report.escalation
+    assert report.screen_backend == "numpy32"
     assert 0 <= report.escalated <= len(suite)
     assert [r.outcome.kind for r in report.results] == [
         r.outcome.kind for r in reference.results
     ]
-    if engine == "sequential":
-        # No margin signal: every job the screen did not falsify (a
-        # subset of the reference falsifications, since accepted
-        # witnesses are float64-validated) must have escalated.
-        falsified = sum(
-            1 for r in reference.results if r.outcome.kind == "falsified"
-        )
-        assert report.escalated >= len(suite) - falsified
 
 
 def test_escalation_env_default(suite, monkeypatch):

@@ -14,7 +14,6 @@ import pytest
 
 from repro.abstract.domains import DomainSpec, ZONOTOPE
 from repro.core.config import VerifierConfig
-from repro.core.parallel import verify_parallel
 from repro.core.policy import BisectionPolicy
 from repro.core.property import RobustnessProperty, linf_property
 from repro.core.results import Falsified, Verified
@@ -183,17 +182,37 @@ class TestBudgetsAndSemantics:
             np.testing.assert_array_equal(a.counterexample, b.counterexample)
 
 
-class TestParallelAgreement:
-    def test_parallel_frontier_agrees(self):
-        """Path-keyed seeds make parallel results scheduling-independent
-        per region; decided instances must agree with the batched engine."""
-        rng = np.random.default_rng(0)
-        for seed in range(5):
-            net = mlp(3, [8], 3, rng=seed)
-            center = rng.uniform(-0.3, 0.3, 3)
-            prop = linf_property(net, center, 0.1, clip_low=None, clip_high=None)
-            config = VerifierConfig(timeout=10)
-            bat = verify_batched(net, prop, config=config, rng=0)
-            par = verify_parallel(net, prop, config=config, workers=3, rng=0)
-            if "timeout" not in (bat.kind, par.kind):
-                assert bat.kind == par.kind
+class TestOneJobSchedulerRoute:
+    """``BatchedVerifier`` is a one-job scheduler run; these pin the two
+    things that run must carry over from a verifier instance."""
+
+    def test_reused_instance_keeps_its_rng_stream(self):
+        # Each verify() draws the next root seed from the instance's
+        # generator, exactly as the sequential reference does.
+        net = xor_network()
+        props = [
+            RobustnessProperty(Box(np.zeros(2), np.ones(2)), 0),
+            RobustnessProperty(Box(np.array([0.0, 0.4]), np.ones(2)), 0),
+        ]
+        config = _quick(batch_size=1)
+        seq = Verifier(net, config=config, rng=7)
+        bat = BatchedVerifier(net, config=config, rng=7)
+        for prop in props + props:
+            a, b = seq.verify(prop), bat.verify(prop)
+            assert a.kind == b.kind == "falsified"
+            np.testing.assert_array_equal(a.counterexample, b.counterexample)
+
+    def test_escalation_environment_does_not_leak_in(self, monkeypatch):
+        from repro.obs.metrics import registry
+
+        monkeypatch.setenv("REPRO_PRECISION_ESCALATION", "1")
+        net = xor_network()
+        prop = RobustnessProperty(
+            Box(np.array([0.3, 0.3]), np.array([0.7, 0.7])), 1
+        )
+        before = registry().counters_snapshot()
+        outcome = verify_batched(net, prop, config=_quick(), rng=0)
+        work = registry().counters_since(before)
+        assert outcome.kind == "verified"
+        assert work.get("sched.escalated", 0) == 0
+        assert not any(".numpy32." in name for name in work)

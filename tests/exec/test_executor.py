@@ -1,16 +1,13 @@
 """Tests for the kernel execution layer (repro.exec)."""
 
 import threading
-import time
 
 import pytest
 
 from repro.exec import (
-    FirstOutcome,
     PooledExecutor,
     ProcessExecutor,
     SerialExecutor,
-    future_result,
     make_executor,
 )
 
@@ -31,21 +28,6 @@ class TestSerialExecutor:
         with pytest.raises(ZeroDivisionError):
             failing.result()
 
-    def test_wait_any_reports_everything_done(self):
-        executor = SerialExecutor()
-        futures = {executor.submit(int, "7")}
-        done, pending = executor.wait_any(futures)
-        assert done == futures and pending == set()
-
-    def test_run_all_gathers_in_order(self):
-        executor = SerialExecutor()
-        results = executor.run_all([(pow, 2, i) for i in range(6)])
-        assert results == [2**i for i in range(6)]
-
-    def test_cancel_pending_is_a_noop(self):
-        executor = SerialExecutor()
-        future = executor.submit(lambda: 1)
-        assert executor.cancel_pending({future}) == {future}
 
 
 class TestPooledExecutor:
@@ -57,81 +39,6 @@ class TestPooledExecutor:
         with PooledExecutor(2) as executor:
             futures = [executor.submit(pow, 3, i) for i in range(5)]
             assert [f.result() for f in futures] == [3**i for i in range(5)]
-
-    def test_run_all_preserves_submission_order(self):
-        with PooledExecutor(4) as executor:
-            results = executor.run_all(
-                [(lambda i=i: (time.sleep(0.002 * (5 - i)), i)[1],)
-                 for i in range(5)]
-            )
-        assert results == list(range(5))
-
-    def test_run_all_propagates_first_exception_after_draining(self):
-        done = []
-
-        def ok(i):
-            done.append(i)
-            return i
-
-        def boom():
-            raise RuntimeError("kernel failed")
-
-        with PooledExecutor(2) as executor:
-            with pytest.raises(RuntimeError, match="kernel failed"):
-                executor.run_all([(ok, 0), (boom,), (ok, 2)])
-        # The non-failing calls all ran to completion before the raise.
-        assert sorted(done) == [0, 2]
-
-    def test_cancel_pending_drops_unstarted_work(self):
-        release = threading.Event()
-        ran = []
-
-        def blocker():
-            release.wait(5.0)
-            return "blocker"
-
-        def task(i):
-            ran.append(i)
-            return i
-
-        executor = PooledExecutor(1)
-        try:
-            first = executor.submit(blocker)
-            queued = {executor.submit(task, i) for i in range(4)}
-            # One worker is stuck in blocker; the queued tasks have not
-            # started and must all cancel.
-            remaining = executor.cancel_pending(queued)
-            assert remaining == set()
-            release.set()
-            assert first.result(timeout=5.0) == "blocker"
-            assert ran == []
-            for future in queued:
-                assert future.cancelled()
-                assert future_result(future, default="skipped") == "skipped"
-        finally:
-            release.set()
-            executor.shutdown()
-
-    def test_cancel_pending_keeps_running_futures(self):
-        started = threading.Event()
-        release = threading.Event()
-
-        def blocker():
-            started.set()
-            release.wait(5.0)
-            return "ran"
-
-        executor = PooledExecutor(1)
-        try:
-            future = executor.submit(blocker)
-            assert started.wait(5.0)
-            remaining = executor.cancel_pending({future})
-            assert remaining == {future}
-            release.set()
-            assert future.result(timeout=5.0) == "ran"
-        finally:
-            release.set()
-            executor.shutdown()
 
     def test_shutdown_cancels_backlog(self):
         release = threading.Event()
@@ -211,31 +118,3 @@ class TestMakeExecutor:
         with pytest.raises(ValueError, match="not both"):
             make_executor(mine, kind="pooled")
 
-
-class TestFirstOutcome:
-    def test_first_writer_wins(self):
-        first = FirstOutcome()
-        assert not first.is_set()
-        assert first.get() is None
-        assert first.record("winner")
-        assert not first.record("loser")
-        assert first.is_set()
-        assert first.get() == "winner"
-
-    def test_concurrent_records_pick_exactly_one(self):
-        first = FirstOutcome()
-        barrier = threading.Barrier(8)
-        wins = []
-
-        def racer(i):
-            barrier.wait()
-            if first.record(i):
-                wins.append(i)
-
-        threads = [threading.Thread(target=racer, args=(i,)) for i in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(wins) == 1
-        assert first.get() == wins[0]

@@ -1,9 +1,8 @@
 """Tests for spawn-based process-pool kernel execution.
 
-Covers the :class:`~repro.exec.ProcessExecutor` contract the engines rely
-on — ``run_all`` exception ordering, ``cancel_pending`` +
-``future_result`` handling of cancelled futures, a clear error (not a
-hang) when a worker is killed mid-call — plus the descriptor layer
+Covers the :class:`~repro.exec.ProcessExecutor` contract the scheduler
+relies on — ordered results, a clear error (not a hang) when a worker is
+killed mid-call — plus the descriptor layer
 (:mod:`repro.exec.calls`): known kernel calls must come back bitwise
 identical to their in-process results, with the network shipped once per
 worker, and workers must run with pinned single-threaded BLAS.
@@ -14,7 +13,6 @@ unpickle them.
 
 import os
 import time
-from concurrent.futures import CancelledError
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -24,7 +22,7 @@ from repro.abstract.analyzer import analyze_batch_multi
 from repro.abstract.domains import DomainSpec
 from repro.attack.objective import MultiLabelMarginObjective
 from repro.attack.pgd import PGDConfig, pgd_minimize_batch
-from repro.exec import ProcessExecutor, future_result
+from repro.exec import ProcessExecutor
 from repro.exec.calls import NetworkStore, marshal_call, run_kernel_call
 from repro.nn.builders import mlp
 from repro.utils.boxes import Box
@@ -39,10 +37,6 @@ def executor():
 
 def _ok(value):
     return value
-
-
-def _boom(tag):
-    raise RuntimeError(f"kernel failed: {tag}")
 
 
 def _sleep_then(seconds, value):
@@ -91,60 +85,11 @@ class TestProcessExecutorBasics:
         assert os.environ["OMP_NUM_THREADS"] == "1"
         assert before in (None, "1")
 
-    def test_run_all_gathers_in_submission_order(self, executor):
-        calls = [(_sleep_then, 0.01 * (4 - i), i) for i in range(5)]
-        assert executor.run_all(calls) == list(range(5))
-
-    def test_run_all_propagates_first_exception_in_submission_order(
-        self, executor
-    ):
-        # Both failing calls run to completion; the *submission-order*
-        # first one is what surfaces, deterministically.
-        with pytest.raises(RuntimeError, match="kernel failed: first"):
-            executor.run_all(
-                [(_ok, 0), (_boom, "first"), (_ok, 2), (_boom, "second")]
-            )
-
     def test_submit_after_shutdown_raises(self):
         executor = ProcessExecutor(1)
         executor.shutdown()
         with pytest.raises(RuntimeError, match="shutdown"):
             executor.submit(_ok, 1)
-
-
-class TestCancelPending:
-    def test_cancel_pending_drops_unstarted_work(self):
-        # A private 1-worker pool: one long call occupies the worker, so
-        # queued submissions beyond the pool's small prefetch buffer have
-        # not started and must cancel.
-        with ProcessExecutor(1) as executor:
-            blocker = executor.submit(_sleep_then, 1.5, "blocker")
-            queued = {executor.submit(_ok, i) for i in range(6)}
-            remaining = executor.cancel_pending(queued)
-            cancelled = queued - remaining
-            # ProcessPoolExecutor prefetches ~1 call beyond the running
-            # one; everything else must have been dropped.
-            assert len(cancelled) >= len(queued) - 2
-            assert blocker.result(timeout=30) == "blocker"
-            for future in cancelled:
-                assert future.cancelled()
-                with pytest.raises(CancelledError):
-                    future.result()
-                assert future_result(future, default="skipped") == "skipped"
-            # The uncancellable stragglers still run to completion.
-            for future in remaining:
-                assert future.result(timeout=30) in range(6)
-
-    def test_cancelled_futures_count_as_done_in_wait_any(self):
-        with ProcessExecutor(1) as executor:
-            blocker = executor.submit(_sleep_then, 1.0, "blocker")
-            queued = {executor.submit(_ok, i) for i in range(6)}
-            remaining = executor.cancel_pending(queued)
-            cancelled = queued - remaining
-            assert cancelled, "expected at least one cancelled future"
-            done, pending = executor.wait_any(set(cancelled))
-            assert done == cancelled and pending == set()
-            assert blocker.result(timeout=30) == "blocker"
 
 
 class TestWorkerCrash:
@@ -159,14 +104,6 @@ class TestWorkerCrash:
             # The pool is broken: later submissions fail loudly too.
             with pytest.raises(BrokenProcessPool):
                 executor.submit(_ok, 1)
-        finally:
-            executor.shutdown()
-
-    def test_run_all_surfaces_the_crash(self):
-        executor = ProcessExecutor(1)
-        try:
-            with pytest.raises(BrokenProcessPool):
-                executor.run_all([(_ok, 0), (_crash, 9), (_ok, 2)])
         finally:
             executor.shutdown()
 
@@ -311,39 +248,6 @@ class TestKernelDescriptors:
             assert marshal_call(pow, (2, 3), {}, store) is None
         finally:
             store.close()
-
-    def test_parallel_verifier_runs_over_the_process_pool(
-        self, executor, kernel_case
-    ):
-        # The frontier loop drives thread and process pools through the
-        # same pure sweep_chunk unit; sweep chunks cross as descriptors
-        # (the advisory stop flag is dropped by the marshaller — it
-        # would not pickle).  Outcome *kinds* must match the sequential
-        # engine (witness choice may differ by completion order, which
-        # is the parallel engine's documented contract).
-        from repro.core.config import VerifierConfig
-        from repro.core.parallel import ParallelVerifier
-        from repro.core.property import linf_property
-        from repro.core.verifier import verify_batched
-
-        network, _, _ = kernel_case
-        config = VerifierConfig(timeout=30.0, batch_size=4)
-        rng = np.random.default_rng(3)
-        for epsilon in (0.05, 0.6):  # one verified, one falsified case
-            prop = linf_property(network, rng.uniform(0.3, 0.7, 4), epsilon)
-            reference = verify_batched(network, prop, config=config, rng=0)
-            outcome = ParallelVerifier(
-                network, config=config, executor=executor, rng=0
-            ).verify(prop)
-            assert outcome.kind == reference.kind
-            if outcome.kind == "falsified":
-                # δ-completeness: any returned witness must be real.
-                from repro.attack.objective import MarginObjective
-
-                margin = MarginObjective(network, prop.label)(
-                    outcome.counterexample
-                )
-                assert margin <= config.delta
 
     def test_network_store_writes_each_digest_once(self, kernel_case):
         network, _, _ = kernel_case

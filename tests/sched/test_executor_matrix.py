@@ -9,8 +9,7 @@ thread, and process workers pin their BLAS pools to one thread so GEMM
 rounding matches the serial run.  These tests pin bitwise-identical
 per-job outcomes, witnesses, and statistics for whole manifests under
 ``SerialExecutor`` vs ``PooledExecutor`` vs ``ProcessExecutor`` with
-workers ∈ {1, 2, 4}, across every frontier policy and both scheduler
-engines.
+workers ∈ {1, 2, 4}, across every frontier policy.
 """
 
 import numpy as np
@@ -126,7 +125,7 @@ def process_executors():
 
     Spawned workers each import numpy + repro once; reusing the pools
     keeps the process rows' cost at one spawn per width instead of one
-    per (policy, width, engine) cell.
+    per (policy, width) cell.
     """
     executors = {}
     try:
@@ -220,32 +219,6 @@ class TestBatchedEngineMatrix:
             assert executor._shm.live_segments() == 0
         assert report.executor == "process"
         assert_reports_bitwise_equal(serial_reports[frontier], report)
-
-
-class TestSequentialEngineMatrix:
-    @pytest.fixture(scope="class")
-    def serial_report(self, manifest):
-        return Scheduler(
-            manifest, engine="sequential", executor=SerialExecutor()
-        ).run()
-
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_pooled_jobs_match_serial(self, workers, manifest, serial_report):
-        with PooledExecutor(workers) as executor:
-            pooled = Scheduler(
-                manifest, engine="sequential", executor=executor
-            ).run()
-        assert_reports_bitwise_equal(serial_report, pooled)
-
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_process_jobs_match_serial(
-        self, workers, manifest, serial_report, process_executors
-    ):
-        report = Scheduler(
-            manifest, engine="sequential", executor=process_executors(workers)
-        ).run()
-        assert report.executor == "process"
-        assert_reports_bitwise_equal(serial_report, report)
 
 
 class TestMetricsAggregation:

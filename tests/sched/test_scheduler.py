@@ -107,11 +107,6 @@ class TestEquivalence:
         for result, solo in zip(report.results, solo_outcomes):
             assert_job_equivalent(result, solo)
 
-    def test_sequential_engine_matches_too(self, job_mix, solo_outcomes):
-        report = Scheduler(job_mix, engine="sequential").run()
-        for result, solo in zip(report.results, solo_outcomes):
-            assert_job_equivalent(result, solo)
-
     def test_batch_target_invariance(self, job_mix, solo_outcomes):
         """Fused sweep width is a pure performance knob."""
         for target in (1, 4, 64):
@@ -150,7 +145,6 @@ class TestReport:
         assert report.swept_items > 0
         assert report.fresh_calls() > 0
         assert report.throughput() > 0
-        assert report.engine == "batched"
         assert report.frontier == "dfs"
 
     def test_elapsed_is_completion_latency(self, default_report):
@@ -161,10 +155,6 @@ class TestReport:
     def test_empty_queue_raises(self):
         with pytest.raises(ValueError, match="no jobs"):
             Scheduler([]).run()
-
-    def test_unknown_engine_raises(self, job_mix):
-        with pytest.raises(ValueError, match="engine"):
-            Scheduler(job_mix, engine="warp")
 
     def test_timeout_jobs_report_timeout(self):
         net = mlp(8, [24, 24, 24], 5, rng=3)

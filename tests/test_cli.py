@@ -1,13 +1,19 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.cli import main
-from repro.nn.builders import xor_network
+from repro.nn.builders import redundant_mlp, xor_network
 from repro.nn.serialize import save_network
+from repro.obs.metrics import registry as metrics_registry
 
 
 @pytest.fixture()
@@ -89,12 +95,6 @@ class TestScheduleCommand:
         assert "cache: 3 hits" in out
         assert "[cached]" in out
         assert "0 fused sweeps" in out
-
-    def test_sequential_engine(self, manifest, capsys):
-        code = main(["schedule", manifest, "--engine", "sequential"])
-        out = capsys.readouterr().out
-        assert code == 1
-        assert "engine: sequential" in out
 
     def test_missing_manifest_exits(self):
         with pytest.raises(SystemExit, match="manifest"):
@@ -717,3 +717,167 @@ class TestIncrementalCommands:
         assert code == 0
         assert "families:" in out
         assert "prefix records" in out
+
+
+#: Malformed-input cases: (manifest job override, verify flags, the key
+#: the one-line error must name).  ``verify`` takes the job's network
+#: path positionally, so the missing-network case needs no flag.
+MALFORMED = [
+    pytest.param({"epsilon": -0.1}, ["--epsilon", "-0.1"], "epsilon",
+                 id="negative-epsilon"),
+    pytest.param({"epsilon": float("nan")}, ["--epsilon", "nan"], "epsilon",
+                 id="nan-epsilon"),
+    pytest.param({"epsilon": "wide"}, ["--epsilon", "wide"], "epsilon",
+                 id="text-epsilon"),
+    pytest.param({"center": "0.5,abc"}, ["--center", "0.5,abc"], "center",
+                 id="text-center"),
+    pytest.param({"timeout": -1}, ["--timeout", "-1"], "timeout",
+                 id="negative-timeout"),
+    pytest.param({"batch_size": 0}, ["--batch-size", "0"], "batch",
+                 id="zero-batch-size"),
+    pytest.param({"network": "missing.npz"}, [], "network",
+                 id="missing-network"),
+]
+
+
+class TestMalformedInput:
+    """Bad job input exits with one line naming the job and the key —
+    never a traceback, never exit code 0."""
+
+    @pytest.mark.parametrize("verb", ["schedule", "verify"])
+    @pytest.mark.parametrize("job, flags, key", MALFORMED)
+    def test_exits_with_one_line(
+        self, verb, job, flags, key, xor_path, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        spec = {"network": xor_path, "center": "0.5,0.5", "name": "bad-job"}
+        spec.update(job)
+        if verb == "schedule":
+            manifest = tmp_path / "manifest.json"
+            manifest.write_text(json.dumps({"jobs": [spec]}))
+            argv = ["schedule", str(manifest)]
+        else:
+            argv = ["verify", spec["network"], "--center", "0.5,0.5", *flags]
+        # Anything but SystemExit escaping main() is a traceback.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        code = exc.value.code
+        assert code not in (0, None)
+        message = code if isinstance(code, str) else capsys.readouterr().err
+        assert key in message
+        assert "Traceback" not in message
+        if isinstance(code, str):
+            assert "\n" not in code.strip()
+            assert "job " in code
+
+
+class TestVerifyRunsTheScheduler:
+    """``verify`` is a one-job ``schedule`` run: same verdicts, same work,
+    and every scheduler mode (abstraction, escalation) applies."""
+
+    def test_verify_matches_one_job_schedule(
+        self, xor_path, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        flags = ["--epsilon", "0.2", "--domain", "zonotope", "--seed", "3"]
+        manifest = tmp_path / "one.json"
+        manifest.write_text(json.dumps({"jobs": [{
+            "network": xor_path, "center": "0.5,0.5", "epsilon": 0.2,
+            "domain": "zonotope", "seed": 3, "name": "one",
+        }]}))
+        obs = metrics_registry()
+
+        before = obs.counters_snapshot()
+        verify_code = main(["verify", xor_path, "--center", "0.5,0.5"] + flags)
+        verify_work = obs.counters_since(before)
+        verify_out = capsys.readouterr().out
+
+        before = obs.counters_snapshot()
+        schedule_code = main(["schedule", str(manifest)])
+        schedule_work = obs.counters_since(before)
+        schedule_out = capsys.readouterr().out
+
+        assert verify_code == schedule_code
+        verdict = next(
+            line.split()[1] for line in verify_out.splitlines()
+            if line.startswith("result:")
+        )
+        row = next(
+            line.split() for line in schedule_out.splitlines()
+            if line.startswith("one ")
+        )
+        assert row[1] == verdict
+        stats = next(
+            line for line in verify_out.splitlines()
+            if line.startswith("stats:")
+        ).split()
+        pgd_calls, analyses, splits = int(stats[1]), int(stats[4]), stats[6]
+        assert splits != "0"  # the case exercises real refinement
+        assert f" {pgd_calls} work items" in schedule_out
+        for counters in (verify_work, schedule_work):
+            assert counters["kernel.pgd_rows"] == pgd_calls
+            assert counters["kernel.analyze_rows"] == analyses
+
+    def test_abstraction_keeps_the_verdict(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        net = redundant_mlp(4, [8, 8], 3, dup=4, noise=1e-6, rng=2)
+        path = tmp_path / "redundant.npz"
+        save_network(net, path)
+        argv = ["verify", str(path), "--center", "0.5,0.5,0.5,0.5",
+                "--epsilon", "0.01"]
+        off_code = main(argv)
+        off = capsys.readouterr().out
+        abs_code = main(argv + ["--abstraction", "syntactic"])
+        merged = capsys.readouterr().out
+        assert abs_code == off_code
+        assert "abstraction: syntactic level 2" in merged
+        verdict = [line for line in off.splitlines() if line.startswith("result:")]
+        assert verdict == [
+            line for line in merged.splitlines() if line.startswith("result:")
+        ]
+
+    @staticmethod
+    def _repro(argv, cwd):
+        """``python -m repro *argv`` in a fresh interpreter: --backend and
+        --precision-escalation set process-wide state (active backend,
+        ``REPRO_*`` variables) that must not leak into other tests."""
+        env = {
+            name: value for name, value in os.environ.items()
+            if not name.startswith("REPRO_")
+        }
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        return subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            capture_output=True, text=True, cwd=cwd, env=env,
+        )
+
+    def test_escalation_reruns_on_float64(self, xor_path, tmp_path):
+        trace = tmp_path / "t.json"
+        done = self._repro(
+            [
+                "verify", xor_path, "--center", "0.5,0.5", "--epsilon",
+                "0.05", "--backend", "numpy32", "--precision-escalation",
+                "--escalation-margin", "1e9", "--trace", str(trace),
+            ],
+            tmp_path,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "backend: numpy32 screen, 1 jobs escalated" in done.stdout
+        counters = json.loads(trace.read_text())["otherData"]["metrics"][
+            "counters"
+        ]
+        assert counters["kernel.by_backend.numpy64.analyze_rows"] > 0
+        assert counters["kernel.by_backend.numpy32.analyze_rows"] > 0
+
+    def test_schedule_prints_the_screen_backend(self, xor_path, tmp_path):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"jobs": [
+            {"network": xor_path, "center": "0.5,0.5", "epsilon": 0.05},
+        ]}))
+        done = self._repro(
+            ["schedule", str(manifest), "--precision-escalation"], tmp_path
+        )
+        assert done.returncode == 0, done.stderr
+        assert "backend: numpy32 screen" in done.stdout

@@ -7,6 +7,7 @@ entry points stay true.
 """
 
 import importlib
+import importlib.util
 import inspect
 import pkgutil
 from pathlib import Path
@@ -90,3 +91,29 @@ class TestRepositoryDocs:
         for script in sorted((REPO_ROOT / "examples").glob("*.py")):
             first = script.read_text().lstrip()
             assert first.startswith('"""'), f"{script.name} lacks a docstring"
+
+
+#: Every runnable file shipped next to the library.  All of them guard
+#: their work behind ``if __name__ == "__main__"``, so importing one only
+#: resolves its imports — which is what catches a deleted library name.
+RUNNABLE = sorted((REPO_ROOT / "examples").glob("*.py")) + sorted(
+    (REPO_ROOT / "scripts").glob("*.py")
+)
+
+
+class TestExamplesAndScriptsImport:
+    @pytest.mark.parametrize(
+        "path", RUNNABLE, ids=[f"{p.parent.name}/{p.name}" for p in RUNNABLE]
+    )
+    def test_imports_by_path(self, path, monkeypatch):
+        # Scripts import their siblings, exactly as ``python scripts/x.py``
+        # would find them.
+        monkeypatch.syspath_prepend(str(path.parent))
+        spec = importlib.util.spec_from_file_location(
+            f"runnable_{path.parent.name}_{path.stem}", path
+        )
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        assert callable(getattr(module, "main", None)), (
+            f"{path.name} has no main()"
+        )

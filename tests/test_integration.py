@@ -19,7 +19,7 @@ from repro.core.verifier import Verifier
 from repro.nn.builders import mlp
 
 
-def run_all_tools(network, prop, timeout=10.0):
+def run_every_tool(network, prop, timeout=10.0):
     """Outcome kind per tool, plus any counterexamples found."""
     results = {}
     witnesses = {}
@@ -52,7 +52,7 @@ class TestCrossToolAgreement:
         radius = rng.uniform(0.05, 0.3)
         prop = linf_property(network, center, radius, clip_low=None, clip_high=None)
 
-        results, witnesses = run_all_tools(network, prop, timeout=10.0)
+        results, witnesses = run_every_tool(network, prop, timeout=10.0)
         verified = {t for t, k in results.items() if k == "verified"}
         falsified = {t for t, k in results.items() if k == "falsified"}
 
@@ -82,7 +82,7 @@ class TestCrossToolAgreement:
         center = rng.uniform(-0.3, 0.3, 4)
         prop = linf_property(network, center, 0.08, clip_low=None, clip_high=None)
 
-        results, _ = run_all_tools(network, prop, timeout=10.0)
+        results, _ = run_every_tool(network, prop, timeout=10.0)
         if any(k == "verified" for k in results.values()):
             preds = network.classify_batch(prop.region.sample(rng, 500))
             assert np.all(preds == prop.label), f"sampling refutes {results}"
