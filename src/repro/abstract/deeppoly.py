@@ -328,6 +328,181 @@ def _maxpool_relaxation(
     return al, au, bu
 
 
+def _dot_rows(arr: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """``(B, rows, n)`` · per-region ``(B, n)`` -> ``(B, rows)``."""
+    return (arr @ vec[:, :, None])[:, :, 0]
+
+
+def _diag_rewrite(
+    a: np.ndarray,
+    b,
+    dl: np.ndarray,
+    du: np.ndarray,
+    bu: np.ndarray,
+    bl: np.ndarray | None,
+    lower: bool,
+    owned: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rewrite ``a`` (``(B, rows, n)``) through a per-region diagonal
+    relation: returns ``(a', b')``.
+
+    Bitwise ``pos*dl + neg*du`` (``du``/``dl`` swapped for the upper
+    bound) with one temporary instead of five: the negative part goes
+    into the one fresh buffer and the positive part overwrites ``a`` when
+    the caller ``owned`` it.
+    """
+    neg = np.minimum(a, 0.0)
+    pos = np.maximum(a, 0.0, out=a) if owned else np.maximum(a, 0.0)
+    b = b + _dot_rows(neg if lower else pos, bu)
+    if bl is not None:
+        b = b + _dot_rows(pos if lower else neg, bl)
+    pos *= (dl if lower else du)[:, None, :]
+    neg *= (du if lower else dl)[:, None, :]
+    pos += neg
+    return pos, b
+
+
+def _is_identity(a: np.ndarray) -> bool:
+    return (
+        a.ndim == 2
+        and a.shape[0] == a.shape[1]
+        and np.count_nonzero(a) == a.shape[0]
+        and bool((a.diagonal() == 1).all())
+    )
+
+
+def _gather_columns(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``a[..., idx[r]]`` for every region ``r``: a fresh ``(B, rows, K)``.
+
+    A shared ``(rows, n)`` expression is gathered as rows of its
+    transpose (a fast row copy) and handed back as a Fortran-ordered
+    view, which BLAS and the elementwise passes take as is.
+    """
+    if a.ndim == 2:
+        return np.ascontiguousarray(a.T)[idx].transpose(0, 2, 1)
+    return np.take_along_axis(a, idx[:, None, :], axis=2)
+
+
+def _live_units(relu: _DiagBounds) -> tuple[np.ndarray, ...]:
+    """A ReLU relation's per-region live units: ``(idx, dl, du, bu)``.
+
+    A unit is dead on a region when ``dl = du = bu = 0`` there: its
+    output is exactly zero, so every expression term through it is an
+    exact zero.  ``idx`` (``(B, K)``) lists each region's live units in
+    index order, padded to the batch's largest live count ``K`` with that
+    region's own dead units — whose coefficients, gathered next to it,
+    are the zeros the pads need.
+    """
+    live = (relu.du != 0) | (relu.dl != 0) | (relu.bu != 0)
+    width = int(live.sum(axis=1).max(initial=0))
+    idx = np.argsort(~live, axis=1, kind="stable")[:, :width]
+    regions = np.arange(idx.shape[0])[:, None]
+    return (
+        idx, relu.dl[regions, idx], relu.du[regions, idx],
+        relu.bu[regions, idx],
+    )
+
+
+def _gather_block(
+    weight: np.ndarray, rows: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    """Per-region weight blocks ``weight[rows[r]][:, cols[r]]``, one row
+    take and one column take per region (cheaper than one broadcast fancy
+    index).  Pad indices select real units, so the block is finite
+    wherever the weights are; the zero expression coefficients at pad
+    rows cancel it exactly."""
+    block = np.empty(
+        (rows.shape[0], rows.shape[1], cols.shape[1]), dtype=weight.dtype
+    )
+    for r in range(rows.shape[0]):
+        np.take(weight.take(rows[r], axis=0), cols[r], axis=1, out=block[r])
+    return block
+
+
+class _LiveUnits:
+    """The gathered operands of one analysis's live-unit rewrite.
+
+    Shared by every :class:`DeepPolyBatch` one lift extends into, so the
+    ``bounds()`` calls of an analysis reuse them; never attached to the
+    relations themselves, which the analyzer's per-row output views keep
+    alive after it returns.  Entries hold their relations, so the
+    ``id`` keys cannot be recycled while an entry lives.
+
+    Live sets are ``O(B·n)`` and always kept.  Blocks between two ReLUs
+    are kept while their bytes fit :attr:`cap` (one dense ``(B, n, n)``
+    expression array over the widest ReLU) and gathered on every use
+    beyond it.  The analysis walks the network bottom-up, so the blocks
+    kept are the deepest ones — those every later rewrite passes
+    through.  Row blocks into a non-ReLU relation (the input layer) are
+    plain row copies, cheap next to their GEMM, and never kept.
+    """
+
+    def __init__(self) -> None:
+        self.cap = 0
+        self.held = 0
+        self._live: dict[int, tuple] = {}
+        self._blocks: dict[tuple[int, int, int], tuple] = {}
+
+    def live(self, relu: _DiagBounds) -> tuple[np.ndarray, ...]:
+        """``(idx, dl, du, bu)`` of ``relu`` (see :func:`_live_units`)."""
+        entry = self._live.get(id(relu))
+        if entry is None:
+            entry = (relu, *_live_units(relu))
+            self._live[id(relu)] = entry
+        return entry[1:]
+
+    def block(
+        self,
+        above: _DiagBounds,
+        affine: _LayerBounds,
+        below: _DiagBounds | None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(weight block, bias)`` of a shared affine relation between
+        the live units of ``above`` and of ``below`` (every input unit
+        when ``below`` is ``None``)."""
+        rows = self.live(above)[0]
+        if below is None:
+            return affine.al[rows], affine.bl[rows]
+        key = (id(above), id(affine), id(below))
+        entry = self._blocks.get(key)
+        if entry is not None:
+            return entry[3:]
+        block = _gather_block(affine.al, rows, self.live(below)[0])
+        bias = affine.bl[rows]
+        size = block.nbytes + bias.nbytes
+        if self.held + size <= self.cap:
+            self._blocks[key] = (above, affine, below, block, bias)
+            self.held += size
+        return block, bias
+
+
+def _live_width(layers: list) -> int | None:
+    """The widest ReLU relation of a chain the live-unit rewrite covers,
+    or ``None`` when the chain needs the dense rewrite.
+
+    Covered: shared exact-affine relations and per-region ReLU diagonals
+    (no lower bias), no two diagonals adjacent — every MLP analysis.
+    Maxpool (:class:`_DenseBounds`) and pad diagonals are not.
+    """
+    width = 0
+    below_diag = False
+    for layer in layers:
+        if type(layer) is _DiagBounds:
+            if layer.bl is not None or layer.dl.ndim != 2 or below_diag:
+                return None
+            width = max(width, layer.dl.shape[1])
+            below_diag = True
+        elif (
+            type(layer) is _LayerBounds
+            and layer.al is layer.au
+            and layer.al.ndim == 2
+        ):
+            below_diag = False
+        else:
+            return None
+    return width
+
+
 class DeepPolyBatch(BatchedElement):
     """DeepPoly analysis of ``B`` input regions in lockstep.
 
@@ -338,6 +513,15 @@ class DeepPolyBatch(BatchedElement):
     ``(B, rows, n)`` and every rewrite is a batched GEMM.  Row ``i`` matches
     what :class:`DeepPolyState` computes for region ``i`` alone up to BLAS
     kernel round-off (reduction order depends on operand shapes).
+
+    Chains of shared affine relations and ReLU diagonals (every MLP)
+    back-substitute over each region's *live* units only: a unit dead on
+    a region contributes exact zeros, so the expression is kept as
+    ``(B, rows, K)`` over the live units (padded to the batch's largest
+    count ``K``) and each affine rewrite is one batched GEMM against the
+    per-region block ``W[live_above][:, live_below]`` — the flops shrink
+    by the square of the live fraction.  Other chains (maxpool, pad) use
+    the dense rewrite.
     """
 
     def __init__(
@@ -361,6 +545,7 @@ class DeepPolyBatch(BatchedElement):
         self.layers: list[_LayerBounds | _DiagBounds] = (
             list(layers) if layers else []
         )
+        self._units = _LiveUnits()
 
     @staticmethod
     def from_boxes(boxes: list[Box]) -> "DeepPolyBatch":
@@ -453,34 +638,132 @@ class DeepPolyBatch(BatchedElement):
         """Bounds of the shared expressions ``a·v`` per region: ``(B, rows)``.
 
         ``a``: shared coefficients ``(rows, size)`` over the current output.
+        Chains the live-unit rewrite covers (see :func:`_live_width`) take
+        :meth:`_rewrite_live`, the rest :meth:`_rewrite_dense`; both end
+        in the same concretization over the input box.
+        """
+        a = np.atleast_2d(a)
+        box_low, box_high = self.box_low, self.box_high
+        width = _live_width(self.layers)
+        if width is None:
+            a, b, owned = self._rewrite_dense(a, lower)
+        else:
+            a, b, owned, cols = self._rewrite_live(a, lower, width)
+            if cols is not None:  # a ReLU straight on the input
+                idx = self._units.live(cols)[0]
+                box_low = np.take_along_axis(box_low, idx, axis=1)
+                box_high = np.take_along_axis(box_high, idx, axis=1)
+        if a.ndim == 2:
+            a = np.broadcast_to(a, (self.batch_size, *a.shape))
+            owned = False
+        neg = np.minimum(a, 0.0)
+        pos = np.maximum(a, 0.0, out=a) if owned else np.maximum(a, 0.0)
+        if lower:
+            result = _dot_rows(pos, box_low) + _dot_rows(neg, box_high) + b
+        else:
+            result = _dot_rows(pos, box_high) + _dot_rows(neg, box_low) + b
+        # The dense rewrite's term count, on both paths: the live-unit
+        # rewrite only drops exact-zero terms (DESIGN §12).
+        scale = _slack_for(
+            a.dtype,
+            (len(self.layers) + 1)
+            * max(self.box_low.shape[1], a.shape[-1]),
+        )
+        if scale:
+            # Outward rounding (float32 path), mirroring DeepPolyState.
+            mag = np.maximum(np.abs(box_low), np.abs(box_high))
+            abs_a = np.subtract(pos, neg, out=neg)  # |a|, exactly
+            slack = scale * (_dot_rows(abs_a, mag) + np.abs(b))
+            result = result - slack if lower else result + slack
+        return result
+
+    def _rewrite_live(
+        self, a: np.ndarray, lower: bool, width: int
+    ) -> tuple[np.ndarray, np.ndarray, bool, _DiagBounds | None]:
+        """Rewrite ``a`` down to the input over each region's live units.
+
+        Returns ``(a, b, owned, cols)``: ``cols`` is the ReLU relation
+        whose live units index ``a``'s columns (``None``: every input
+        unit), ``owned`` whether ``a`` is a fresh array.  Through a ReLU
+        the expression keeps only that relation's live columns; an affine
+        rewrite between two ReLUs is a batched GEMM against the gathered
+        block ``W[live_above][:, live_below]``.  A full-width shared
+        expression (the top of the chain) rewrites as one shared GEMM and
+        is then gathered to the live columns below.
+        """
+        units = self._units
+        units.cap = max(
+            units.cap, self.batch_size * width * width * a.dtype.itemsize
+        )
+        mm = _active_backend().matmul
+        layers = self.layers
+        b: np.ndarray | float = 0.0
+        owned = False
+        cols: _DiagBounds | None = None
+        for pos in range(len(layers) - 1, -1, -1):
+            layer = layers[pos]
+            if type(layer) is _DiagBounds:
+                idx, dl, du, bu = units.live(layer)
+                if cols is None:
+                    a = _gather_columns(a, idx)
+                # ``a`` is fresh: just gathered, or the block GEMM's output.
+                a, b = _diag_rewrite(a, b, dl, du, bu, None, lower, True)
+                owned, cols = True, layer
+                continue
+            below = layers[pos - 1] if pos else None
+            if type(below) is not _DiagBounds:
+                below = None
+            if cols is not None:
+                block, bias = units.block(cols, layer, below)
+                b = b + _dot_rows(a, bias)
+                a, owned = mm(a, block), True
+                cols = below
+                continue
+            if a.ndim == 3:
+                rows = a.shape[1]
+                b = b + mm(a, layer.bl)
+                a = mm(a.reshape(-1, a.shape[2]), layer.al).reshape(
+                    self.batch_size, rows, -1
+                )
+                owned = True
+            elif _is_identity(a):
+                # I·W is W (bounds() passes I): no GEMM for the top layer.
+                b = b + layer.bl
+                a, owned = layer.al, False
+            else:
+                b = b + a @ layer.bl
+                a, owned = mm(a, layer.al), True
+            if below is not None:
+                a, owned = _gather_columns(a, units.live(below)[0]), True
+            cols = below
+        return a, b, owned, cols
+
+    def _rewrite_dense(
+        self, a: np.ndarray, lower: bool
+    ) -> tuple[np.ndarray, np.ndarray, bool]:
+        """Rewrite ``a`` down to the input over every unit (chains with
+        maxpool or pad relations).  Returns ``(a, b, owned)`` as
+        :meth:`_rewrite_live` does.
+
         Rewrites through shared affine relations run as one
         ``(B·rows, n)``-shaped GEMM; per-region relations are elementwise
-        (ReLU) or batched GEMMs (maxpool).
+        (ReLU, pad) or batched GEMMs (maxpool).
         """
         batch = self.batch_size
-        a = np.atleast_2d(a)
         b: np.ndarray | float = 0.0
+        owned = False
 
         def _promote(arr: np.ndarray) -> np.ndarray:
             if arr.ndim == 2:
                 return np.broadcast_to(arr, (batch, *arr.shape))
             return arr
 
-        def _dot_rows(arr: np.ndarray, vec: np.ndarray) -> np.ndarray:
-            # (B, rows, n) · per-region (B, n) -> (B, rows)
-            return (arr @ vec[:, :, None])[:, :, 0]
-
         for layer in reversed(self.layers):
             if isinstance(layer, _DiagBounds):
-                a = _promote(a)
-                pos, neg = _split_signs(a)
-                b = b + _dot_rows(neg if lower else pos, layer.bu)
-                if layer.bl is not None:
-                    b = b + _dot_rows(pos if lower else neg, layer.bl)
-                if lower:
-                    a = pos * layer.dl[:, None, :] + neg * layer.du[:, None, :]
-                else:
-                    a = pos * layer.du[:, None, :] + neg * layer.dl[:, None, :]
+                a, b = _diag_rewrite(
+                    _promote(a), b, layer.dl, layer.du, layer.bu, layer.bl,
+                    lower, owned and a.ndim == 3,
+                )
             elif isinstance(layer, _DenseBounds):
                 # Per-region dense relation (maxpool): the fused
                 # sign-split rewrite — one (B, rows, 2n) batched GEMM
@@ -519,23 +802,8 @@ class DeepPolyBatch(BatchedElement):
                     ).reshape(batch, rows, -1)
                 else:
                     a = mm(a, layer.al)
-        a = _promote(a)
-        pos, neg = _split_signs(a)
-        if lower:
-            result = _dot_rows(pos, self.box_low) + _dot_rows(neg, self.box_high) + b
-        else:
-            result = _dot_rows(pos, self.box_high) + _dot_rows(neg, self.box_low) + b
-        scale = _slack_for(
-            a.dtype,
-            (len(self.layers) + 1)
-            * max(self.box_low.shape[1], a.shape[-1]),
-        )
-        if scale:
-            # Outward rounding (float32 path), mirroring DeepPolyState.
-            mag = np.maximum(np.abs(self.box_low), np.abs(self.box_high))
-            slack = scale * (_dot_rows(np.abs(a), mag) + np.abs(b))
-            result = result - slack if lower else result + slack
-        return result
+            owned = True
+        return a, b, owned
 
     @property
     def _dtype(self) -> np.dtype:
@@ -558,7 +826,11 @@ class DeepPolyBatch(BatchedElement):
     # ------------------------------------------------------------------
 
     def _extended(self, layer: _LayerBounds | _DiagBounds) -> "DeepPolyBatch":
-        return DeepPolyBatch(self.box_low, self.box_high, self.layers + [layer])
+        batch = DeepPolyBatch(
+            self.box_low, self.box_high, self.layers + [layer]
+        )
+        batch._units = self._units  # one analysis, one gather workspace
+        return batch
 
     def affine(self, weight: np.ndarray, bias: np.ndarray) -> "DeepPolyBatch":
         return self._extended(_LayerBounds(weight, bias, weight, bias))

@@ -153,6 +153,29 @@ def _agglomerate(features: np.ndarray, target: int) -> list[np.ndarray]:
     return [np.array(m) for m in members if m is not None]
 
 
+def _farthest_pair(feats: np.ndarray) -> tuple[int, int]:
+    """The farthest pair of rows of ``feats``, as ``np.argmax`` over the
+    ``(g, g)`` squared-distance matrix picks it (the first maximum in
+    row-major order; a NaN wins, as in ``argmax``), computed one row at a
+    time without the ``(g, g, d)`` difference tensor.
+
+    Row ``i``'s distances are the same per-row ``einsum`` reduction of
+    ``feats[i] - feats[j]`` the full tensor holds, so the pair — and the
+    split it seeds — is bitwise the one the tensor form chose.
+    """
+    best, pair = -np.inf, (0, 0)
+    diff = np.empty_like(feats)
+    for i in range(feats.shape[0]):
+        np.subtract(feats[i], feats, out=diff)
+        dist = np.einsum("ij,ij->i", diff, diff)
+        j = int(np.argmax(dist))
+        if np.isnan(dist[j]):
+            return i, j
+        if dist[j] > best:
+            best, pair = dist[j], (i, j)
+    return pair
+
+
 def _semantic_signatures(
     chain: list[tuple[np.ndarray, np.ndarray]], box: Box, seed: int
 ) -> list[np.ndarray]:
@@ -413,9 +436,7 @@ class NetworkAbstraction:
         ell, gi = best
         group = self.groups[ell][gi]
         feats = self._features[ell][group]
-        diff = feats[:, None, :] - feats[None, :, :]
-        dist = np.einsum("ijk,ijk->ij", diff, diff)
-        a, b = np.unravel_index(int(np.argmax(dist)), dist.shape)
+        a, b = _farthest_pair(feats)
         if a == b:
             # Bitwise-identical features: halve by index.
             half = len(group) // 2

@@ -208,6 +208,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if outcome.kind == "verified" else 2
 
 
+def _load_archive(path: str, context: str):
+    """``load_network(path)``; an unreadable archive (missing, corrupt,
+    non-finite parameters) exits with one line prefixed by ``context``."""
+    try:
+        return load_network(path)
+    except (OSError, ValueError, KeyError) as exc:
+        raise SystemExit(f"{context}: cannot load {path}: {exc}") from None
+
+
 def _load_networks(specs: list[dict]) -> dict[str, object]:
     """Every archive the specs reference, each loaded exactly once.
 
@@ -216,15 +225,10 @@ def _load_networks(specs: list[dict]) -> dict[str, object]:
     networks: dict[str, object] = {}
     for spec in specs:
         path = spec["network"]
-        if path in networks:
-            continue
-        try:
-            networks[path] = load_network(path)
-        except (OSError, ValueError, KeyError) as exc:
-            raise SystemExit(
-                f"job {spec['name']!r}: bad 'network': cannot load "
-                f"{path}: {exc}"
-            ) from None
+        if path not in networks:
+            networks[path] = _load_archive(
+                path, f"job {spec['name']!r}: bad 'network'"
+            )
     return networks
 
 
@@ -480,8 +484,8 @@ def cmd_diff_verify(args: argparse.Namespace) -> int:
     links the new network still shares.
     """
     _apply_kernel_flags(args)
-    old_network = load_network(args.old_network)
-    new_network = load_network(args.new_network)
+    old_network = _load_archive(args.old_network, "bad old network")
+    new_network = _load_archive(args.new_network, "bad new network")
     common = common_prefix_layers(old_network, new_network)
     total = len(new_network.layers)
     print(f"common prefix: {common}/{total} layers unchanged")
@@ -601,7 +605,7 @@ def cmd_radius(args: argparse.Namespace) -> int:
         return _cmd_radius_manifest(args)
     if args.center is None:
         raise SystemExit("--center is required (or pass a .json manifest)")
-    network = load_network(args.network)
+    network = _load_archive(args.network, "bad network")
     center = _load_point(args.center, network.input_size)
     known_certified, known_falsified = 0.0, float("inf")
     if args.cache:
@@ -661,13 +665,25 @@ def _cmd_radius_manifest(args: argparse.Namespace) -> int:
             print(f"{name:<{width}}  skipped (pinned label)")
             continue
         network = networks[spec["network"]]
-        center = _load_point(str(spec["center"]), network.input_size)
+        try:
+            center = _load_point(str(spec["center"]), network.input_size)
+        except (OSError, ValueError) as exc:
+            raise SystemExit(f"job {name!r}: bad 'center': {exc}") from None
         center_digest = point_digest(center)
-        max_radius = float(spec.get("epsilon", args.epsilon))
-        timeout = float(spec.get("timeout", args.timeout))
-        seed = int(spec.get("seed", args.seed))
+        max_radius = _spec_value(spec, "epsilon", args.epsilon, float)
+        if not max_radius >= 0.0:  # also rejects NaN
+            raise SystemExit(
+                f"job {name!r}: bad 'epsilon': must be a number >= 0, "
+                f"got {max_radius}"
+            )
+        timeout = _spec_value(spec, "timeout", args.timeout, float)
+        try:
+            config = VerifierConfig(timeout=timeout)
+        except ValueError as exc:
+            raise SystemExit(f"job {name!r}: {exc}") from None
+        seed = _spec_value(spec, "seed", args.seed, int)
         domain = str(spec.get("domain", args.domain))
-        disjuncts = int(spec.get("disjuncts", args.disjuncts))
+        disjuncts = _spec_value(spec, "disjuncts", args.disjuncts, int)
         dedup_key = (
             spec["network"], center_digest, max_radius, timeout, seed,
             domain, disjuncts,
@@ -694,7 +710,7 @@ def _cmd_radius_manifest(args: argparse.Namespace) -> int:
                 disjuncts,
                 args.policy_file if domain == "policy" else None,
             ),
-            config=VerifierConfig(timeout=timeout),
+            config=config,
             rng=seed,
             known_certified=known_certified,
             known_falsified=known_falsified,
@@ -731,7 +747,7 @@ def cmd_cache_prune(args: argparse.Namespace) -> int:
 
 
 def cmd_attack(args: argparse.Namespace) -> int:
-    network = load_network(args.network)
+    network = _load_archive(args.network, "bad network")
     center = _load_point(args.center, network.input_size)
     prop = linf_property(network, center, args.epsilon)
     result = find_counterexample(
@@ -751,7 +767,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
 
 
 def cmd_info(args: argparse.Namespace) -> int:
-    network = load_network(args.network)
+    network = _load_archive(args.network, "bad network")
     print(network.summary())
     print(f"ReLU units: {network.num_relu_units()}")
     return 0

@@ -154,7 +154,12 @@ def save_network(network: Network, path: str | Path) -> None:
 
 
 def load_network(path: str | Path) -> Network:
-    """Read a network previously written by :func:`save_network`."""
+    """Read a network previously written by :func:`save_network`.
+
+    Raises ``ValueError`` naming the layer when a parameter holds NaN or
+    ±inf: no analysis is meaningful on such a network, and the DeepPoly
+    live-unit rewrite relies on ``0·w = 0`` for every weight.
+    """
     with np.load(path, allow_pickle=False) as archive:
         header = json.loads(str(archive["header"]))
         layers = []
@@ -185,4 +190,15 @@ def load_network(path: str | Path) -> Network:
                 )
             else:
                 raise ValueError(f"unknown layer kind {kind!r}")
+    for i, layer in enumerate(layers):
+        for param in layer.params():
+            # min/max propagate NaN and expose ±inf without allocating a
+            # parameter-sized mask.
+            if param.size and not (
+                np.isfinite(param.min()) and np.isfinite(param.max())
+            ):
+                raise ValueError(
+                    f"layer {i} ({header['layers'][i]['kind']}) has "
+                    "non-finite parameters"
+                )
     return Network(layers, input_shape=tuple(header["input_shape"]))

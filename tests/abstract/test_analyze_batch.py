@@ -11,10 +11,20 @@ powersets).  ``tests/abstract/test_batched_zonotope.py`` covers the
 zonotope kernels in depth.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 
-from repro.abstract.analyzer import analyze, analyze_batch
+from repro.abstract import deeppoly
+from repro.abstract.analyzer import (
+    analyze,
+    analyze_batch,
+    analyze_batch_checkpointed,
+    analyze_batch_multi,
+    propagate,
+)
+from repro.abstract.deeppoly import DeepPolyBatch, _live_units, _live_width
 from repro.abstract.domains import (
     DEEPPOLY,
     INTERVAL,
@@ -22,7 +32,10 @@ from repro.abstract.domains import (
     ZONOTOPE,
     bounded_zonotopes,
 )
+from repro.backend import use_backend
 from repro.nn.builders import lenet_conv, mlp, xor_network
+from repro.nn.layers import Dense, ReLU
+from repro.nn.network import Network
 from repro.utils.boxes import Box
 
 
@@ -75,7 +88,182 @@ class TestIntervalBatch:
                 assert np.all(y >= lo - 1e-9) and np.all(y <= hi + 1e-9)
 
 
+#: Bias offset per hidden-layer state: far enough from the pre-activation
+#: spread that "dead" kills every unit on every region and "live" keeps
+#: every unit active; "mixed" leaves units dead, stable and crossing.
+_STATE_OFFSET = {"dead": -20.0, "live": 20.0, "mixed": 0.0}
+
+
+def _staged_mlp(states, seed, n_in=6, n_out=4):
+    """A Dense/ReLU MLP whose hidden layers are dead, live or mixed on
+    every region of :func:`_regions` (inputs in [-0.9, 0.9])."""
+    rng = np.random.default_rng(seed)
+    layers = []
+    size, magnitude = n_in, 1.0
+    for i, state in enumerate(states):
+        width = 8 + 3 * i
+        scale = 1.0 / (magnitude * np.sqrt(size))
+        weight = rng.normal(0.0, scale, (width, size))
+        bias = _STATE_OFFSET[state] + rng.normal(0.0, 0.1, width)
+        layers += [Dense(weight, bias), ReLU()]
+        size, magnitude = width, 20.0 if state == "live" else 1.0
+    scale = 1.0 / (magnitude * np.sqrt(size))
+    weight = rng.normal(0.0, scale, (n_out, size))
+    layers.append(Dense(weight, rng.normal(0.0, 0.1, n_out)))
+    return Network(layers, input_shape=(n_in,))
+
+
+def _batched_output(net, regions):
+    return propagate(net.ops(), DeepPolyBatch.from_boxes(regions))
+
+
+LIVE_CHAINS = [
+    pytest.param(("mixed", "dead", "mixed"), id="dead-layer"),
+    pytest.param(("live", "mixed", "mixed"), id="live-layer"),
+    pytest.param(("mixed", "live", "dead"), id="live-then-dead"),
+    pytest.param(("mixed", "mixed", "mixed"), id="mixed"),
+]
+
+
 class TestDeepPolyBatch:
+    @pytest.mark.parametrize("states", LIVE_CHAINS)
+    @pytest.mark.parametrize("radius", [1e-3, 0.1])
+    @pytest.mark.parametrize(
+        "count, mixed_labels",
+        [(1, False), (5, False), (5, True)],
+        ids=["B1", "B5", "B5-mixed-labels"],
+    )
+    def test_live_units_match_per_region(
+        self, states, radius, count, mixed_labels
+    ):
+        """The live-unit rewrite: margins within the 1e-9 contract of
+        the per-region dense analysis, identical verdicts, on chains with
+        a layer dead on every region, one live on every region, and
+        mixed ones; mixed labels take the ``rows()`` margin path."""
+        net = _staged_mlp(states, seed=len(states) + count)
+        rng = np.random.default_rng(count)
+        regions = [
+            Box.from_center_radius(rng.uniform(-0.6, 0.6, 6), radius)
+            for _ in range(count)
+        ]
+        labels = [i % 4 if mixed_labels else 2 for i in range(count)]
+
+        element = _batched_output(net, regions)
+        assert _live_width(element.layers) is not None
+        relus = [r for r in element.layers if type(r) is deeppoly._DiagBounds]
+        for relu, state in zip(relus, states):
+            idx, dl, du, bu = _live_units(relu)
+            if state == "dead":
+                assert idx.shape[1] == 0
+            elif state == "live":
+                # Every unit live on every region: no pad, no zero.
+                assert idx.shape[1] == relu.dl.shape[1]
+                assert (du != 0).all()
+        low, high = element.bounds()
+        for i in range(count):
+            row_low, row_high = element.row(i).bounds()
+            np.testing.assert_allclose(low[i], row_low, atol=1e-9)
+            np.testing.assert_allclose(high[i], row_high, atol=1e-9)
+
+        batch = analyze_batch_multi(net, regions, labels, DEEPPOLY)
+        for result, region, label in zip(batch, regions, labels):
+            single = analyze(net, region, label, DEEPPOLY)
+            assert result.verified == single.verified
+            assert result.margin_lower_bound == pytest.approx(
+                single.margin_lower_bound, abs=1e-9
+            )
+
+    @pytest.mark.parametrize(
+        "kinds",
+        [("relu", "dense", "relu", "dense"),
+         ("dense", "relu", "dense", "dense", "relu", "dense")],
+        ids=["relu-on-input", "stacked-dense"],
+    )
+    def test_live_units_uncommon_chains(self, kinds):
+        """A ReLU straight on the input (the box is gathered to its live
+        units) and two Dense layers without a ReLU between them."""
+        rng = np.random.default_rng(4)
+        layers, size = [], 5
+        for kind in kinds:
+            if kind == "relu":
+                layers.append(ReLU())
+            else:
+                width = 9 if len(layers) < len(kinds) - 1 else 3
+                layers.append(Dense(
+                    rng.normal(0.0, 1.0 / np.sqrt(size), (width, size)),
+                    rng.normal(0.0, 0.2, width),
+                ))
+                size = width
+        net = Network(layers, input_shape=(5,))
+        regions = _regions(13, 4, 5)
+        assert _live_width(_batched_output(net, regions).layers) is not None
+        batch = analyze_batch_multi(net, regions, [0, 1, 2, 0], DEEPPOLY)
+        for result, region, label in zip(batch, regions, [0, 1, 2, 0]):
+            single = analyze(net, region, label, DEEPPOLY)
+            assert result.verified == single.verified
+            assert result.margin_lower_bound == pytest.approx(
+                single.margin_lower_bound, abs=1e-9
+            )
+
+    @pytest.mark.parametrize("states", LIVE_CHAINS)
+    def test_live_units_float32_contained(self, states):
+        """Every float32 margin stays below its float64 margin: the
+        dense-width outward-rounding slack still covers the compacted
+        rewrite."""
+        net = _staged_mlp(states, seed=3)
+        regions = _regions(9, 6, 6)
+        labels = [i % 4 for i in range(len(regions))]
+        with use_backend("numpy64"):
+            ref = analyze_batch_multi(net, regions, labels, DEEPPOLY)
+        with use_backend("numpy32"):
+            screen = analyze_batch_multi(net, regions, labels, DEEPPOLY)
+        for r32, r64 in zip(screen, ref):
+            assert r32.margin_lower_bound <= r64.margin_lower_bound + 1e-9
+
+    def test_gathered_blocks_released_on_return(self, monkeypatch):
+        """Gathered operands live only as long as the analysis: once the
+        analyzer returns, none is reachable from its results."""
+        refs = []
+
+        def tracking(method):
+            def wrapped(*args, **kwargs):
+                out = method(*args, **kwargs)
+                refs.extend(weakref.ref(arr) for arr in out)
+                return out
+
+            return wrapped
+
+        monkeypatch.setattr(
+            deeppoly._LiveUnits, "block", tracking(deeppoly._LiveUnits.block)
+        )
+        monkeypatch.setattr(
+            deeppoly._LiveUnits, "live", tracking(deeppoly._LiveUnits.live)
+        )
+        net = mlp(6, [14, 12, 10], 4, rng=5)
+        regions = _regions(12, 5, 6)
+        labels = [0, 1, 0, 2, 1]
+        results = analyze_batch_multi(net, regions, labels, DEEPPOLY)
+        assert refs and all(ref() is None for ref in refs)
+        refs.clear()
+        results, captured = analyze_batch_checkpointed(
+            net, regions, labels, DEEPPOLY, capture_boundaries=(2, 4)
+        )
+        assert refs and all(ref() is None for ref in refs)
+        assert results and captured
+
+    def test_relation_structure_selects_the_rewrite(self):
+        """MLP chains take the live-unit rewrite; maxpool and pad chains
+        keep the dense one.  No option is involved."""
+        dense = _batched_output(mlp(4, [6, 9], 2, rng=0), _regions(6, 2, 4))
+        assert _live_width(dense.layers) == 9
+        conv = lenet_conv(input_shape=(1, 8, 8), num_classes=4, rng=1)
+        pooled = _batched_output(conv, _regions(6, 2, conv.input_size))
+        assert _live_width(pooled.layers) is None
+        padded = DeepPolyBatch.from_boxes(_regions(6, 2, 4)).pad(
+            np.full(4, 0.1)
+        )
+        assert _live_width(padded.layers) is None
+
     def test_bounds_match_per_region(self):
         net = mlp(6, [14, 12, 8], 4, rng=1)
         regions = _regions(5, 6, 6)

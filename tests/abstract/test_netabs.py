@@ -19,6 +19,7 @@ from repro.abstract.domains import BASE_DOMAINS, DomainSpec
 from repro.abstract.netabs import (
     NetworkAbstraction,
     _agglomerate,
+    _farthest_pair,
     abstraction_for,
     witness_margin,
 )
@@ -302,6 +303,35 @@ def test_agglomerate_matches_reference_fuzz():
             assert [g.tolist() for g in got] == [g.tolist() for g in want], (
                 f"partition differs at n={n} d={d} target={target}"
             )
+
+
+def _reference_farthest_pair(features):
+    """The original ``_refine`` split seed: argmax over an ``(g, g, d)``
+    difference tensor, kept as the oracle for :func:`_farthest_pair`."""
+    diff = features[:, None, :] - features[None, :, :]
+    dist = np.einsum("ijk,ijk->ij", diff, diff)
+    a, b = np.unravel_index(int(np.argmax(dist)), dist.shape)
+    return int(a), int(b)
+
+
+def test_farthest_pair_matches_reference_fuzz():
+    """The row-wise farthest pair is the tensor form's pair, tie-break
+    included: integer features make exact ties common, duplicate rows
+    make every distance zero, and a NaN feature wins as in argmax."""
+    rng = np.random.default_rng(16)
+    for case, (n, d) in enumerate(_fuzz_shapes() + [(1, 4), (3, 1)]):
+        for variant in range(4):
+            if variant == 0:
+                features = rng.standard_normal((n, d)) * 10.0 ** (case % 9 - 4)
+            else:
+                features = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+            if variant == 2:
+                features[:] = features[0]
+            if variant == 3:
+                features[rng.integers(n), rng.integers(d)] = np.nan
+            assert _farthest_pair(features) == _reference_farthest_pair(
+                features
+            ), f"pair differs at n={n} d={d} variant={variant}"
 
 
 def test_agglomerate_edge_targets():

@@ -12,7 +12,7 @@ import pytest
 import repro
 from repro.cli import main
 from repro.nn.builders import redundant_mlp, xor_network
-from repro.nn.serialize import save_network
+from repro.nn.serialize import load_network, save_network
 from repro.obs.metrics import registry as metrics_registry
 
 
@@ -769,6 +769,99 @@ class TestMalformedInput:
         if isinstance(code, str):
             assert "\n" not in code.strip()
             assert "job " in code
+
+
+def _one_line_exit(argv, capsys) -> str:
+    """Run ``main(argv)``; it must exit non-zero with a one-line message
+    (anything but ``SystemExit`` escaping ``main`` is a traceback)."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    code = exc.value.code
+    assert code not in (0, None)
+    message = code if isinstance(code, str) else capsys.readouterr().err
+    assert "Traceback" not in message
+    assert "\n" not in message.strip()
+    return message
+
+
+class TestUnloadableNetworks:
+    """A missing archive or one with non-finite parameters exits with one
+    line on every verb that loads networks."""
+
+    @pytest.fixture(params=["nan", "missing"])
+    def bad_path(self, request, tmp_path):
+        if request.param == "missing":
+            return str(tmp_path / "missing.npz")
+        net = xor_network()
+        net.layers[0].weight[0, 1] = np.nan
+        path = tmp_path / "nan.npz"
+        save_network(net, path)
+        return str(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_load_network_names_the_layer(self, value, tmp_path):
+        net = xor_network()
+        net.layers[-1].bias[0] = value
+        save_network(net, tmp_path / "bad.npz")
+        with pytest.raises(ValueError, match="layer 2 .*non-finite"):
+            load_network(tmp_path / "bad.npz")
+
+    def test_schedule(self, bad_path, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"jobs": [
+            {"network": bad_path, "center": "0.5,0.5", "name": "j"},
+        ]}))
+        message = _one_line_exit(["schedule", str(manifest)], capsys)
+        assert "'network'" in message and bad_path in message
+
+    @pytest.mark.parametrize("verb", ["radius", "attack", "info"])
+    def test_single_network_verbs(self, verb, bad_path, capsys):
+        argv = [verb, bad_path]
+        if verb != "info":
+            argv += ["--center", "0.5,0.5"]
+        message = _one_line_exit(argv, capsys)
+        assert "bad network" in message and bad_path in message
+
+    @pytest.mark.parametrize("side", ["old", "new"])
+    def test_diff_verify(self, side, bad_path, xor_path, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"jobs": [
+            {"network": xor_path, "center": "0.5,0.5", "name": "j"},
+        ]}))
+        old, new = (bad_path, xor_path) if side == "old" else (
+            xor_path, bad_path
+        )
+        message = _one_line_exit([
+            "diff-verify", old, new, str(manifest),
+            "--cache", str(tmp_path / "cache"),
+        ], capsys)
+        assert f"bad {side} network" in message and bad_path in message
+
+
+class TestRadiusManifestMalformed:
+    """``radius manifest.json`` guards every per-job value as
+    ``schedule`` does: one line naming the job and the key."""
+
+    @pytest.mark.parametrize("job, key", [
+        ({"epsilon": "abc"}, "epsilon"),
+        ({"epsilon": -0.1}, "epsilon"),
+        ({"epsilon": "nan"}, "epsilon"),
+        ({"timeout": "x"}, "timeout"),
+        ({"timeout": -1}, "timeout"),
+        ({"seed": "1.5x"}, "seed"),
+        ({"disjuncts": "two"}, "disjuncts"),
+        ({"center": "0.5,abc"}, "center"),
+        ({"center": "missing.npy"}, "center"),
+    ], ids=lambda v: str(v) if isinstance(v, str) else "-".join(
+        f"{k}={val}" for k, val in v.items()
+    ))
+    def test_exits_with_one_line(self, job, key, xor_path, tmp_path, capsys):
+        spec = {"network": xor_path, "center": "0.5,0.5", "name": "bad-job"}
+        spec.update(job)
+        manifest = tmp_path / "radius.json"
+        manifest.write_text(json.dumps({"jobs": [spec]}))
+        message = _one_line_exit(["radius", str(manifest)], capsys)
+        assert key in message and "job 'bad-job'" in message
 
 
 class TestVerifyRunsTheScheduler:
