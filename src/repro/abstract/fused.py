@@ -177,6 +177,13 @@ def _thread_arena() -> ScratchArena:
     return arena
 
 
+def drop_thread_arena() -> None:
+    """Forget the calling thread's scratch arena.  A forked executor
+    worker calls this: its main thread inherits the arena of the parent
+    thread that forked it."""
+    _TLS.arena = None
+
+
 def fused_split_join(
     centers: np.ndarray,
     gens: np.ndarray,

@@ -290,12 +290,15 @@ def _spec_value(spec: dict, key: str, default, convert):
         raise SystemExit(f"job {spec['name']!r}: bad {key!r}: {exc}") from None
 
 
-def _spec_job(spec: dict, network, args: argparse.Namespace) -> VerificationJob:
-    """One job from a merged spec — a manifest entry, or ``verify``'s flags.
+def _spec_property(
+    spec: dict, network
+) -> tuple[RobustnessProperty, np.ndarray, float]:
+    """A job's property from its ``center``, ``epsilon`` and optional
+    ``label`` keys, as ``(property, center, epsilon)``.
 
-    The single place both verbs turn user input into a job, so every
-    malformed value is guarded once: it exits with one line naming the
-    job and the bad key.
+    Shared by every verb that reads properties from a manifest (and by
+    ``verify``'s flags), so each bad value exits with one line naming the
+    job and the key.
     """
     name = str(spec["name"])
     try:
@@ -308,6 +311,28 @@ def _spec_job(spec: dict, network, args: argparse.Namespace) -> VerificationJob:
             f"job {name!r}: bad 'epsilon': must be a number >= 0, "
             f"got {epsilon}"
         )
+    if "label" not in spec:
+        prop = linf_property(network, center, epsilon, name=name)
+        return prop, center, epsilon
+    label = _spec_value(spec, "label", None, int)
+    if not 0 <= label < network.output_size:
+        raise SystemExit(
+            f"job {name!r}: label {label} out of range for "
+            f"{network.output_size}-class network {spec['network']}"
+        )
+    region = linf_property(network, center, epsilon).region
+    return RobustnessProperty(region, label, name=name), center, epsilon
+
+
+def _spec_job(spec: dict, network, args: argparse.Namespace) -> VerificationJob:
+    """One job from a merged spec — a manifest entry, or ``verify``'s flags.
+
+    The single place both verbs turn user input into a job, so every
+    malformed value is guarded once: it exits with one line naming the
+    job and the bad key.
+    """
+    name = str(spec["name"])
+    prop, center, epsilon = _spec_property(spec, network)
     job_domain = str(spec.get("domain", args.domain))
     # A job that pins its own domain opts out of the policy artifact;
     # every "policy" job deploys it, and a --domain flag pinned next to
@@ -326,20 +351,7 @@ def _spec_job(spec: dict, network, args: argparse.Namespace) -> VerificationJob:
     # different question, so such records must not fold into
     # ResultCache.radius_bounds.
     metadata = {}
-    if "label" in spec:
-        label = _spec_value(spec, "label", None, int)
-        if not 0 <= label < network.output_size:
-            raise SystemExit(
-                f"job {name!r}: label {label} out of range for "
-                f"{network.output_size}-class network {spec['network']}"
-            )
-        prop = RobustnessProperty(
-            linf_property(network, center, epsilon).region,
-            label,
-            name=name,
-        )
-    else:
-        prop = linf_property(network, center, epsilon, name=name)
+    if "label" not in spec:
         metadata = {
             "center_digest": point_digest(center),
             "epsilon": epsilon,
@@ -513,17 +525,7 @@ def _suite_problems(path: str) -> list[TrainingProblem]:
     problems = []
     for spec in specs:
         network = networks[spec["network"]]
-        center = _load_point(str(spec["center"]), network.input_size)
-        epsilon = float(spec.get("epsilon", 0.05))
-        name = str(spec["name"])
-        if "label" in spec:
-            prop = RobustnessProperty(
-                linf_property(network, center, epsilon).region,
-                int(spec["label"]),
-                name=name,
-            )
-        else:
-            prop = linf_property(network, center, epsilon, name=name)
+        prop, _, _ = _spec_property(spec, network)
         problems.append(TrainingProblem(network, prop))
     return problems
 
@@ -817,10 +819,10 @@ def _add_executor_flag(parser: argparse.ArgumentParser) -> None:
         choices=EXECUTOR_KINDS,
         default=None,
         help="where independent kernel calls run: 'serial' (inline), "
-        "'pooled' (threads; GEMM-shaped sweeps), 'process' (spawn-based "
-        "process pool; pays off on the Python-heavy zonotope/powerset "
-        "paths the GIL serializes).  Default: serial when --workers 1, "
-        "pooled otherwise",
+        "'pooled' (threads; GEMM-shaped sweeps), 'process' (process "
+        "pool, forked where safe; pays off on the Python-heavy "
+        "zonotope/powerset paths the GIL serializes).  Default: serial "
+        "when --workers 1, pooled otherwise",
     )
     parser.add_argument(
         "--shm-threshold",
@@ -837,7 +839,7 @@ def _add_executor_flag(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="disable generator compaction in the fused zonotope ReLU "
         "kernels (the reference path; results stay ==-comparable to the "
-        "compacted default).  Exported to spawn workers via "
+        "compacted default).  Exported to process workers via "
         "REPRO_NO_COMPACTION",
     )
 

@@ -155,6 +155,17 @@ class ObsEnvelope:
 _ENTRY_CACHE: dict[str, Callable] = {}
 
 
+def clear_worker_caches() -> None:
+    """Empty the worker-side network and entry-point caches.
+
+    A forked worker calls this first: it must not start with its
+    parent's entries, so that it loads each network once itself, as a
+    spawned worker does.
+    """
+    _NETWORK_CACHE.clear()
+    _ENTRY_CACHE.clear()
+
+
 def run_kernel_call(call: KernelCall) -> ObsEnvelope:
     """Worker-side dispatcher: resolve the entry point and run it.
 

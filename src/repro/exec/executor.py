@@ -12,7 +12,8 @@ group there — that share no arrays and may therefore run on any core.  This mo
   releases the GIL inside the dense kernels where verification time is
   spent, so independent GEMM-shaped calls genuinely overlap on multi-core
   hosts.
-- :class:`ProcessExecutor` hands calls to a spawn-based process pool.
+- :class:`ProcessExecutor` hands calls to a process pool whose workers
+  are forked where that is safe and spawned elsewhere.
   The zonotope/powerset split+join contraction — the hottest path on
   learned-policy workloads — is Python-loop-heavy and serializes under
   threads; processes sidestep the GIL entirely.  Known kernel calls cross
@@ -35,6 +36,8 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import re
+import sys
 import threading
 import time
 from abc import ABC, abstractmethod
@@ -63,7 +66,7 @@ _BLAS_THREAD_VARS = (
 
 
 def _pin_worker_blas() -> None:
-    """Child-process initializer: force single-threaded BLAS pools.
+    """Spawned-worker initializer: force single-threaded BLAS pools.
 
     Runs in the worker before any kernel call.  The authoritative pinning
     actually happens through environment *inheritance* — the parent sets
@@ -75,10 +78,114 @@ def _pin_worker_blas() -> None:
         os.environ[var] = "1"
 
 
-# Parent-side BLAS pinning is refcounted across executors: process pools
-# spawn workers lazily on demand, so the variables must stay exported as
+#: OpenBLAS's runtime thread-count entry points as ``(setter, getter)``:
+#: the ``scipy_``-prefixed copies numpy and scipy wheels bundle, with and
+#: without the 64-bit-integer suffix, then plain builds.
+_OPENBLAS_THREAD_API = tuple(
+    (
+        f"{prefix}openblas_set_num_threads{suffix}",
+        f"{prefix}openblas_get_num_threads{suffix}",
+    )
+    for prefix in ("scipy_", "")
+    for suffix in ("64_", "")
+)
+
+#: Shared-object names that are a BLAS build (OpenBLAS, reference BLAS,
+#: BLIS, MKL, FlexiBLAS...).
+_BLAS_LIBRARY = re.compile(r"lib.*(blas|blis|mkl)", re.IGNORECASE)
+
+
+def _blas_thread_api() -> list[tuple[Callable, Callable]] | None:
+    """``(set_num_threads, get_num_threads)`` of every loaded BLAS.
+
+    ``None`` when no BLAS is loaded, or when one of them has no known
+    runtime entry point (MKL and BLIS are not probed, so they count as
+    unknown).  Reads the process's mappings from ``/proc/self/maps``, so
+    it answers on Linux only.
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {
+                fields[5].rstrip("\n")
+                for fields in (line.split(None, 5) for line in maps)
+                if len(fields) == 6
+            }
+    except OSError:
+        return None
+    api = []
+    for path in sorted(paths):
+        if not _BLAS_LIBRARY.match(os.path.basename(path)):
+            continue
+        try:
+            library = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+        except OSError:
+            return None
+        for setter, getter in _OPENBLAS_THREAD_API:
+            if hasattr(library, setter) and hasattr(library, getter):
+                set_threads = getattr(library, setter)
+                set_threads.argtypes = [ctypes.c_int]
+                set_threads.restype = None
+                get_threads = getattr(library, getter)
+                get_threads.argtypes = []
+                get_threads.restype = ctypes.c_int
+                api.append((set_threads, get_threads))
+                break
+        else:
+            return None
+    return api or None
+
+
+def _start_method() -> str:
+    """How a new pool starts its workers: ``"fork"`` where safe, else
+    ``"spawn"``.
+
+    A forked worker costs one ``fork()``; a spawned one starts an
+    interpreter and imports numpy and ``repro`` before its first call.
+    Fork is taken only when all of these hold:
+
+    - the platform is Linux;
+    - no other Python thread is alive, so no lock can be held across the
+      fork (a live pool's manager and queue threads count, so an
+      executor built while another pool runs spawns);
+    - every loaded BLAS exposes a runtime thread-count entry point, which
+      the forked worker uses to pin itself to one thread
+      (:func:`_init_forked_worker`).
+    """
+    if sys.platform != "linux" or threading.active_count() != 1:
+        return "spawn"
+    return "fork" if _blas_thread_api() else "spawn"
+
+
+def _init_forked_worker() -> None:
+    """Forked-worker initializer: the state a spawned worker starts in.
+
+    The environment pins arrive by inheritance, but OpenBLAS re-creates
+    its thread pool with the parent's thread count at the child's first
+    GEMM, so the runtime count is set to one through the library itself.
+    The parent's per-process state is dropped: the network and
+    entry-point caches, the tracer's events (and its enabled flag), and
+    the forking thread's fused scratch arena.  Parent-only ``atexit``
+    cleanup (the network store, the shared-memory arena) never runs
+    here: multiprocessing ends its workers with ``os._exit``.
+    """
+    from repro.abstract.fused import drop_thread_arena
+    from repro.exec.calls import clear_worker_caches
+
+    _pin_worker_blas()
+    for set_threads, _ in _blas_thread_api() or ():
+        set_threads(1)
+    clear_worker_caches()
+    tracer().reset()
+    drop_thread_arena()
+
+
+# Parent-side BLAS pinning is refcounted across executors: spawning pools
+# start workers lazily on demand, so the variables must stay exported as
 # long as *any* ProcessExecutor lives, and the pre-existing values are
-# restored only when the last one shuts down.
+# restored only when the last one shuts down.  Forked workers inherit
+# them too.
 _PIN_LOCK = threading.Lock()
 _PIN_DEPTH = 0
 _PIN_SAVED: dict[str, str | None] = {}
@@ -319,14 +426,21 @@ class _EnvelopeFuture(Future):
 
 
 class ProcessExecutor(KernelExecutor):
-    """Runs calls on a spawn-based process pool (GIL-free parallelism).
+    """Runs calls on a process pool (GIL-free parallelism).
 
     Thread pools overlap only the GIL-dropping dense kernels; the
     zonotope/powerset split+join contraction spends its time in Python
     loops and serializes under threads.  Process workers run those calls
-    truly concurrently.  Two mechanisms make the boundary cheap and
+    truly concurrently.  Three mechanisms make the boundary cheap and
     faithful:
 
+    - **Forked workers where safe** (:func:`_start_method`): on Linux,
+      with no other thread alive and a BLAS whose thread count can be
+      set at run time, the pool forks its workers — one ``fork()`` each
+      instead of an interpreter start plus the numpy and ``repro``
+      imports — and each forked worker resets what it inherited to the
+      state a spawned worker starts in.  Anywhere else it spawns.
+      :attr:`start_method` records the choice once the pool exists.
     - **Descriptor marshalling** (:mod:`repro.exec.calls`): known kernel
       calls are rewritten into picklable descriptors — the network is
       replaced by its content digest and shipped to each worker at most
@@ -335,7 +449,9 @@ class ProcessExecutor(KernelExecutor):
       to plain pickling, so any module-level function with picklable
       arguments still works.
     - **BLAS pinning**: the parent exports ``OMP_NUM_THREADS=1`` (and
-      friends) around worker spawn, so every worker's BLAS is
+      friends) for the pool's lifetime, which spawned workers read when
+      numpy loads and forked workers inherit; a forked worker also sets
+      its BLAS runtime to one thread.  So every worker's BLAS is
       single-threaded — ``workers`` processes use ``workers`` cores, and
       GEMM reduction order matches a serial run bitwise.
 
@@ -370,14 +486,19 @@ class ProcessExecutor(KernelExecutor):
         self._closed = False
         self._pinned = False
         self._lock = threading.Lock()
+        #: ``"fork"`` or ``"spawn"`` once the pool exists, else ``None``.
+        self.start_method: str | None = None
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         """Create the pool (and the network store) under the lock.
 
-        BLAS pinning must be in the environment *before* a worker spawns
-        (spawned children read it when numpy loads), and workers may
-        spawn lazily on any later submit — so the variables stay exported
-        (refcounted across executors) until :meth:`shutdown`.
+        BLAS pinning must be in the environment *before* a worker starts
+        (spawned children read it when numpy loads, forked ones inherit
+        it), and spawned workers may start lazily on any later submit —
+        so the variables stay exported (refcounted across executors)
+        until :meth:`shutdown`.  The start method is chosen here, from
+        what the process looks like now; a forking pool forks all its
+        workers at the first submit, before it starts its own threads.
         """
         if self._pool is None:
             from repro.exec.calls import NetworkStore
@@ -385,10 +506,15 @@ class ProcessExecutor(KernelExecutor):
 
             _push_blas_pins()
             self._pinned = True
+            self.start_method = _start_method()
             self._pool = ProcessPoolExecutor(
                 max_workers=self.workers,
-                mp_context=multiprocessing.get_context("spawn"),
-                initializer=_pin_worker_blas,
+                mp_context=multiprocessing.get_context(self.start_method),
+                initializer=(
+                    _init_forked_worker
+                    if self.start_method == "fork"
+                    else _pin_worker_blas
+                ),
             )
             self._store = NetworkStore()
             self._shm = ShmArena(self.shm_threshold)

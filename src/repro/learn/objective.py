@@ -80,8 +80,8 @@ class PolicyCostObjective:
         executor_kind: ``"serial"`` / ``"pooled"`` / ``"process"`` —
             the objective builds ONE executor of this kind and reuses it
             across every evaluation round (a per-round process pool
-            would pay worker spawn, numpy import, and network shipping
-            on every round); release it with :meth:`close`.  Processes
+            would pay worker start-up and network shipping on every
+            round); release it with :meth:`close`.  Processes
             pay off on powerset-heavy policies whose split loops the GIL
             serializes under threads.
     """
@@ -167,8 +167,8 @@ class PolicyCostObjective:
         A caller-provided executor wins; otherwise ``executor_kind``
         builds one pool lazily and keeps it for every later round —
         training is exactly the workload where per-round pool setup
-        (process spawn, per-worker numpy import, network shipping) would
-        dominate, so the pool's lifetime is the objective's.
+        (worker start-up, per-worker network shipping) would dominate,
+        so the pool's lifetime is the objective's.
         """
         if self.executor is not None:
             return self.executor

@@ -102,6 +102,13 @@ class Tracer:
     def disable(self) -> None:
         self.enabled = False
 
+    def reset(self) -> None:
+        """Stop recording and drop every recorded event (a forked
+        executor worker starts from here, as a spawned one does)."""
+        with self._lock:
+            self.enabled = False
+            self._events = []
+
     def span(self, name: str, cat: str = "", **args: Any):
         """A context manager timing its body; no-op when disabled."""
         if not self.enabled:

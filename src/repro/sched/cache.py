@@ -69,6 +69,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import tempfile
 import time
 import zipfile
@@ -130,6 +131,38 @@ _DAMAGED_PREFIX_ERRORS = (
     NotImplementedError,
     zipfile.BadZipFile,
 )
+
+
+#: A writer's temp file: ``tmp<pid>-<random>.tmp`` for a result record,
+#: ``.tmp.npz`` for a prefix record.
+_TEMP_NAME = re.compile(r"tmp(\d+)-.*\.tmp(\.npz)?")
+
+
+def _writer_temp(directory: Path, suffix: str) -> tuple[int, str]:
+    """``mkstemp`` in ``directory``, named after the writing process.
+
+    A writer killed between writing its temp file and renaming it into
+    place leaves the file behind; the PID in the name is how
+    :meth:`ResultCache.prune` tells such an orphan from a live writer's
+    file in progress.
+    """
+    return tempfile.mkstemp(
+        dir=directory, prefix=f"tmp{os.getpid()}-", suffix=suffix
+    )
+
+
+def _writer_alive(pid: int) -> bool:
+    """Whether process ``pid`` still runs (on POSIX hosts; elsewhere
+    every writer counts as alive, so no temp file is ever swept)."""
+    if os.name != "posix":
+        return True
+    try:
+        os.kill(pid, 0)
+    except (ProcessLookupError, OverflowError):
+        return False
+    except PermissionError:
+        pass  # another user's live process
+    return True
 
 
 def cacheable(outcome) -> bool:
@@ -441,7 +474,7 @@ class ResultCache:
         with _span("cache.put", cat="cache"):
             path.parent.mkdir(parents=True, exist_ok=True)
             payload = json.dumps(record.__dict__, sort_keys=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+            fd, tmp = _writer_temp(path.parent, ".tmp")
             try:
                 with os.fdopen(fd, "w") as handle:
                     handle.write(payload)
@@ -497,7 +530,7 @@ class ResultCache:
                 },
                 sort_keys=True,
             )
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp.npz")
+            fd, tmp = _writer_temp(path.parent, ".tmp.npz")
             os.close(fd)
             try:
                 np.savez(tmp, __meta__=np.array(meta), **record.arrays)
@@ -632,6 +665,23 @@ class ResultCache:
                 entries.append((path, stat.st_mtime_ns, stat.st_size))
         return entries
 
+    def _sweep_orphans(self) -> int:
+        """Delete the temp files of writers that have exited (killed
+        between write and rename); returns the bytes freed.  A live
+        writer's temp file is never touched."""
+        freed = 0
+        for path in self.root.glob("*/tmp*.tmp*"):
+            match = _TEMP_NAME.fullmatch(path.name)
+            if match is None or _writer_alive(int(match[1])):
+                continue
+            try:
+                size = path.stat().st_size
+                path.unlink()
+            except OSError:
+                continue  # renamed or swept concurrently
+            freed += size
+        return freed
+
     def _scan_estimate(self) -> None:
         """Refresh the size estimate from disk (sees other writers' puts)."""
         entries = self._entries()
@@ -672,7 +722,10 @@ class ResultCache:
 
         Explicit arguments override the instance budgets for this pass
         (the ``repro cache prune`` subcommand's one-off mode).  With no
-        budget from either source this is a no-op.  Put-triggered prunes
+        budget from either source no record is evicted.  Every pass
+        first deletes the temp files of writers that died between write
+        and rename (invisible to the budgets, which count records only);
+        their bytes count in ``freed_bytes``.  Put-triggered prunes
         evict down to 7/8 of each budget so consecutive puts don't
         re-scan the directory every time.  Eviction order is
         least-recently-used by nanosecond mtime with a stable path
@@ -694,6 +747,7 @@ class ResultCache:
                 max_entries = max(1, max_entries * 7 // 8)
             if max_bytes is not None:
                 max_bytes = max(1, max_bytes * 7 // 8)
+        swept = self._sweep_orphans()
         entries = sorted(
             self._entries(), key=lambda entry: (entry[1], str(entry[0]))
         )
@@ -720,7 +774,7 @@ class ResultCache:
         _CACHE_COUNTERS["evicted_bytes"] += freed
         return PruneResult(
             removed=removed,
-            freed_bytes=freed,
+            freed_bytes=freed + swept,
             remaining=count,
             remaining_bytes=total,
         )

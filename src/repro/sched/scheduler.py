@@ -37,8 +37,8 @@ submission, results are consumed in deterministic group order after).
 The scheduler therefore submits each round's groups through a
 :class:`~repro.exec.KernelExecutor`; with a
 :class:`~repro.exec.PooledExecutor` they run on different cores, with a
-:class:`~repro.exec.ProcessExecutor` they cross into spawn-based worker
-processes as picklable descriptors (:mod:`repro.exec.calls` — the GIL-free
+:class:`~repro.exec.ProcessExecutor` they cross into worker processes
+as picklable descriptors (:mod:`repro.exec.calls` — the GIL-free
 path for Python-loop-heavy zonotope/powerset sweeps), and the
 reproducibility contract survives untouched because group composition and
 within-group row order never change — only *which core* runs a group

@@ -1,18 +1,24 @@
-"""Tests for spawn-based process-pool kernel execution.
+"""Tests for process-pool kernel execution.
 
 Covers the :class:`~repro.exec.ProcessExecutor` contract the scheduler
 relies on — ordered results, a clear error (not a hang) when a worker is
 killed mid-call — plus the descriptor layer
 (:mod:`repro.exec.calls`): known kernel calls must come back bitwise
 identical to their in-process results, with the network shipped once per
-worker, and workers must run with pinned single-threaded BLAS.
+worker, and workers must run with pinned single-threaded BLAS.  The
+start-method tests pin when a pool forks its workers rather than
+spawning them, and that a forked worker starts as a spawned one does.
 
-Helpers are module-level on purpose: spawn workers import this module to
-unpickle them.
+Helpers are module-level on purpose: spawned workers import this module
+to unpickle them.  ``test_executor_process_spawn.py`` runs these tests
+again with every pool forced to spawn.
 """
 
 import os
+import sys
+import threading
 import time
+import warnings
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -23,14 +29,33 @@ from repro.abstract.domains import DomainSpec
 from repro.attack.objective import MultiLabelMarginObjective
 from repro.attack.pgd import PGDConfig, pgd_minimize_batch
 from repro.exec import ProcessExecutor
+from repro.exec import executor as executor_module
 from repro.exec.calls import NetworkStore, marshal_call, run_kernel_call
+from repro.exec.executor import _blas_thread_api
 from repro.nn.builders import mlp
 from repro.utils.boxes import Box
 
 
+def _numpy_blas() -> str:
+    """The name of the BLAS numpy was built against (``""`` if unknown)."""
+    try:
+        config = np.show_config(mode="dicts")
+        return config["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):
+        return ""
+
+
+#: Pools fork on Linux when numpy carries its bundled OpenBLAS, whose
+#: runtime thread count a forked worker sets.
+needs_fork = pytest.mark.skipif(
+    sys.platform != "linux" or _numpy_blas() != "scipy-openblas",
+    reason="workers fork only on Linux with numpy's bundled OpenBLAS",
+)
+
+
 @pytest.fixture(scope="module")
 def executor():
-    """One two-worker pool for the whole module (spawn startup is slow)."""
+    """One two-worker pool for the whole module (worker start-up costs)."""
     with ProcessExecutor(2) as ex:
         yield ex
 
@@ -52,6 +77,123 @@ def _network_cache_digests(_):
     from repro.exec.calls import _NETWORK_CACHE
 
     return sorted(_NETWORK_CACHE)
+
+
+def _worker_state(_):
+    """What a worker holds before its first kernel call."""
+    from repro.abstract import fused
+    from repro.exec.calls import _ENTRY_CACHE, _NETWORK_CACHE
+    from repro.obs.trace import tracer
+
+    return {
+        "networks": sorted(_NETWORK_CACHE),
+        "entries": sorted(_ENTRY_CACHE),
+        "tracing": tracer().enabled,
+        "events": len(tracer().events()),
+        "arena": getattr(fused._TLS, "arena", None) is not None,
+        "blas_threads": [get() for _, get in _blas_thread_api() or ()],
+    }
+
+
+class TestStartMethod:
+    """Which way a new pool starts its workers, and what a forked worker
+    inherits.
+
+    These run before the module's shared pool exists: a live pool's
+    manager and queue threads make every new executor spawn.
+    """
+
+    @needs_fork
+    def test_forks_with_one_thread_and_bundled_openblas(self):
+        assert threading.active_count() == 1
+        assert _blas_thread_api()
+        with ProcessExecutor(1) as executor:
+            assert executor.start_method is None  # the pool is lazy
+            assert executor.submit(_ok, 1).result() == 1
+            assert executor.start_method == "fork"
+
+    def test_spawns_while_another_thread_is_alive(self):
+        release = threading.Event()
+        idle = threading.Thread(target=release.wait)
+        idle.start()
+        try:
+            with warnings.catch_warnings():
+                # Python 3.12+ warns when a multi-threaded process forks.
+                warnings.filterwarnings(
+                    "error", "This process", DeprecationWarning
+                )
+                with ProcessExecutor(1) as executor:
+                    assert executor.submit(_ok, 2).result() == 2
+                    assert executor.start_method == "spawn"
+        finally:
+            release.set()
+            idle.join()
+
+    def test_spawns_without_a_blas_thread_entry_point(self, monkeypatch):
+        monkeypatch.setattr(executor_module, "_blas_thread_api", lambda: None)
+        with ProcessExecutor(1) as executor:
+            assert executor.submit(_ok, 3).result() == 3
+            assert executor.start_method == "spawn"
+
+    @needs_fork
+    def test_forked_worker_sets_one_blas_thread(self):
+        # The environment pins cannot reach a forked child's BLAS: it
+        # rebuilds its thread pool with the parent's runtime count.  So
+        # run the parent at two threads, and expect one in the worker.
+        api = _blas_thread_api()
+        previous = [get() for _, get in api]
+        try:
+            for set_threads, _ in api:
+                set_threads(2)
+            with ProcessExecutor(1) as executor:
+                state = executor.submit(_worker_state, None).result()
+                assert executor.start_method == "fork"
+            assert state["blas_threads"] == [1] * len(api)
+            assert [get() for _, get in api] == [2] * len(api)
+        finally:
+            for (set_threads, _), count in zip(api, previous):
+                set_threads(count)
+
+    @needs_fork
+    def test_forked_worker_starts_clean(self, kernel_case):
+        from repro.abstract.fused import _thread_arena
+        from repro.exec.calls import _NETWORK_CACHE, clear_worker_caches
+        from repro.obs.trace import span, tracer
+
+        network, regions, labels = kernel_case
+        store = NetworkStore()
+        try:
+            # Fill every piece of parent state a fork would copy: both
+            # worker caches (an in-process descriptor call), the
+            # tracer, and this thread's scratch arena.
+            call = marshal_call(
+                analyze_batch_multi,
+                (network, regions, labels, DomainSpec("zonotope", 2), None),
+                {},
+                store,
+            )
+            run_kernel_call(call)
+            tracer().enable()
+            with span("parent.work"):
+                _thread_arena().request(1, 2, 3, 4)
+            assert _NETWORK_CACHE and tracer().events()
+            with ProcessExecutor(1) as executor:
+                state = executor.submit(_worker_state, None).result()
+                assert executor.start_method == "fork"
+            del state["blas_threads"]  # pinned by its own test
+            assert state == {
+                "networks": [],
+                "entries": [],
+                "tracing": False,
+                "events": 0,
+                "arena": False,
+            }
+            # The parent keeps its own state.
+            assert tracer().enabled and _NETWORK_CACHE
+        finally:
+            tracer().reset()
+            clear_worker_caches()
+            store.close()
 
 
 class TestProcessExecutorBasics:

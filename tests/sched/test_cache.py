@@ -1,6 +1,7 @@
 """The persistent result cache: keys, round-trips, and radius queries."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -672,3 +673,73 @@ class TestFaultInjection:
                 assert loaded is None or isinstance(loaded, PrefixBounds)
         path.write_bytes(good)
         assert cache.get_prefix(*probe) is not None
+
+
+def _die_mid_prefix_put(directory, payload):
+    """Child process: open a prefix record's temp file the way
+    ``put_prefix`` does, write half the record, and die uncleanly."""
+    from repro.sched.cache import _writer_temp
+
+    fd, _ = _writer_temp(directory, ".tmp.npz")
+    os.write(fd, payload[: len(payload) // 2])
+    os._exit(0)
+
+
+class TestKilledWriter:
+    """A writer killed between writing its temp file and renaming it
+    leaves the cache consistent, and ``prune`` reclaims the orphan."""
+
+    def test_orphan_is_swept_and_records_survive(self, tmp_path):
+        import multiprocessing
+
+        from repro.abstract.analyzer import analyze_batch_checkpointed
+        from repro.abstract.checkpoint import checkpoint_boundaries
+        from repro.abstract.domains import DEEPPOLY
+        from repro.sched.cache import _writer_temp, prefix_key
+
+        net = mlp(4, [8, 6], 3, rng=0)
+        regions = [Box.from_center_radius(np.full(4, 0.3), 0.05)]
+        _, captured = analyze_batch_checkpointed(
+            net, regions, [0], DEEPPOLY,
+            capture_boundaries=checkpoint_boundaries(net),
+        )
+        cache = ResultCache(tmp_path / "c")
+        for record in captured:
+            cache.put_prefix(record)
+        path = cache._prefix_path(prefix_key(
+            captured[0].prefix_digest, captured[0].regions_digest,
+            *captured[0].domain, captured[0].backend,
+        ))
+        child = multiprocessing.get_context("spawn").Process(
+            target=_die_mid_prefix_put,
+            args=(path.parent, path.read_bytes()),
+        )
+        child.start()
+        child.join(60)
+        assert child.exitcode == 0
+        (orphan,) = path.parent.glob("tmp*.tmp.npz")
+        assert orphan.name.startswith(f"tmp{child.pid}-")
+        fd, live = _writer_temp(path.parent, ".tmp")  # this process: alive
+        os.close(fd)
+
+        # The half-written file is invisible: every record still loads
+        # bit for bit, and the count sees records only.
+        assert len(cache) == len(captured)
+        for record in captured:
+            loaded = cache.get_prefix(
+                record.prefix_digest, record.regions_digest,
+                record.domain, record.backend,
+            )
+            assert loaded is not None
+            assert loaded.arrays.keys() == record.arrays.keys()
+            for name, array in record.arrays.items():
+                assert loaded.arrays[name].dtype == array.dtype
+                assert loaded.arrays[name].tobytes() == array.tobytes()
+
+        size = orphan.stat().st_size
+        result = cache.prune()
+        assert not orphan.exists()
+        assert os.path.exists(live)
+        assert result.removed == 0 and result.remaining == len(captured)
+        assert result.freed_bytes == size > 0
+        os.unlink(live)

@@ -864,6 +864,32 @@ class TestRadiusManifestMalformed:
         assert key in message and "job 'bad-job'" in message
 
 
+class TestTrainManifestMalformed:
+    """``train suite.json`` guards every property value as ``schedule``
+    does: one line naming the job and the key."""
+
+    @pytest.mark.parametrize("job, key", [
+        ({"epsilon": "abc"}, "epsilon"),
+        ({"center": "0.5,x"}, "center"),
+        ({"label": "two"}, "label"),
+        ({"epsilon": -1}, "epsilon"),
+        ({"label": 7}, "label"),  # the XOR network has two classes
+    ], ids=lambda v: str(v) if isinstance(v, str) else "-".join(
+        f"{k}={val}" for k, val in v.items()
+    ))
+    def test_exits_with_one_line(self, job, key, xor_path, tmp_path, capsys):
+        spec = {"network": xor_path, "center": "0.5,0.5", "name": "bad-job"}
+        spec.update(job)
+        suite = tmp_path / "suite.json"
+        suite.write_text(json.dumps({"jobs": [spec]}))
+        message = _one_line_exit(
+            ["train", str(suite), "--iterations", "1",
+             "--out", str(tmp_path / "theta.json")],
+            capsys,
+        )
+        assert key in message and "job 'bad-job'" in message
+
+
 class TestVerifyRunsTheScheduler:
     """``verify`` is a one-job ``schedule`` run: same verdicts, same work,
     and every scheduler mode (abstraction, escalation) applies."""
