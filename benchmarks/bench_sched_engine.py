@@ -214,19 +214,14 @@ def _assert_outcomes_bitwise_equal(serial, candidate):
 
 def test_process_executor_contract(benchmark):
     """Process-pool fused-group execution on the powerset-heavy suite,
-    with shared-memory operand transport forced on: bitwise-equal
+    with operands crossing by pickle as in production: bitwise-equal
     always, >= 1.3x over serial at 4 workers when the host grants >= 4
     cores.
-
-    ``shm_threshold=0`` routes every descriptor operand through
-    ``multiprocessing.shared_memory`` (repro.exec.shm) rather than
-    pickle — this suite's operands are below the production cutover, so
-    forcing the transport is what makes the contract cover it.
 
     This is the workload the process pool exists for.  The zonotope
     powerset split+join contraction is Python-loop-heavy, so thread
     pools measured ~1.0x here (the GIL serializes the loop) while
-    GEMM-shaped DeepPoly sweeps scaled fine.  Spawn-based workers
+    GEMM-shaped DeepPoly sweeps scaled fine.  Process workers
     sidestep the GIL; the floor asserts they actually do whenever the
     physics allows (>= 4 granted cores), not only under
     ``REPRO_BENCH_STRICT`` — a regression that serializes the process
@@ -260,7 +255,7 @@ def test_process_executor_contract(benchmark):
             warm_jobs.append(job)
     assert len(warm_jobs) == 4
 
-    with ProcessExecutor(4, shm_threshold=0) as executor:
+    with ProcessExecutor(4) as executor:
         # Warm the pool (spawn + numpy import + per-worker network
         # deserialization) and the lazy per-network op lowering.
         Scheduler(warm_jobs, executor=executor).run()

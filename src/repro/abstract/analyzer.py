@@ -429,14 +429,10 @@ def analyze_batch_checkpointed(
 def analyze_checkpointed_entry(payload: dict):
     """Process-worker entry point for a marshalled checkpointed call.
 
-    The resume record crosses the process boundary flattened: its arrays
-    ride as top-level ``prefix_state_<name>`` payload values (which is
-    what lets them use the executor's shared-memory transport — handles
-    are only resolved at top level) and the small descriptor fields as
-    ``resume_meta``.  Results return with ``output=None`` exactly like
-    :func:`analyze_multi_entry`; captured checkpoints return whole.
+    The resume record and the captured checkpoints cross the process
+    boundary whole.  Results return with ``output=None`` exactly like
+    :func:`analyze_multi_entry`.
     """
-    from repro.abstract.checkpoint import PrefixBounds
     from repro.exec.calls import resolve_network
 
     network = resolve_network(payload["network"])
@@ -446,23 +442,13 @@ def analyze_checkpointed_entry(payload: dict):
         Box(low, high) for low, high in zip(payload["lows"], payload["highs"])
     ]
     labels = [int(lab) for lab in payload["labels"]]
-    resume = None
-    meta = payload.get("resume_meta")
-    if meta is not None:
-        prefix = "prefix_state_"
-        arrays = {
-            key[len(prefix):]: value
-            for key, value in payload.items()
-            if key.startswith(prefix)
-        }
-        resume = PrefixBounds(arrays=arrays, **meta)
     results, captured = analyze_batch_checkpointed(
         network,
         regions,
         labels,
         domain,
         payload["deadline"],
-        resume,
+        payload["resume"],
         tuple(payload["capture_boundaries"]),
     )
     results = [

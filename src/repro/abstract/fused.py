@@ -47,15 +47,14 @@ the generator axis here is *strictly sequential in k*:
 
 Results under compaction are therefore ``==``-equal to the uncompacted
 path everywhere (signed zeros may differ in bit pattern; ``-0.0 == 0.0``
-is what every equality pin in the test suite compares).  The
-``--no-compaction`` CLI flag (or ``REPRO_NO_COMPACTION=1``, which spawn
-workers inherit) selects the reference path; it toggles only the row
-dropping, never the reduction forms, so both settings stay comparable.
+is what every equality pin in the test suite compares).
+:func:`set_compaction` selects the uncompacted reference path for the
+compaction tests; it toggles only the row dropping, never the reduction
+forms, so both settings stay comparable.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 
 import numpy as np
@@ -68,9 +67,7 @@ from repro.obs.metrics import registry as _metrics_registry
 #: by :mod:`repro.abstract.zonotope` and the batched kernels).
 _COEF_TOL = 1e-12
 
-_TRUTHY = ("1", "true", "yes", "on")
-
-_compaction_on = os.environ.get("REPRO_NO_COMPACTION", "").lower() not in _TRUTHY
+_compaction_on = True
 
 #: Structural counters for the bench-side regression guards.  ``calls``
 #: counts fused split+join invocations; ``arena_allocs`` counts scratch
@@ -94,9 +91,10 @@ def compaction_enabled() -> bool:
 def set_compaction(enabled: bool) -> bool:
     """Set the compaction switch; returns the previous value.
 
-    The switch is process-global: the CLI exports ``REPRO_NO_COMPACTION``
-    *before* building a process executor so spawn workers inherit the
-    same setting and stay bitwise comparable to the parent.
+    The switch is process-global, and kernel-call descriptors do not
+    carry it to process-executor workers: it exists so tests can run the
+    uncompacted reference path in-process and compare it with the
+    compacted default.
     """
     global _compaction_on
     previous = _compaction_on

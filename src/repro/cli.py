@@ -61,7 +61,9 @@ Per-job keys override ``defaults``; ``label`` pins the target class
 policy chooses per sub-region); networks referenced by several jobs are
 loaded once.  A malformed job (a bad ``epsilon``, ``center``,
 ``timeout``, ``batch_size``... or an unreadable network file) exits with
-one line naming the job and the key, never a traceback.
+one line naming the job and the key, never a traceback; so does a bad
+flag value (naming the flag) and a ``--cache`` path that cannot hold a
+cache.
 """
 
 from __future__ import annotations
@@ -215,6 +217,32 @@ def _load_archive(path: str, context: str):
         return load_network(path)
     except (OSError, ValueError, KeyError) as exc:
         raise SystemExit(f"{context}: cannot load {path}: {exc}") from None
+
+
+def _check_flag(ok: bool, flag: str, rule: str, value) -> None:
+    """Exit with one line naming ``flag`` unless ``ok`` (its ``value``
+    meets ``rule``; callers phrase ``ok`` so that NaN fails it)."""
+    if not ok:
+        raise SystemExit(f"bad {flag}: must be {rule}, got {value}")
+
+
+def _flag_center(args: argparse.Namespace, network) -> np.ndarray:
+    """``--center`` as a point for ``network``; an unreadable one exits
+    with one line naming the flag."""
+    try:
+        return _load_point(args.center, network.input_size)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"bad --center: {exc}") from None
+
+
+def _open_cache(path: str, **budgets) -> ResultCache:
+    """``ResultCache(path, **budgets)``; a path that cannot hold a cache
+    (an existing file, no permission) or a bad budget exits with one
+    line."""
+    try:
+        return ResultCache(path, **budgets)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"cannot use cache {path}: {exc}") from None
 
 
 def _load_networks(specs: list[dict]) -> dict[str, object]:
@@ -395,7 +423,6 @@ def _run_jobs(
             cache=cache,
             workers=getattr(args, "workers", 1),
             executor_kind=getattr(args, "executor", None),
-            shm_threshold=getattr(args, "shm_threshold", None),
             backend=args.backend,
             precision_escalation=True if args.precision_escalation else None,
             escalation_margin=args.escalation_margin,
@@ -420,14 +447,11 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     jobs = _manifest_jobs(args)
     cache = None
     if args.cache:
-        try:
-            cache = ResultCache(
-                args.cache,
-                max_entries=args.cache_max_entries,
-                max_bytes=args.cache_max_bytes,
-            )
-        except ValueError as exc:
-            raise SystemExit(str(exc))
+        cache = _open_cache(
+            args.cache,
+            max_entries=args.cache_max_entries,
+            max_bytes=args.cache_max_bytes,
+        )
     report = _run_jobs(args, jobs, cache, incremental=args.incremental)
     return _print_schedule_report(report, jobs, cache)
 
@@ -502,14 +526,11 @@ def cmd_diff_verify(args: argparse.Namespace) -> int:
     total = len(new_network.layers)
     print(f"common prefix: {common}/{total} layers unchanged")
     jobs = _manifest_jobs(args, override_network=new_network)
-    try:
-        cache = ResultCache(
-            args.cache,
-            max_entries=args.cache_max_entries,
-            max_bytes=args.cache_max_bytes,
-        )
-    except ValueError as exc:
-        raise SystemExit(str(exc))
+    cache = _open_cache(
+        args.cache,
+        max_entries=args.cache_max_entries,
+        max_bytes=args.cache_max_bytes,
+    )
     report = _run_jobs(args, jobs, cache, incremental=True)
     return _print_schedule_report(report, jobs, cache)
 
@@ -534,14 +555,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     # Imported here: the trainer pulls in scipy, which no other verb needs.
     from repro.learn import PolicyTrainer
 
+    _check_flag(args.iterations >= 1, "--iterations", ">= 1", args.iterations)
     _apply_kernel_flags(args)
     problems = _suite_problems(args.suite)
-    cache = None
-    if args.cache:
-        try:
-            cache = ResultCache(args.cache)
-        except ValueError as exc:
-            raise SystemExit(str(exc))
+    cache = _open_cache(args.cache) if args.cache else None
     try:
         trainer = PolicyTrainer(
             problems,
@@ -607,12 +624,14 @@ def cmd_radius(args: argparse.Namespace) -> int:
         return _cmd_radius_manifest(args)
     if args.center is None:
         raise SystemExit("--center is required (or pass a .json manifest)")
+    _check_flag(args.epsilon > 0.0, "--epsilon", "a number > 0", args.epsilon)
+    _check_flag(args.timeout > 0.0, "--timeout", "a number > 0", args.timeout)
     network = _load_archive(args.network, "bad network")
-    center = _load_point(args.center, network.input_size)
+    center = _flag_center(args, network)
     known_certified, known_falsified = 0.0, float("inf")
     if args.cache:
         known_certified, known_falsified = _safe_bracket(
-            *ResultCache(args.cache).radius_bounds(network, center)
+            *_open_cache(args.cache).radius_bounds(network, center)
         )
     result = certified_radius(
         network,
@@ -653,7 +672,7 @@ def _cmd_radius_manifest(args: argparse.Namespace) -> int:
     if args.center is not None:
         raise SystemExit("--center conflicts with a manifest (.json) input")
     specs, networks = _load_manifest(args.network)
-    cache = ResultCache(args.cache) if args.cache else None
+    cache = _open_cache(args.cache) if args.cache else None
     # One cache scan per network serves every center (radius_table);
     # dedup covers fully identical queries only — a different epsilon,
     # timeout, seed, or domain is a different question and still runs.
@@ -673,9 +692,9 @@ def _cmd_radius_manifest(args: argparse.Namespace) -> int:
             raise SystemExit(f"job {name!r}: bad 'center': {exc}") from None
         center_digest = point_digest(center)
         max_radius = _spec_value(spec, "epsilon", args.epsilon, float)
-        if not max_radius >= 0.0:  # also rejects NaN
+        if not max_radius > 0.0:  # also rejects NaN
             raise SystemExit(
-                f"job {name!r}: bad 'epsilon': must be a number >= 0, "
+                f"job {name!r}: bad 'epsilon': must be a number > 0, "
                 f"got {max_radius}"
             )
         timeout = _spec_value(spec, "timeout", args.timeout, float)
@@ -730,7 +749,7 @@ def _cmd_radius_manifest(args: argparse.Namespace) -> int:
 
 
 def cmd_cache_prune(args: argparse.Namespace) -> int:
-    cache = ResultCache(args.cache_dir)
+    cache = _open_cache(args.cache_dir)
     if args.max_entries is None and args.max_bytes is None:
         raise SystemExit("cache prune needs --max-entries and/or --max-bytes")
     try:
@@ -749,8 +768,11 @@ def cmd_cache_prune(args: argparse.Namespace) -> int:
 
 
 def cmd_attack(args: argparse.Namespace) -> int:
+    _check_flag(args.epsilon >= 0.0, "--epsilon", "a number >= 0", args.epsilon)
+    _check_flag(args.steps >= 1, "--steps", ">= 1", args.steps)
+    _check_flag(args.restarts >= 1, "--restarts", ">= 1", args.restarts)
     network = _load_archive(args.network, "bad network")
-    center = _load_point(args.center, network.input_size)
+    center = _flag_center(args, network)
     prop = linf_property(network, center, args.epsilon)
     result = find_counterexample(
         network,
@@ -824,24 +846,6 @@ def _add_executor_flag(parser: argparse.ArgumentParser) -> None:
         "zonotope/powerset paths the GIL serializes).  Default: serial "
         "when --workers 1, pooled otherwise",
     )
-    parser.add_argument(
-        "--shm-threshold",
-        type=int,
-        default=None,
-        metavar="BYTES",
-        help="process-executor operand size at which kernel-call arrays "
-        "cross the worker boundary via shared memory instead of pickle "
-        "(0 shares every array, negative disables the transport; "
-        "default from REPRO_SHM_THRESHOLD or 1 MiB)",
-    )
-    parser.add_argument(
-        "--no-compaction",
-        action="store_true",
-        help="disable generator compaction in the fused zonotope ReLU "
-        "kernels (the reference path; results stay ==-comparable to the "
-        "compacted default).  Exported to process workers via "
-        "REPRO_NO_COMPACTION",
-    )
 
 
 def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
@@ -880,13 +884,6 @@ def _apply_kernel_flags(args: argparse.Namespace) -> None:
     """
     import os
 
-    from repro.abstract.fused import set_compaction
-
-    if getattr(args, "no_compaction", False):
-        os.environ["REPRO_NO_COMPACTION"] = "1"
-        set_compaction(False)
-    if getattr(args, "shm_threshold", None) is not None:
-        os.environ["REPRO_SHM_THRESHOLD"] = str(args.shm_threshold)
     backend = getattr(args, "backend", None)
     if backend is not None:
         try:

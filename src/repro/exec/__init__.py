@@ -2,8 +2,7 @@
 execution of independent kernel calls (§6's "different threads"), shared
 by the scheduler and scheduled policy training.
 Process submissions cross as picklable descriptors (:mod:`repro.exec.calls`)
-that ship each network once per worker; large operands ride
-``multiprocessing.shared_memory`` segments (:mod:`repro.exec.shm`)."""
+that ship each network once per worker; operands travel by pickle."""
 
 from repro.exec.executor import (
     EXECUTOR_KINDS,
@@ -14,7 +13,6 @@ from repro.exec.executor import (
     make_executor,
     validate_executor_spec,
 )
-from repro.exec.shm import ShmArena, ShmHandle
 
 __all__ = [
     "KernelExecutor",
@@ -22,8 +20,6 @@ __all__ = [
     "PooledExecutor",
     "ProcessExecutor",
     "EXECUTOR_KINDS",
-    "ShmArena",
-    "ShmHandle",
     "make_executor",
     "validate_executor_spec",
 ]

@@ -9,7 +9,8 @@ boundary layer that makes process execution cheap and faithful:
   scheduler actually submits (fused PGD, fused multi-label Analyze, and
   its prefix-checkpointed twin) and rewrites each
   into a :class:`KernelCall`: the name of a module-level entry point plus
-  a payload of plain arrays, config dicts, and small picklable objects.
+  a payload of plain arrays, config dicts, and small picklable objects,
+  which crosses to the worker by pickle.
   Unknown calls return ``None`` and the executor falls back to plain
   pickling, so any module-level function with picklable arguments still
   works.
@@ -22,12 +23,6 @@ boundary layer that makes process execution cheap and faithful:
   per-process deserialization cache keyed on the digest, so each worker
   pays one ``load_network`` per distinct network per lifetime — not one
   per call.
-
-- **Large operands ride shared memory.**  The executor's
-  :class:`~repro.exec.shm.ShmArena` swaps big ndarray payload values for
-  :class:`~repro.exec.shm.ShmHandle` descriptors after marshalling;
-  :func:`run_kernel_call` materializes them before dispatch, so entry
-  points only ever see plain arrays.
 
 - **Entry points return caller-visible values.**  A descriptor's entry
   point produces exactly what the original function would have returned
@@ -53,7 +48,6 @@ import numpy as np
 
 from repro.backend import active as _active_backend
 from repro.backend import use_backend as _use_backend
-from repro.exec.shm import ShmHandle, resolve_payload
 from repro.nn.serialize import load_network, network_digest, save_network
 from repro.obs.metrics import registry
 
@@ -139,8 +133,8 @@ class ObsEnvelope:
     """A descriptor call's result plus its worker-side observability.
 
     ``counters`` is the worker registry's counter delta across the entry
-    point (kernel batches, fused-kernel work, shm attaches — everything
-    a worker accumulates); the parent's
+    point (kernel batches, fused-kernel work — everything a worker
+    accumulates); the parent's
     :class:`~repro.exec.executor._EnvelopeFuture` merges it on
     completion, which is what makes a Process run's merged totals equal
     a Serial run's.  ``wait_s`` is the submit→start queue wait measured
@@ -169,13 +163,9 @@ def clear_worker_caches() -> None:
 def run_kernel_call(call: KernelCall) -> ObsEnvelope:
     """Worker-side dispatcher: resolve the entry point and run it.
 
-    Shared-memory operands (:class:`~repro.exec.shm.ShmHandle` payload
-    values) are materialized here, before the entry point runs, so entry
-    points only ever see plain arrays.  The result rides back inside an
-    :class:`ObsEnvelope` carrying the worker's counter delta across the
-    call (snapshot taken before operand resolution, so shm-transport
-    counters ride too); the executor unwraps it before callers see the
-    future's value.
+    The result rides back inside an :class:`ObsEnvelope` carrying the
+    worker's counter delta across the call; the executor unwraps it
+    before callers see the future's value.
     """
     fn = _ENTRY_CACHE.get(call.entry)
     if fn is None:
@@ -187,11 +177,8 @@ def run_kernel_call(call: KernelCall) -> ObsEnvelope:
         wait_s = max(0.0, time.time() - call.submitted_unix)
     obs = registry()
     before = obs.counters_snapshot()
-    payload = call.payload
-    if any(isinstance(value, ShmHandle) for value in payload.values()):
-        payload = resolve_payload(payload)
     with _use_backend(call.backend):
-        value = fn(payload)
+        value = fn(call.payload)
     return ObsEnvelope(value, obs.counters_since(before), wait_s)
 
 
@@ -271,42 +258,26 @@ def _marshal_analyze_checkpointed(
     """``analyze_batch_checkpointed(network, regions, labels, domain,
     deadline, resume, capture_boundaries)``.
 
-    The resume record's arrays are flattened into top-level
-    ``prefix_state_<name>`` payload values so the executor's
-    shared-memory arena can swap them for handles (handles are resolved
-    only at payload top level); the small descriptor fields travel as a
-    ``resume_meta`` dict.  :func:`analyze_checkpointed_entry` reassembles
-    the :class:`~repro.abstract.checkpoint.PrefixBounds` worker-side.
+    The resume record (a :class:`~repro.abstract.checkpoint.PrefixBounds`
+    dataclass of arrays, or ``None``) rides in the payload whole; pickle
+    keeps its array bits exactly.
     """
     if kwargs or len(args) != 7:
         return None
     network, regions, labels, domain, deadline, resume, boundaries = args
     lows, highs = _stack_boxes(regions)
-    payload = {
-        "network": store.handle(network),
-        "lows": lows,
-        "highs": highs,
-        "labels": np.asarray(labels, dtype=np.int64),
-        "domain": (domain.base, domain.disjuncts),
-        "deadline": deadline,
-        "capture_boundaries": list(boundaries),
-        "resume_meta": None,
-    }
-    if resume is not None:
-        payload["resume_meta"] = {
-            "boundary": resume.boundary,
-            "op_count": resume.op_count,
-            "prefix_digest": resume.prefix_digest,
-            "regions_digest": resume.regions_digest,
-            "domain": tuple(resume.domain),
-            "backend": resume.backend,
-            "kind": resume.kind,
-            "meta": resume.meta,
-        }
-        for name, array in resume.arrays.items():
-            payload[f"prefix_state_{name}"] = array
     return KernelCall(
-        "repro.abstract.analyzer:analyze_checkpointed_entry", payload
+        "repro.abstract.analyzer:analyze_checkpointed_entry",
+        {
+            "network": store.handle(network),
+            "lows": lows,
+            "highs": highs,
+            "labels": np.asarray(labels, dtype=np.int64),
+            "domain": (domain.base, domain.disjuncts),
+            "deadline": deadline,
+            "resume": resume,
+            "capture_boundaries": list(boundaries),
+        },
     )
 
 

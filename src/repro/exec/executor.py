@@ -42,6 +42,7 @@ import threading
 import time
 from abc import ABC, abstractmethod
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from dataclasses import replace
 from typing import Callable
 
 from repro.obs.metrics import registry
@@ -167,8 +168,8 @@ def _init_forked_worker() -> None:
     The parent's per-process state is dropped: the network and
     entry-point caches, the tracer's events (and its enabled flag), and
     the forking thread's fused scratch arena.  Parent-only ``atexit``
-    cleanup (the network store, the shared-memory arena) never runs
-    here: multiprocessing ends its workers with ``os._exit``.
+    cleanup (the network store) never runs here: multiprocessing ends
+    its workers with ``os._exit``.
     """
     from repro.abstract.fused import drop_thread_arena
     from repro.exec.calls import clear_worker_caches
@@ -445,7 +446,7 @@ class ProcessExecutor(KernelExecutor):
       calls are rewritten into picklable descriptors — the network is
       replaced by its content digest and shipped to each worker at most
       once (a per-worker deserialization cache rebuilds it), operands
-      travel as plain arrays and config dicts.  Unknown calls fall back
+      travel by pickle as plain arrays and config dicts.  Unknown calls fall back
       to plain pickling, so any module-level function with picklable
       arguments still works.
     - **BLAS pinning**: the parent exports ``OMP_NUM_THREADS=1`` (and
@@ -454,15 +455,6 @@ class ProcessExecutor(KernelExecutor):
       its BLAS runtime to one thread.  So every worker's BLAS is
       single-threaded — ``workers`` processes use ``workers`` cores, and
       GEMM reduction order matches a serial run bitwise.
-
-    Descriptor operands above ``shm_threshold`` bytes additionally cross
-    the boundary as ``multiprocessing.shared_memory`` handles instead of
-    pickle bytes (:mod:`repro.exec.shm`): the parent-owned
-    :class:`~repro.exec.shm.ShmArena` writes each array into a segment
-    once, releases it when the call's future completes, and unlinks
-    every live segment on :meth:`shutdown` — including segments whose
-    worker died mid-call, whose futures still complete with
-    ``BrokenProcessPool``.
 
     The pool is created lazily on first submit and torn down by
     :meth:`shutdown`; like :class:`PooledExecutor`, submits after
@@ -473,16 +465,12 @@ class ProcessExecutor(KernelExecutor):
 
     name = "process"
 
-    def __init__(
-        self, workers: int = 4, shm_threshold: int | None = None
-    ) -> None:
+    def __init__(self, workers: int = 4) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
-        self.shm_threshold = shm_threshold
         self._pool: ProcessPoolExecutor | None = None
         self._store = None  # parent-side network spill (repro.exec.calls)
-        self._shm = None  # parent-side segment registry (repro.exec.shm)
         self._closed = False
         self._pinned = False
         self._lock = threading.Lock()
@@ -502,7 +490,6 @@ class ProcessExecutor(KernelExecutor):
         """
         if self._pool is None:
             from repro.exec.calls import NetworkStore
-            from repro.exec.shm import ShmArena
 
             _push_blas_pins()
             self._pinned = True
@@ -517,11 +504,10 @@ class ProcessExecutor(KernelExecutor):
                 ),
             )
             self._store = NetworkStore()
-            self._shm = ShmArena(self.shm_threshold)
         return self._pool
 
     def submit(self, fn: Callable, /, *args, **kwargs):
-        from repro.exec.calls import KernelCall, marshal_call, run_kernel_call
+        from repro.exec.calls import marshal_call, run_kernel_call
 
         with self._lock:
             if self._closed:
@@ -530,27 +516,13 @@ class ProcessExecutor(KernelExecutor):
                 )
             pool = self._ensure_pool()
             call = marshal_call(fn, args, kwargs, self._store)
-            shm = self._shm
         if call is not None:
-            payload, segments = shm.wrap_payload(call.payload)
             # Stamp the submission wall-clock time into the descriptor:
             # perf_counter is not comparable across processes, but
             # time.time() is (same host), so the worker can report how
             # long the call waited before starting.
-            call = KernelCall(
-                call.entry,
-                payload,
-                submitted_unix=time.time(),
-                backend=call.backend,
-            )
+            call = replace(call, submitted_unix=time.time())
             inner = pool.submit(run_kernel_call, call)
-            if segments:
-                # Release the call's segments when its future completes —
-                # also on cancellation and on worker death, both of which
-                # complete the future.  The callback must never raise.
-                inner.add_done_callback(
-                    lambda _f, names=segments: shm.release(names)
-                )
             # Callers get the unwrapping future: the worker's counter
             # delta merges into the parent registry on completion, and
             # result() yields the entry point's bare value.
@@ -565,15 +537,12 @@ class ProcessExecutor(KernelExecutor):
         with self._lock:
             pool, self._pool = self._pool, None
             store, self._store = self._store, None
-            shm, self._shm = self._shm, None
             pinned, self._pinned = self._pinned, False
             self._closed = True
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=cancel_pending)
         if store is not None:
             store.close()
-        if shm is not None:
-            shm.close()
         if pinned:
             _pop_blas_pins()
 
@@ -582,7 +551,6 @@ def make_executor(
     executor: KernelExecutor | None = None,
     workers: int = 1,
     kind: str | None = None,
-    shm_threshold: int | None = None,
 ) -> tuple[KernelExecutor, bool]:
     """Normalize an (executor, workers, kind) triple into ``(executor, owned)``.
 
@@ -591,9 +559,7 @@ def make_executor(
     :data:`EXECUTOR_KINDS`; in the latter case the engine builds one and
     must shut it down after the run (``owned=True``).  With no ``kind``
     the historical default applies: serial for ``workers=1``, pooled
-    otherwise.  ``shm_threshold`` configures the process executor's
-    shared-memory operand transport (see :mod:`repro.exec.shm`); it only
-    applies to executors built here with ``kind="process"``.
+    otherwise.
     """
     if executor is not None:
         if kind is not None:
@@ -614,7 +580,7 @@ def make_executor(
     if kind == "pooled":
         return PooledExecutor(workers), True
     if kind == "process":
-        return ProcessExecutor(workers, shm_threshold=shm_threshold), True
+        return ProcessExecutor(workers), True
     raise ValueError(
         f"unknown executor kind {kind!r}; choose from {EXECUTOR_KINDS}"
     )
@@ -624,7 +590,6 @@ def validate_executor_spec(
     executor: KernelExecutor | None = None,
     workers: int = 1,
     kind: str | None = None,
-    shm_threshold: int | None = None,
 ) -> None:
     """Raise the error :func:`make_executor` would, keeping nothing.
 
@@ -634,8 +599,6 @@ def validate_executor_spec(
     until first submit (pools and spill dirs are lazy), so the probe
     costs nothing to build and discard.
     """
-    built, owned = make_executor(
-        executor, workers, kind=kind, shm_threshold=shm_threshold
-    )
+    built, owned = make_executor(executor, workers, kind=kind)
     if owned:
         built.shutdown()

@@ -10,8 +10,8 @@
   (``repro stats``).
 
 Worker-process counters merge back into the parent registry through the
-executor descriptor layer (:mod:`repro.exec.calls`), so Process/shm runs
-report the same totals as Serial ones.
+executor descriptor layer (:mod:`repro.exec.calls`), so process-executor
+runs report the same totals as serial ones.
 """
 
 from repro.obs.metrics import Histogram, MetricsRegistry, registry

@@ -262,12 +262,6 @@ class Scheduler:
             default (threads for GEMM-shaped sweeps, processes for the
             Python-heavy zonotope/powerset paths the GIL serializes).
             Mutually exclusive with ``executor``.
-        shm_threshold: operand byte size at which process-executor
-            kernel calls switch from pickle to shared-memory transport
-            (see :mod:`repro.exec.shm`); ``0`` shares every array,
-            negative disables the transport, ``None`` defers to
-            ``REPRO_SHM_THRESHOLD``/default.  Only meaningful when this
-            scheduler builds its own process executor.
         backend: array backend for the run's kernels (``numpy64`` /
             ``numpy32`` / ``torch``); ``None`` inherits the ambient
             active backend (itself seeded from ``REPRO_BACKEND``).
@@ -304,7 +298,6 @@ class Scheduler:
         workers: int = 1,
         executor: KernelExecutor | None = None,
         executor_kind: str | None = None,
-        shm_threshold: int | None = None,
         backend: str | None = None,
         precision_escalation: bool | None = None,
         escalation_margin: float = 1e-2,
@@ -325,7 +318,6 @@ class Scheduler:
         self.workers = workers
         self.executor = executor
         self.executor_kind = executor_kind
-        self.shm_threshold = shm_threshold
         # Resolve (and validate) the backend eagerly so a bad name or a
         # missing torch fails at construction, not mid-manifest.
         self.backend = (
@@ -484,10 +476,7 @@ class Scheduler:
         obs = metrics_registry()
         counters_before = obs.counters_snapshot()
         executor, owned = make_executor(
-            self.executor,
-            self.workers,
-            kind=self.executor_kind,
-            shm_threshold=self.shm_threshold,
+            self.executor, self.workers, kind=self.executor_kind
         )
         screen = ""
         if self.precision_escalation:

@@ -261,7 +261,7 @@ def no_compaction():
 class TestGeneratorCompaction:
     """The fused-kernel compaction invariant: dropping provably-zero
     generator rows changes nothing observable — not against the
-    ``--no-compaction`` reference path, and not against the sequential
+    uncompacted reference path, and not against the sequential
     single-region elements, across overflow-join and budget cases."""
 
     @staticmethod

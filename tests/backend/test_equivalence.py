@@ -14,7 +14,6 @@ import pytest
 from repro.bench.suites import SuiteScale, build_network, build_problems
 from repro.core.config import VerifierConfig
 from repro.core.property import RobustnessProperty, linf_property
-from repro.exec.shm import ShmArena, resolve_payload
 from repro.nn.builders import mlp, xor_network
 from repro.sched import ResultCache, Scheduler, VerificationJob
 from repro.utils.boxes import Box
@@ -146,15 +145,3 @@ def test_per_backend_kernel_counters(suite):
     assert by_backend.get("kernel.by_backend.numpy32.analyze_batches", 0) > 0
     assert not any("numpy64" in name for name in by_backend)
 
-
-def test_shm_roundtrip_preserves_float32():
-    arena = ShmArena(threshold=0)
-    try:
-        array = np.arange(12, dtype=np.float32).reshape(3, 4) / 7.0
-        payload, segments = arena.wrap_payload({"x": array})
-        assert segments
-        resolved = resolve_payload(payload)
-        assert resolved["x"].dtype == np.float32
-        assert np.array_equal(resolved["x"], array)
-    finally:
-        arena.close()

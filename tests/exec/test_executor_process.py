@@ -17,7 +17,6 @@ again with every pool forced to spawn.
 import os
 import sys
 import threading
-import time
 import warnings
 from concurrent.futures.process import BrokenProcessPool
 
@@ -61,11 +60,6 @@ def executor():
 
 
 def _ok(value):
-    return value
-
-
-def _sleep_then(seconds, value):
-    time.sleep(seconds)
     return value
 
 
@@ -342,8 +336,8 @@ class TestKernelDescriptors:
             assert got.prefix_digest == ref.prefix_digest
             for name, arr in ref.arrays.items():
                 np.testing.assert_array_equal(got.arrays[name], arr)
-        # Resume operand crosses the boundary too (flattened into
-        # prefix_state_* payload keys) and reproduces the cold margins.
+        # The resume record crosses the boundary whole too and
+        # reproduces the cold margins.
         resumed, _ = executor.submit(
             analyze_batch_checkpointed, network, regions, labels, domain,
             None, captured[-1], (),
@@ -404,99 +398,3 @@ class TestKernelDescriptors:
             store.close()
         assert not os.path.exists(first.path)
 
-
-def _psm_segments():
-    """Names of POSIX shared-memory segments currently in /dev/shm.
-
-    ``multiprocessing.shared_memory`` names its segments ``psm_*``; the
-    prefix filter keeps pool semaphores (``sem.*``) out of the diff.
-    """
-    try:
-        return {e for e in os.listdir("/dev/shm") if e.startswith("psm_")}
-    except OSError:  # non-Linux: fall back to the arena's own accounting
-        return set()
-
-
-def _wait_drained(arena, timeout=5.0):
-    """Poll until the arena holds no live segments (done callbacks may
-    fire a beat after ``result()`` returns); return the final count."""
-    deadline = time.monotonic() + timeout
-    while arena.live_segments() and time.monotonic() < deadline:
-        time.sleep(0.01)
-    return arena.live_segments()
-
-
-class TestShmTransport:
-    """No shared-memory segment outlives its call — or the executor.
-
-    Segments are parent-owned (workers only ever attach), so the two
-    leak paths are the parent forgetting to release after a completed
-    call and the parent never reaching release because the worker died.
-    Both are pinned here against /dev/shm itself, not just the arena's
-    bookkeeping.
-    """
-
-    def test_segments_drain_and_unlink_on_shutdown(self, kernel_case):
-        network, regions, labels = kernel_case
-        domain = DomainSpec("zonotope", 2)
-        reference = analyze_batch_multi(network, regions, labels, domain, None)
-        before = _psm_segments()
-        executor = ProcessExecutor(2, shm_threshold=0)
-        try:
-            # Park both workers so the kernel calls queue: their operand
-            # segments (created synchronously at submit) must be live
-            # until each call completes — proof the transport engaged.
-            blockers = [executor.submit(_sleep_then, 0.4, i) for i in range(2)]
-            futures = [
-                executor.submit(
-                    analyze_batch_multi, network, regions, labels, domain, None
-                )
-                for _ in range(3)
-            ]
-            arena = executor._shm
-            assert arena is not None and arena.enabled
-            assert arena.live_segments() > 0
-            for blocker in blockers:
-                blocker.result(timeout=60)
-            for future in futures:
-                results = future.result(timeout=60)
-                for got, ref in zip(results, reference):
-                    assert got.verified == ref.verified
-                    assert got.margin_lower_bound == ref.margin_lower_bound
-            assert _wait_drained(arena) == 0
-        finally:
-            executor.shutdown()
-        assert arena.live_segments() == 0
-        assert _psm_segments() - before == set()
-
-    def test_killed_worker_leaks_no_segments(self, kernel_case):
-        network, regions, labels = kernel_case
-        domain = DomainSpec("zonotope", 2)
-        before = _psm_segments()
-        executor = ProcessExecutor(2, shm_threshold=0)
-        try:
-            # Queue shm-backed kernel calls behind a worker kill: the
-            # pool breaks, the queued futures complete with
-            # BrokenProcessPool, and their done callbacks must still
-            # release every segment — no worker ever attached them.
-            blockers = [executor.submit(_sleep_then, 0.3, i) for i in range(2)]
-            executor.submit(_crash, 11)
-            futures = [
-                executor.submit(
-                    analyze_batch_multi, network, regions, labels, domain, None
-                )
-                for _ in range(3)
-            ]
-            arena = executor._shm
-            assert arena is not None
-            assert arena.live_segments() > 0
-            for future in blockers + futures:
-                try:
-                    future.result(timeout=60)
-                except BrokenProcessPool:
-                    pass
-            assert _wait_drained(arena) == 0
-        finally:
-            executor.shutdown()
-        assert arena.live_segments() == 0
-        assert _psm_segments() - before == set()

@@ -12,7 +12,6 @@ from repro.exec import executor as executor_module
 from tests.exec.test_executor_process import (  # noqa: F401 - fixtures
     TestKernelDescriptors,
     TestProcessExecutorBasics,
-    TestShmTransport,
     TestWorkerCrash,
     executor,
     kernel_case,

@@ -201,25 +201,6 @@ class TestBatchedEngineMatrix:
         assert report.executor == "process" and report.workers == 2
         assert_reports_bitwise_equal(serial_reports["dfs"], report)
 
-    @pytest.mark.parametrize("frontier", POLICIES)
-    def test_shm_transport_matches_serial(
-        self, frontier, manifest, serial_reports
-    ):
-        # The shm-transport row: ``shm_threshold=0`` forces every
-        # descriptor operand across the worker boundary as a
-        # shared-memory handle (this manifest's arrays sit below the
-        # production cutover, so pickle would otherwise carry them all).
-        # The transport must be invisible: bitwise-equal reports, and
-        # every segment released once the round's futures are consumed.
-        with ProcessExecutor(2, shm_threshold=0) as executor:
-            report = Scheduler(
-                manifest, frontier=frontier, executor=executor
-            ).run()
-            assert executor._shm is not None
-            assert executor._shm.live_segments() == 0
-        assert report.executor == "process"
-        assert_reports_bitwise_equal(serial_reports[frontier], report)
-
 
 class TestMetricsAggregation:
     """A Process run's merged registry delta equals the Serial run's."""

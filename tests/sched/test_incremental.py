@@ -151,7 +151,7 @@ class TestExecutorTransparency:
         net = _network()
         tuned = _tuned(net, [-1])
         legs = {}
-        executor = ProcessExecutor(2, shm_threshold=0)
+        executor = ProcessExecutor(2)
         try:
             for leg in ("serial", "process"):
                 cache = ResultCache(tmp_path / f"cache-{leg}")

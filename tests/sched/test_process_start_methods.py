@@ -31,7 +31,6 @@ class _ProcessRows:
     test_executor_kind_argument_builds_the_process_pool = (
         rows.test_executor_kind_argument_builds_the_process_pool
     )
-    test_shm_transport_matches_serial = rows.test_shm_transport_matches_serial
     metrics = matrix.TestMetricsAggregation
     zono_jobs = metrics.zono_jobs
     test_process_merged_metrics_equal_serial = (

@@ -846,6 +846,7 @@ class TestRadiusManifestMalformed:
         ({"epsilon": "abc"}, "epsilon"),
         ({"epsilon": -0.1}, "epsilon"),
         ({"epsilon": "nan"}, "epsilon"),
+        ({"epsilon": 0}, "epsilon"),
         ({"timeout": "x"}, "timeout"),
         ({"timeout": -1}, "timeout"),
         ({"seed": "1.5x"}, "seed"),
@@ -888,6 +889,84 @@ class TestTrainManifestMalformed:
             capsys,
         )
         assert key in message and "job 'bad-job'" in message
+
+
+#: Bad flag values on the verbs that read their flags directly: (argv,
+#: the flag the one-line error must name).  ``{net}`` and ``{suite}``
+#: stand for a saved XOR network and a one-job suite over it.
+BAD_FLAG_VALUES = [
+    (["radius", "{net}", "--epsilon", "0"], "--epsilon"),
+    (["radius", "{net}", "--epsilon", "-1"], "--epsilon"),
+    (["radius", "{net}", "--epsilon", "nan"], "--epsilon"),
+    (["radius", "{net}", "--timeout", "0"], "--timeout"),
+    (["radius", "{net}", "--center", "0.5,abc"], "--center"),
+    (["attack", "{net}", "--epsilon", "-1"], "--epsilon"),
+    (["attack", "{net}", "--epsilon", "nan"], "--epsilon"),
+    (["attack", "{net}", "--steps", "0"], "--steps"),
+    (["attack", "{net}", "--restarts", "0"], "--restarts"),
+    (["attack", "{net}", "--center", "missing.npy"], "--center"),
+    (["train", "{suite}", "--iterations", "0"], "--iterations"),
+]
+
+
+class TestBadFlagValues:
+    """``radius``, ``attack`` and ``train`` check each flag value where
+    they read it: a bad one exits with one line naming the flag."""
+
+    @pytest.mark.parametrize(
+        "argv, flag", BAD_FLAG_VALUES,
+        ids=[" ".join(argv[:1] + argv[2:]) for argv, _ in BAD_FLAG_VALUES],
+    )
+    def test_exits_with_one_line(
+        self, argv, flag, xor_path, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        suite = tmp_path / "suite.json"
+        suite.write_text(json.dumps({"jobs": [
+            {"network": xor_path, "center": "0.5,0.5", "name": "j"},
+        ]}))
+        argv = [arg.format(net=xor_path, suite=suite) for arg in argv]
+        if argv[0] != "train":
+            # A --center among the case's flags comes later and wins.
+            argv[2:2] = ["--center", "0.5,0.5"]
+        message = _one_line_exit(argv, capsys)
+        assert flag in message
+
+
+class TestCachePathIsAFile:
+    """A cache path naming an existing file exits with one line on every
+    verb that opens the result cache."""
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["schedule", "{manifest}", "--cache", "{cache}"],
+                     id="schedule"),
+        pytest.param(["diff-verify", "{net}", "{net}", "{manifest}",
+                      "--cache", "{cache}"], id="diff-verify"),
+        pytest.param(["train", "{manifest}", "--iterations", "1",
+                      "--cache", "{cache}"], id="train"),
+        pytest.param(["radius", "{net}", "--center", "0.5,0.5",
+                      "--cache", "{cache}"], id="radius"),
+        pytest.param(["radius", "{manifest}", "--cache", "{cache}"],
+                     id="radius-manifest"),
+        pytest.param(["cache", "prune", "{cache}", "--max-entries", "1"],
+                     id="cache-prune"),
+    ])
+    def test_exits_with_one_line(
+        self, argv, xor_path, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        cache = tmp_path / "afile"
+        cache.write_text("not a cache directory")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"jobs": [
+            {"network": xor_path, "center": "0.5,0.5", "name": "j"},
+        ]}))
+        argv = [
+            arg.format(net=xor_path, manifest=manifest, cache=cache)
+            for arg in argv
+        ]
+        message = _one_line_exit(argv, capsys)
+        assert str(cache) in message
 
 
 class TestVerifyRunsTheScheduler:
