@@ -18,7 +18,11 @@ Elboher et al.:
     ``d_G`` is derived by interval arithmetic over a fixed *domain box*:
     for every input ``x`` in the box, every concrete member activation
     stays within ``d_G`` of the representative's activation
-    (ReLU is 1-Lipschitz, so the bound survives the nonlinearity).
+    (ReLU is 1-Lipschitz, so the bound survives the nonlinearity).  The
+    interval each layer's inputs range over is DeepPoly's
+    back-substituted pre-activation bound of the abstract layer below,
+    clipped at 0 and computed in float64 whatever backend is active, so
+    the abstract network does not depend on the caller's precision.
 3.  The accumulated error surfaces as a single
     :class:`~repro.nn.layers.ErrorPad` at the output, whose per-row
     radii bound the total concrete-vs-abstract output deviation.  Every
@@ -50,17 +54,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.abstract.domains import DomainSpec
+from repro.abstract.deeppoly import (
+    DeepPolyBatch,
+    _DiagBounds,
+    _relu_relaxation,
+)
+from repro.backend import use_backend
 from repro.nn.layers import Dense, ErrorPad, ReLU
 from repro.nn.network import AffineOp, Network, ReluOp
 from repro.obs.trace import span
 from repro.utils.boxes import Box
-
-#: Domain used to bound the abstract prefix's activations while the
-#: error bounds are derived.  Zonotopes keep the hull orders of
-#: magnitude tighter than plain intervals on deep chains, and any sound
-#: over-approximation yields sound (just looser) ``d_G``.
-_PREFIX_DOMAIN = DomainSpec("zonotope")
 
 #: ``--abstraction`` menu shared by the verify and schedule commands.
 ABSTRACTION_MODES = ("off", "syntactic", "semantic")
@@ -332,16 +335,17 @@ class NetworkAbstraction:
         """
         if self.is_identity:
             return self.network
+        # The hull is bounded in float64 whatever backend is active: the
+        # abstract network, its digest and its cache keyspace must not
+        # depend on the caller's precision.
         with span(
             "netabs.abstract", cat="netabs",
             mode=self.mode, level=self.level, splits=self.splits,
-        ):
+        ), use_backend("numpy64"):
             return self._build()
 
     def _build(self) -> Network:
         chain = self._chain
-        prefix = _PREFIX_DOMAIN.lift(self.domain_box)
-        h_lo, h_hi = prefix.bounds()
         layers: list = []
         prev_groups: list[np.ndarray] | None = None
         # Per *concrete* neuron error bound of the previous layer:
@@ -349,6 +353,10 @@ class NetworkAbstraction:
         c_prev: np.ndarray | None = None
         last_c: list[np.ndarray] = []
         out_index = len(chain) - 1
+        # Interval hull of the abstract prefix's activations over the
+        # domain box: the box itself for the first layer.
+        h_lo, h_hi = self.domain_box.low, self.domain_box.high
+        prefix = DeepPolyBatch.from_boxes([self.domain_box])
         for ell, (weight, bias) in enumerate(chain):
             if prev_groups is None:
                 w_red = weight
@@ -390,11 +398,22 @@ class NetworkAbstraction:
             last_c.append(c)
             layers.append(Dense(w_bar, b_bar))
             layers.append(ReLU())
-            # Advance the prefix hull through the abstract layer.
-            prefix = prefix.affine(w_bar, b_bar).relu()
-            h_lo, h_hi = prefix.bounds()
             prev_groups = groups
             c_prev = c
+            if ell + 1 == out_index:
+                continue  # the output layer needs no hull
+            # Advance the hull through the abstract layer: DeepPoly's
+            # back-substituted pre-activation bounds clipped at 0 (the
+            # exact ReLU image of that interval).  The ReLU relaxation
+            # is made from the same bounds; relu() would back-substitute
+            # them a second time.
+            prefix = prefix.affine(w_bar, b_bar)
+            z_lo, z_hi = prefix.bounds()
+            prefix = prefix._extended(
+                _DiagBounds(*_relu_relaxation(z_lo, z_hi))
+            )
+            h_lo = np.maximum(z_lo[0], 0.0)
+            h_hi = np.maximum(z_hi[0], 0.0)
         self._last_c = last_c
         return Network(layers, input_shape=(self.network.input_size,))
 

@@ -540,7 +540,7 @@ class Scheduler:
             for index, job in indexed:
                 record = (
                     self.cache.get(self._job_key(job, backend))
-                    if self.cache
+                    if self.cache is not None
                     else None
                 )
                 if record is not None:

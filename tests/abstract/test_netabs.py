@@ -23,10 +23,12 @@ from repro.abstract.netabs import (
     abstraction_for,
     witness_margin,
 )
+from repro.backend import use_backend, use_default_backend
 from repro.core.config import VerifierConfig
 from repro.core.property import linf_property
 from repro.core.results import Falsified, Verified, VerificationStats
 from repro.nn.builders import lenet_conv, mlp, redundant_mlp
+from repro.nn.layers import ErrorPad
 from repro.nn.serialize import network_digest
 from repro.sched import JobResult, Scheduler, VerificationJob
 from repro.utils.boxes import Box
@@ -55,10 +57,10 @@ def _sample(region, count, seed):
 def test_containment_every_level_every_domain(domain_name, mode):
     """Abstract margin bounds stay below sampled concrete margins at
     every refinement level, from the coarsest partition down to the
-    concrete network."""
+    concrete network, on two and five hidden layers."""
     domain = DomainSpec(domain_name)
-    for seed in (0, 1):
-        net = redundant_mlp(5, [6, 6], 3, dup=3, noise=2e-3, rng=seed)
+    for widths, seed in ([6, 6], 0), ([6, 6], 1), ([6] * 5, 0):
+        net = redundant_mlp(5, widths, 3, dup=3, noise=2e-3, rng=seed)
         rng = np.random.default_rng(seed + 10)
         region = Box.from_center_radius(rng.uniform(0.3, 0.7, 5), 0.02)
         label = net.classify((region.low + region.high) / 2.0)
@@ -342,30 +344,100 @@ def test_agglomerate_edge_targets():
     assert [g.tolist() for g in _agglomerate(features[:1], 1)] == [[0]]
 
 
-#: ``network_digest`` of the abstract network built below, recorded with
-#: the dense reference construction.  The O(n²) clustering must
-#: reproduce it bit for bit in both modes.
+def _pinned_abstraction(mode):
+    net = redundant_mlp(6, [10, 10], 4, dup=3, noise=5e-2, rng=21)
+    region = Box.from_center_radius(np.full(6, 0.5), 0.05)
+    return NetworkAbstraction(net, mode, level=2, regions=[region], seed=3)
+
+
+#: ``network_digest`` of :func:`_pinned_abstraction`'s abstract network:
+#: the partition below, merged, with its error bounds taken over the
+#: float64 DeepPoly hull.
 _PINNED_ABSTRACT_DIGESTS = {
     "syntactic": (
-        "4d5897d938ad42e9124a7ec1b7baa03afca111d00d91d605f1965863224d2bdc"
+        "5af9ee9e37278f4a56f540853e2b254831ac1089c9ff4869ec9fea1de2135339"
     ),
     "semantic": (
-        "0cd7a6e113d819ce1b6fb93a2ee5c0e136d827fc7997c2f9715787eff25caad4"
+        "68e28ce9df791b2e874bb917627108c897ceccb4c276dc801ca476e380f4d05d"
     ),
 }
+
+#: The partition of :func:`_pinned_abstraction`, pinned apart from the
+#: digests so that a change to the error bounds cannot hide a change to
+#: the clustering.  Members and their order both count: the order fixes
+#: the summation order of the merged columns.
+_PINNED_GROUPS = {
+    "syntactic": [
+        [[0, 2, 1], [3, 4, 5, 15, 16, 17], [6, 7, 8],
+         [9, 11, 10, 12, 13, 14], [18, 19, 20], [21, 22, 23], [24, 26, 25],
+         [27, 29, 28]],
+        [[0, 1, 2, 9, 10, 11], [3, 4, 5, 6, 7, 8], [12, 13, 14],
+         [15, 16, 17], [18, 19, 20], [21, 22, 23], [24, 26, 25],
+         [27, 28, 29]],
+    ],
+    "semantic": [
+        [[0, 1, 2, 10, 20],
+         [3, 4, 17, 21, 22, 23, 27, 28, 29, 15, 5, 16, 9, 11], [6, 8], [7],
+         [12], [13, 14, 26], [18, 19], [24, 25]],
+        [[0, 1, 2, 9, 10, 11, 12, 13, 14, 18, 19, 20, 21, 22, 23, 24, 25,
+          26, 28, 3], [4], [5, 16, 17], [6, 7], [8], [15], [27], [29]],
+    ],
+}
+
+
+@pytest.mark.parametrize("mode", sorted(_PINNED_GROUPS))
+def test_abstract_partition_pinned(mode):
+    abstraction = _pinned_abstraction(mode)
+    assert [
+        [g.tolist() for g in layer] for layer in abstraction.groups
+    ] == _PINNED_GROUPS[mode]
 
 
 @pytest.mark.parametrize("mode", sorted(_PINNED_ABSTRACT_DIGESTS))
 def test_abstract_network_digest_pinned(mode):
-    net = redundant_mlp(6, [10, 10], 4, dup=3, noise=5e-2, rng=21)
-    region = Box.from_center_radius(np.full(6, 0.5), 0.05)
-    abstraction = NetworkAbstraction(
-        net, mode, level=2, regions=[region], seed=3
-    )
+    abstraction = _pinned_abstraction(mode)
     assert abstraction.hidden_abstract == 16
     assert network_digest(abstraction.build()) == (
         _PINNED_ABSTRACT_DIGESTS[mode]
     )
+
+
+@pytest.mark.parametrize("switch", [use_backend, use_default_backend])
+@pytest.mark.parametrize("mode", sorted(_PINNED_ABSTRACT_DIGESTS))
+def test_abstract_network_ignores_active_backend(mode, switch):
+    """``repro schedule --backend numpy32`` builds the same abstract
+    network, digest and cache keyspace as a float64 run."""
+    abstraction = _pinned_abstraction(mode)
+    with switch("numpy32"):
+        abstract = abstraction.build()
+    assert network_digest(abstract) == _PINNED_ABSTRACT_DIGESTS[mode]
+
+
+#: Per-output-row pad radii of the six-hidden-layer net below as the
+#: sequential case-split zonotope hull bounded them.  The DeepPoly hull
+#: must give every row a pad no larger.
+_ZONOTOPE_HULL_PADS = {
+    "syntactic": [
+        550.0528854842752, 549.9592117716185, 431.21955475137173,
+        555.2514561362723,
+    ],
+    "semantic": [
+        739.7570106532663, 731.247856993243, 576.021253457536,
+        757.8652199489709,
+    ],
+}
+
+
+@pytest.mark.parametrize("mode", sorted(_ZONOTOPE_HULL_PADS))
+def test_deep_pads_no_larger_than_zonotope_hull(mode):
+    net = redundant_mlp(6, [8] * 6, 4, dup=3, noise=5e-2, rng=21)
+    region = Box.from_center_radius(np.full(6, 0.5), 0.2)
+    abstraction = NetworkAbstraction(
+        net, mode, level=2, regions=[region], seed=3
+    )
+    pad = abstraction.build().layers[-1]
+    assert isinstance(pad, ErrorPad)
+    assert (pad.radii <= np.array(_ZONOTOPE_HULL_PADS[mode])).all()
 
 
 # ----------------------------------------------------------------------

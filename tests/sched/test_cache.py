@@ -188,6 +188,32 @@ class TestSchedulerIntegration:
                     a.outcome.counterexample, b.outcome.counterexample
                 )
 
+    def test_probes_never_count_the_records(self, cache, monkeypatch):
+        """A job probe is one keyed read, cold or warm: counting the
+        records globs both families, and an empty cache is probed too."""
+
+        def count(_cache):
+            raise AssertionError("a job probe counted the cache records")
+
+        monkeypatch.setattr(ResultCache, "__len__", count)
+        net = mlp(4, [8], 3, rng=0)
+        config = VerifierConfig(timeout=10.0)
+        center = np.full(4, 0.5)
+        jobs = [
+            VerificationJob(
+                net, linf_property(net, center, eps), config=config, seed=0
+            )
+            for eps in (0.005, 0.6)
+        ]
+        cold = Scheduler(jobs, cache=cache).run()
+        assert cold.cache_hits == 0
+        assert [r.outcome.kind for r in cold.results] == [
+            "verified", "falsified"
+        ]
+        warm = Scheduler(jobs, cache=cache).run()
+        assert warm.cache_hits == len(jobs)
+        assert all(r.cached for r in warm.results)
+
     def test_different_seed_misses(self, cache):
         net = xor_network()
         prop = _prop()
