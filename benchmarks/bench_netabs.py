@@ -13,7 +13,13 @@ must
 - finish the suite at least **1.5x faster** end-to-end;
 - spend a measurably smaller fraction of full-network kernel work,
   reported via ``kernel.analyze_rows`` weighted by network width (an
-  abstract row sweeps ~1/dup of the concrete neurons).
+  abstract row sweeps ~1/dup of the concrete neurons);
+- build the abstraction from few exact neuron distances: clustering
+  ranks pairs by certified lower bounds and evaluates a distance exactly
+  only where a merge can land, at most 5% of the pair distances an
+  all-exact distance matrix evaluates (``sched.netabs.cluster_exact``
+  against ``sched.netabs.cluster_pairs``; a count, so it cannot flake on
+  a busy runner).
 
 The workload mirrors how netabs wins in practice: a wide redundant
 network whose duplicate groups cluster at tiny error bounds, properties
@@ -36,6 +42,9 @@ from repro.sched import Scheduler, VerificationJob
 
 #: End-to-end speedup floor of the abstraction pre-pass (ISSUE 9).
 FLOOR = 1.5
+
+#: Ceiling on the share of pair distances clustering evaluates exactly.
+EXACT_SHARE = 0.05
 
 
 def netabs_workload(jobs=24, epsilon=0.0005, timeout=30.0):
@@ -127,6 +136,12 @@ def test_netabs_speedup(benchmark):
         f"hidden), accepted {abs_report.netabs_accepted}, "
         f"rounds {abs_report.netabs_rounds}"
     )
+    pairs = abs_delta["sched.netabs.cluster_pairs"]
+    exact = abs_delta["sched.netabs.cluster_exact"]
+    print(
+        f"clustering: {exact} of {pairs} pair distances exact "
+        f"({exact / pairs:.1%})"
+    )
 
     # Identical job outcomes — the soundness contract of the pre-pass.
     assert [r.outcome.kind for r in abs_report.results] == [
@@ -137,6 +152,10 @@ def test_netabs_speedup(benchmark):
     assert abs_delta.get("sched.netabs.verified", 0) == len(jobs)
     # The merged network genuinely sweeps fewer neurons per row.
     assert work_abs < work_off
+    assert exact <= EXACT_SHARE * pairs, (
+        f"clustering evaluated {exact / pairs:.1%} of pair distances "
+        f"exactly (ceiling {EXACT_SHARE:.0%})"
+    )
     assert ratio >= FLOOR, (
         f"netabs only {ratio:.2f}x vs concrete (floor {FLOOR}x)"
     )

@@ -62,6 +62,7 @@ from repro.abstract.deeppoly import (
 from repro.backend import use_backend
 from repro.nn.layers import Dense, ErrorPad, ReLU
 from repro.nn.network import AffineOp, Network, ReluOp
+from repro.obs.metrics import registry as _metrics_registry
 from repro.obs.trace import span
 from repro.utils.boxes import Box
 
@@ -85,6 +86,11 @@ _SAFETY = 1.0 + 1e-9
 #: Sample count for semantic (activation-signature) clustering.
 _SIGNATURE_SAMPLES = 64
 
+#: float64 machine epsilon and smallest normal number, for the slack of
+#: :func:`_gram_bound`.
+_EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).tiny)
+
 
 def _affine_chain(network: Network) -> list[tuple[np.ndarray, np.ndarray]] | None:
     """``[(W, b), ...]`` when the lowered ops are a ReLU MLP, else ``None``.
@@ -107,6 +113,55 @@ def _affine_chain(network: Network) -> list[tuple[np.ndarray, np.ndarray]] | Non
     return chain
 
 
+def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise squared distances ``‖a[k] - b[k]‖²`` (``b`` broadcasts).
+
+    The one exact distance of the clustering: a per-row ``einsum``
+    reduction, so each value is bitwise the same whichever rows share the
+    call and whichever side is subtracted (squares are sign-blind).
+    """
+    diff = a - b
+    return np.einsum("ij,ij->i", diff, diff)
+
+
+def _gram_bound(
+    gram: np.ndarray, sq_a: np.ndarray, sq_b: np.ndarray, dim: int
+) -> np.ndarray:
+    """Certified lower bounds on :func:`_sqdist`, written over ``gram``.
+
+    The Gram identity ``‖a - b‖² = ‖a‖² + ‖b‖² - 2⟨a, b⟩``, with
+    ``gram`` the computed ``⟨a, b⟩`` and ``sq_a``/``sq_b`` the computed
+    squared norms (broadcast against it), less the slack
+    ``s·(‖a‖² + ‖b‖² + tiny)`` with ``s = 8(d + 4)ε``: four times the
+    worst-case gap between the rounded identity and the rounded
+    ``einsum``, underflow included (DESIGN §13 item 1).  Near-equal rows
+    cancel to a bound ``<= 0``.
+    """
+    slack = 8.0 * (dim + 4) * _EPS
+    gram *= -2.0
+    gram += (1.0 - slack) * sq_a
+    gram += (1.0 - slack) * sq_b
+    gram -= slack * _TINY
+    return gram
+
+
+def _settle(
+    dist: np.ndarray, is_exact: np.ndarray, cents: np.ndarray, flat: np.ndarray
+) -> int:
+    """Overwrite ``dist`` at the flat indices ``flat`` with the exact
+    distances and flag them in ``is_exact``, ``n`` pairs at a time (O(n·d)
+    temporaries).  Returns the pair count."""
+    n = cents.shape[0]
+    rows, cols = np.divmod(flat, n)
+    for start in range(0, flat.size, n):
+        part = slice(start, start + n)
+        dist[rows[part], cols[part]] = _sqdist(
+            cents[rows[part]], cents[cols[part]]
+        )
+    is_exact[rows, cols] = True
+    return flat.size
+
+
 def _agglomerate(features: np.ndarray, target: int) -> list[np.ndarray]:
     """Deterministic greedy agglomerative clustering to ``target`` groups.
 
@@ -117,42 +172,79 @@ def _agglomerate(features: np.ndarray, target: int) -> list[np.ndarray]:
     member-index array per group (smallest member first, the rest in
     merge order), groups ordered by smallest member.
 
-    Memory is O(n²) — the ``(n, n)`` squared-distance matrix, upper
-    triangle only — and each merge costs O(n·d).  Every pair distance is
-    the same per-row ``einsum`` reduction of a centroid difference,
-    whichever side is subtracted (squares are sign-blind), so the
-    distances and hence the partition are bitwise reproducible.
+    Memory is O(n²): the ``(n, n)`` distance matrix, upper triangle
+    only, and a mask of its exact entries.  Every entry the mask does not
+    flag holds a certified lower bound (:func:`_gram_bound`): one GEMM
+    bounds every pair up front, one GEMV every pair of a merged cluster.
+    Exact distances (:func:`_sqdist`) are computed only where a merge can
+    land: where a bound cancels to ``<= 0`` (near duplicates), and where
+    the argmin lands on a bound — that bound first and, should the argmin
+    land on a bound again, every bound at or below the exact value just
+    found.  A merge happens only on an exact entry.  No entry exceeds its
+    exact distance, so that entry is the first minimum of the all-exact
+    matrix: the merge sequence and the partition are bitwise those of
+    evaluating every pair.
+
+    Raises :class:`OverflowError` when squared distances can overflow
+    float64 (``4·max‖row‖²`` is not finite): no pair can be ranked.
+    Counts the pair distances an all-exact matrix evaluates
+    (``sched.netabs.cluster_pairs``: n(n-1)/2, plus n per merge) and the
+    exact ones made (``sched.netabs.cluster_exact``).
     """
-    n = features.shape[0]
+    n, dim = features.shape
     target = max(1, min(int(target), n))
     members: list[list[int] | None] = [[i] for i in range(n)]
     if target >= n:
         return [np.array(m) for m in members]
     cents = np.array(features, dtype=np.float64)
+    sq = np.einsum("ij,ij->i", cents, cents)
+    if not np.isfinite(4.0 * sq.max()):
+        raise OverflowError("squared feature distances overflow float64")
     counts = np.ones(n)
-    merged = np.zeros(n, dtype=bool)
     # dist[i, j] for i < j; the diagonal, the lower triangle and the rows
     # and columns of merged-away clusters stay inf.
-    dist = np.full((n, n), np.inf)
-    for i in range(n - 1):
-        d = cents[i + 1 :] - cents[i]
-        dist[i, i + 1 :] = np.einsum("ij,ij->i", d, d)
-    d = np.empty_like(cents)
+    dist = _gram_bound(cents @ cents.T, sq[:, None], sq, dim)
+    dist[np.tri(n, dtype=bool)] = np.inf
+    is_exact = np.zeros((n, n), dtype=bool)
+    # Near duplicates, where the identity cancels, are settled up front.
+    evaluated = _settle(dist, is_exact, cents, np.flatnonzero(dist <= 0.0))
     for _ in range(n - target):
-        i, j = divmod(int(np.argmin(dist)), n)  # i < j: upper triangle only
+        i, j = divmod(int(dist.argmin()), n)  # i < j: upper triangle only
+        if not is_exact[i, j]:
+            value = dist[i, j] = _sqdist(cents[j : j + 1], cents[i])[0]
+            is_exact[i, j] = True
+            evaluated += 1
+            i, j = divmod(int(dist.argmin()), n)
+            if not is_exact[i, j]:
+                # Bounds crowd the minimum: settle every one at or below
+                # the exact value just found, so that the argmin lands on
+                # an exact entry.
+                crowd = np.flatnonzero((dist <= value) & ~is_exact)
+                evaluated += _settle(dist, is_exact, cents, crowd)
+                i, j = divmod(int(dist.argmin()), n)
         members[i].extend(members[j])
         members[j] = None
-        merged[j] = True
         total = counts[i] + counts[j]
         cents[i] = (cents[i] * counts[i] + cents[j] * counts[j]) / total
         counts[i] = total
-        np.subtract(cents, cents[i], out=d)
-        vals = np.einsum("ij,ij->i", d, d)
-        vals[merged] = np.inf
+        sq[i] = cents[i] @ cents[i]
+        sq[j] = np.inf  # every later bound against j is inf
+        vals = _gram_bound(cents @ cents[i], sq[i], sq, dim)
+        vals[i] = np.inf
+        near = vals <= 0.0
+        hits = np.flatnonzero(near)
+        if hits.size:
+            vals[hits] = _sqdist(cents[hits], cents[i])
+            evaluated += hits.size
         dist[i, i + 1 :] = vals[i + 1 :]
         dist[:i, i] = vals[:i]
+        is_exact[i, i + 1 :] = near[i + 1 :]
+        is_exact[:i, i] = near[:i]
         dist[j, j + 1 :] = np.inf
         dist[:j, j] = np.inf
+    obs = _metrics_registry()
+    obs.inc("sched.netabs.cluster_pairs", n * (n - 1) // 2 + n * (n - target))
+    obs.inc("sched.netabs.cluster_exact", evaluated)
     return [np.array(m) for m in members if m is not None]
 
 
@@ -268,10 +360,18 @@ class NetworkAbstraction:
                 np.concatenate([weight, bias[:, None]], axis=1)
                 for weight, bias in chain[:-1]
             ]
-        self.groups: list[list[np.ndarray]] = [
-            _agglomerate(feats, -(-feats.shape[0] // (1 << self.level)))
-            for feats in self._features
-        ]
+        try:
+            self.groups: list[list[np.ndarray]] = [
+                _agglomerate(feats, -(-feats.shape[0] // (1 << self.level)))
+                for feats in self._features
+            ]
+        except OverflowError:
+            # No pair of some layer can be ranked, so merge nothing: the
+            # identity abstraction builds the concrete network, and
+            # abstraction_for() turns it into None.
+            self.groups = [
+                _agglomerate(feats, feats.shape[0]) for feats in self._features
+            ]
         # Downstream absolute-weight amplification of each hidden neuron:
         # how much a unit of error at that neuron can move the worst
         # output row.  Fixed per network; used to score refinement splits.
@@ -504,8 +604,10 @@ def abstraction_for(
 ) -> NetworkAbstraction | None:
     """A :class:`NetworkAbstraction`, or ``None`` when abstraction is a
     no-op — mode off, level below 1, an architecture the construction
-    does not cover (conv/maxpool chains), or a level too fine to merge
-    anything.  Callers treat ``None`` as "run the concrete network".
+    does not cover (conv/maxpool chains), features whose squared
+    distances overflow float64 (weights around 1e160), or a level too
+    fine to merge anything.  Callers treat ``None`` as "run the concrete
+    network".
     """
     if mode in (None, "off") or level < 1:
         return None

@@ -183,6 +183,7 @@ def _add_common(
 
 def cmd_verify(args: argparse.Namespace) -> int:
     """One property as a one-job scheduler run (same path as ``schedule``)."""
+    _check_abstraction_level(args)
     _apply_kernel_flags(args)
     spec = {
         "name": "verify",
@@ -224,6 +225,17 @@ def _check_flag(ok: bool, flag: str, rule: str, value) -> None:
     meets ``rule``; callers phrase ``ok`` so that NaN fails it)."""
     if not ok:
         raise SystemExit(f"bad {flag}: must be {rule}, got {value}")
+
+
+def _check_abstraction_level(args: argparse.Namespace) -> None:
+    """With abstraction on, a level below 1 would run the concrete
+    network under an ``abstraction: <mode> level <N>`` report line."""
+    _check_flag(
+        args.abstraction == "off" or args.abstraction_level >= 1,
+        "--abstraction-level",
+        f">= 1 with --abstraction {args.abstraction}",
+        args.abstraction_level,
+    )
 
 
 def _flag_center(args: argparse.Namespace, network) -> np.ndarray:
@@ -438,6 +450,7 @@ def _run_jobs(
 
 
 def cmd_schedule(args: argparse.Namespace) -> int:
+    _check_abstraction_level(args)
     _apply_kernel_flags(args)
     if args.incremental and not args.cache:
         raise SystemExit(

@@ -20,16 +20,19 @@ from repro.abstract.netabs import (
     NetworkAbstraction,
     _agglomerate,
     _farthest_pair,
+    _gram_bound,
     abstraction_for,
     witness_margin,
 )
 from repro.backend import use_backend, use_default_backend
 from repro.core.config import VerifierConfig
+from repro.core.policy import BisectionPolicy
 from repro.core.property import linf_property
 from repro.core.results import Falsified, Verified, VerificationStats
 from repro.nn.builders import lenet_conv, mlp, redundant_mlp
 from repro.nn.layers import ErrorPad
-from repro.nn.serialize import network_digest
+from repro.nn.serialize import load_network, network_digest, save_network
+from repro.obs.metrics import registry as metrics_registry
 from repro.sched import JobResult, Scheduler, VerificationJob
 from repro.utils.boxes import Box
 
@@ -229,6 +232,28 @@ def test_abstraction_for_gates():
     assert abstraction_for(conv, "syntactic", 2) is None
 
 
+def test_overflowing_features_run_the_concrete_network(tmp_path):
+    """Weights around 1e160 load fine, but every squared feature distance
+    overflows float64, so no pair can be ranked: no abstraction, and a
+    ``syntactic`` run ends as an ``off`` run does."""
+    net = mlp(4, [8, 8], 3, rng=0)
+    net.layers[0].weight[:] *= 1e160
+    save_network(net, tmp_path / "big.npz")
+    net = load_network(tmp_path / "big.npz")
+    assert abstraction_for(net, "syntactic", 2) is None
+    assert abstraction_for(net, "semantic", 2) is None
+    job = VerificationJob(
+        net,
+        linf_property(net, np.full(4, 0.5), 0.01),
+        config=VerifierConfig(timeout=10.0),
+        policy=BisectionPolicy(domain=DomainSpec("deeppoly")),
+    )
+    off = Scheduler([job]).run()
+    merged = Scheduler([job], abstraction="syntactic").run()
+    assert merged.results[0].outcome.kind == off.results[0].outcome.kind
+    assert merged.metrics["sched.netabs.unsupported"] == 1
+
+
 # ----------------------------------------------------------------------
 # Clustering: the O(n²)-memory agglomeration against the reference
 # ----------------------------------------------------------------------
@@ -284,13 +309,37 @@ def _fuzz_shapes():
     return shapes
 
 
+def _fragile_features():
+    """Seeded feature matrices where the Gram-identity bound of
+    ``_agglomerate`` is tight or fragile: groups of four near-duplicate
+    rows (relative noise 1e-12, the regime of netabs-screen's
+    ``noise=1e-12`` networks, and 1e-6), a per-case scale from 1e-6 to
+    1e6, rows of mixed norms (per group and per row), and d up to 800."""
+    rng = np.random.default_rng(20)
+    shapes = [(40, 800), (33, 1), (36, 65), (40, 201), (17, 400), (9, 800)]
+    for _ in range(10):
+        shapes.append((int(rng.integers(5, 41)), int(rng.integers(1, 301))))
+    for case, (n, d) in enumerate(shapes):
+        groups = rng.standard_normal((-(-n // 4), d))
+        if case % 3 == 1:
+            groups *= 10.0 ** rng.uniform(-3.0, 3.0, size=(len(groups), 1))
+        noise = (1e-12, 1e-6)[case % 2]
+        features = np.repeat(groups, 4, axis=0)[:n]
+        features = features * (1.0 + noise * rng.standard_normal((n, d)))
+        if case % 3 == 2:
+            features *= 10.0 ** rng.uniform(-3.0, 3.0, size=(n, 1))
+        yield features * 10.0 ** rng.uniform(-6.0, 6.0)
+
+
 def test_agglomerate_matches_reference_fuzz():
     """Identical partitions — members and their order, which fixes the
     summation order of the merged columns and so the abstract network's
     bits — for every target over a seeded range of shapes.
     Integer-valued features make exact distance ties common, so the
     first-minimum tie-break is exercised; real-valued features check
-    that the distances agree to the bit."""
+    that the distances agree to the bit; near-duplicate, rescaled and
+    mixed-norm features probe the distance bounds the clustering ranks
+    pairs by, which must never exceed the exact distances."""
     rng = np.random.default_rng(7)
     for case, (n, d) in enumerate(_fuzz_shapes()):
         if case % 3 == 2:
@@ -300,6 +349,18 @@ def test_agglomerate_matches_reference_fuzz():
         if case % 4 == 1:
             # Exact duplicate rows: zero distances, ties everywhere.
             features[n // 2 :] = features[: n - n // 2]
+        for target, want in _reference_partitions(features):
+            got = _agglomerate(features, target)
+            assert [g.tolist() for g in got] == [g.tolist() for g in want], (
+                f"partition differs at n={n} d={d} target={target}"
+            )
+    for features in _fragile_features():
+        n, d = features.shape
+        sq = np.einsum("ij,ij->i", features, features)
+        bound = _gram_bound(features @ features.T, sq[:, None], sq, d)
+        diff = features[:, None, :] - features[None, :, :]
+        exact = np.einsum("ijk,ijk->ij", diff, diff)
+        assert (bound <= exact).all(), f"bound above exact at n={n} d={d}"
         for target, want in _reference_partitions(features):
             got = _agglomerate(features, target)
             assert [g.tolist() for g in got] == [g.tolist() for g in want], (
@@ -342,6 +403,26 @@ def test_agglomerate_edge_targets():
     assert [g.tolist() for g in singletons] == [[0], [1], [2], [3]]
     assert [g.tolist() for g in _agglomerate(features, 0)] == [[0, 1, 2, 3]]
     assert [g.tolist() for g in _agglomerate(features[:1], 1)] == [[0]]
+
+
+def test_agglomerate_counts_exact_distances():
+    """``cluster_pairs`` counts what an all-exact distance matrix
+    evaluates (n(n-1)/2, plus n per merge) and ``cluster_exact`` the
+    exact distances made: on ten groups of four near duplicates, the six
+    pairs of each group up front, then the two and the one near
+    duplicates left in a group's row after its first two merges."""
+    rng = np.random.default_rng(5)
+    features = np.repeat(rng.standard_normal((10, 7)), 4, axis=0)
+    features *= 1.0 + 1e-12 * rng.standard_normal(features.shape)
+    obs = metrics_registry()
+    before = obs.counters_snapshot()
+    groups = _agglomerate(features, 10)
+    counted = obs.counters_since(before)
+    assert [sorted(g.tolist()) for g in groups] == [
+        list(range(k, k + 4)) for k in range(0, 40, 4)
+    ]
+    assert counted["sched.netabs.cluster_pairs"] == 40 * 39 // 2 + 40 * 30
+    assert counted["sched.netabs.cluster_exact"] == 10 * (6 + 2 + 1)
 
 
 def _pinned_abstraction(mode):

@@ -933,6 +933,35 @@ class TestBadFlagValues:
         assert flag in message
 
 
+class TestAbstractionLevel:
+    """With abstraction on, ``verify`` and ``schedule`` reject a level
+    below 1 with one line instead of running the concrete network under
+    an ``abstraction: syntactic level 0`` report line; with abstraction
+    off the level is unused."""
+
+    @pytest.mark.parametrize("verb", ["verify", "schedule"])
+    def test_level_below_one_exits_with_one_line(
+        self, verb, xor_path, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        if verb == "schedule":
+            manifest = tmp_path / "manifest.json"
+            manifest.write_text(json.dumps({"jobs": [
+                {"network": xor_path, "center": "0.5,0.5", "name": "j"},
+            ]}))
+            argv = ["schedule", str(manifest)]
+        else:
+            argv = ["verify", xor_path, "--center", "0.5,0.5"]
+        for level in ("0", "-3"):
+            message = _one_line_exit(
+                argv + ["--abstraction", "syntactic",
+                        "--abstraction-level", level],
+                capsys,
+            )
+            assert "--abstraction-level" in message
+        assert main(argv + ["--abstraction-level", "0"]) == main(argv)
+
+
 class TestCachePathIsAFile:
     """A cache path naming an existing file exits with one line on every
     verb that opens the result cache."""
