@@ -19,8 +19,8 @@ fast where the work is:
 
 The workloads are sized so the measured ratio reflects the shipped
 regime: wide-enough layers that BLAS dominates, small-enough radii that
-the generator stacks stay frontier-shaped.  The full trajectory lives in
-``BENCH_backend.json`` via ``scripts/perf_baseline.py --backend-bench``.
+the generator stacks stay frontier-shaped.  ``perfbench``'s
+``netabs-screen`` workload times the float32 screen end to end.
 """
 
 import time

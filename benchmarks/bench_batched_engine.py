@@ -1,9 +1,9 @@
 """Batched engine vs sequential Algorithm 1 on the fig06 MLP workload.
 
 Not a paper figure: this bench pins the performance contract of the
-batched verification engine (this repo's first perf deliverable; see
-``scripts/perf_baseline.py`` for the full-suite trajectory run that writes
-``BENCH_batched.json``).  Shape checked here:
+batched verification engine (this repo's first perf deliverable;
+end-to-end timings of the fixed suites come from ``perfbench/``).  Shape
+checked here:
 
 - the engines agree on every problem both decide;
 - the batched engine's work-item throughput (PGD + analyze calls per

@@ -17,8 +17,7 @@ previous run's checkpoints must
   and no overhead beyond digest chaining and checkpoint emission over
   a plain cold run.
 
-The full trajectory lives in ``BENCH_incremental.json`` via
-``scripts/perf_baseline.py --incremental-bench``.
+``perfbench``'s ``finetune-reverify`` workload times the end-to-end path.
 """
 
 import tempfile

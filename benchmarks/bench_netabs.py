@@ -24,8 +24,8 @@ must
 The workload mirrors how netabs wins in practice: a wide redundant
 network whose duplicate groups cluster at tiny error bounds, properties
 far enough from the decision boundary that the abstract margin check
-verifies at the root.  The full trajectory lives in ``BENCH_netabs.json``
-via ``scripts/perf_baseline.py --netabs-bench``.
+verifies at the root.  ``perfbench``'s ``netabs-screen`` workload times
+the end-to-end path.
 """
 
 import time

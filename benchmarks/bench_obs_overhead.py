@@ -35,7 +35,7 @@ OVERHEAD_BUDGET = 0.02
 
 #: Registry ops per executor submission with tracing off: submitted inc,
 #: queue-depth adjust up/down, completed inc, latency observe, wait
-#: observe (pooled/serial paths; the process path adds a merge, counted
+#: observe (the serial path; the process path adds a merge, counted
 #: separately below via its own delta keys).
 _OPS_PER_SUBMISSION = 6
 

@@ -1,9 +1,8 @@
 """Multi-property scheduler vs per-property one-job scheduler runs.
 
 Not a paper figure: this bench pins the performance contract of the
-cross-property scheduler (``repro.sched``; see ``scripts/sched_baseline.py``
-for the full-suite trajectory run that writes ``BENCH_sched.json``).
-Shape checked here:
+cross-property scheduler (``repro.sched``; end-to-end timings of the
+fixed suites come from ``perfbench/``).  Shape checked here:
 
 - every job's outcome and witness is identical between per-property
   one-job runs (``Scheduler([job]).run()`` per job, what
@@ -140,58 +139,6 @@ def test_cache_hits_spawn_no_work(benchmark, tmp_path):
     )
 
 
-def test_pooled_executor_contract(benchmark):
-    """Pooled fused-group execution: bitwise-equal always, faster when the
-    host has cores to use.
-
-    A multi-network manifest gives each scheduler round several
-    independent kernel groups (one fused PGD + one fused Analyze group
-    per network), which is the shape the pool parallelizes.  Equivalence
-    is asserted unconditionally.  The wall-clock floor is a *single*
-    measurement of thread scaling — a quantity that depends on granted
-    cores and co-tenant noise — so it gates only under
-    ``REPRO_BENCH_STRICT=1`` on hosts with >= 4 cores; the tracked
-    worker-scaling trajectory lives in BENCH_sched.json
-    (``scripts/sched_baseline.py``), which also records the core counts
-    that make the ratios comparable.
-    """
-    config = VerifierConfig(timeout=None, max_depth=8, batch_size=16)
-    networks, problems = load_problems(
-        ("mnist_3x100", "mnist_6x100", "cifar_3x100"), count=8
-    )
-    policy = BisectionPolicy(domain=DEEPPOLY)
-    jobs = [
-        VerificationJob(
-            networks[p.network_name], p.prop, config=config,
-            policy=policy, seed=0, name=p.prop.name,
-        )
-        for p in problems
-    ]
-
-    # Warm lazy per-network op lowering outside the measured comparison.
-    Scheduler(jobs[:3], workers=2).run()
-
-    def run():
-        serial = Scheduler(jobs, workers=1).run()
-        pooled = Scheduler(jobs, workers=4).run()
-        return serial, pooled
-
-    serial, pooled = one_shot(benchmark, run)
-    assert serial.executor == "serial" and pooled.executor == "pooled"
-    _assert_outcomes_bitwise_equal(serial, pooled)
-
-    cores = _granted_cores()
-    ratio = serial.wall_clock / max(pooled.wall_clock, 1e-9)
-    print()
-    print(
-        f"pooled x4 vs serial: {serial.wall_clock:.2f}s -> "
-        f"{pooled.wall_clock:.2f}s ({ratio:.2f}x) on {cores} cores "
-        f"[executors: {serial.executor} -> {pooled.executor}]"
-    )
-    if os.environ.get("REPRO_BENCH_STRICT", "") == "1" and cores >= 4:
-        assert ratio >= 1.3
-
-
 def _granted_cores() -> int:
     """Cores actually granted to this run (affinity-aware)."""
     try:
@@ -219,13 +166,10 @@ def test_process_executor_contract(benchmark):
     cores.
 
     This is the workload the process pool exists for.  The zonotope
-    powerset split+join contraction is Python-loop-heavy, so thread
-    pools measured ~1.0x here (the GIL serializes the loop) while
-    GEMM-shaped DeepPoly sweeps scaled fine.  Process workers
-    sidestep the GIL; the floor asserts they actually do whenever the
-    physics allows (>= 4 granted cores), not only under
-    ``REPRO_BENCH_STRICT`` — a regression that serializes the process
-    path would otherwise hide behind the thread measurements.  Startup
+    powerset split+join contraction is Python-loop-heavy, so threads
+    would serialize it on the GIL; process workers sidestep the GIL, and
+    the floor asserts they actually do whenever the physics allows
+    (>= 4 granted cores).  Startup
     costs stay out of the measurement: the pool is spawned and warmed
     before the clock starts, matching how the scheduler amortizes one
     pool across a long manifest.

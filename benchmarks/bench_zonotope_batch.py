@@ -3,9 +3,7 @@
 Not a paper figure: this bench pins the performance and exactness
 contract of the ``ZonotopeBatch`` / ``PowersetBatch`` kernels — the
 paper's headline domain made a first-class batched engine (see
-``repro.abstract.zonotope_batch``; the full-suite trajectory lives in
-``BENCH_batched.json`` via ``scripts/perf_baseline.py``).  Shape checked
-here:
+``repro.abstract.zonotope_batch``).  Shape checked here:
 
 - the batched kernels are **bitwise identical** to the per-region
   sequential elements on a fixed frontier workload, and strictly faster;

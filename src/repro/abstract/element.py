@@ -13,8 +13,6 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from repro.utils.boxes import Box
-
 
 class AbstractElement(ABC):
     """A sound over-approximation of a set of vectors in ``R^size``."""
@@ -36,10 +34,6 @@ class AbstractElement(ABC):
         """Concrete bounds of a single dimension."""
         low, high = self.bounds()
         return float(low[dim]), float(high[dim])
-
-    def to_box(self) -> Box:
-        low, high = self.bounds()
-        return Box(low, high)
 
     def contains(self, x: np.ndarray, atol: float = 1e-7) -> bool:
         """Sound (necessary-condition) membership via the bounding box.

@@ -84,10 +84,6 @@ FUSED_COUNTERS = _metrics_registry().group(
 )
 
 
-def compaction_enabled() -> bool:
-    return _compaction_on
-
-
 def set_compaction(enabled: bool) -> bool:
     """Set the compaction switch; returns the previous value.
 
@@ -139,8 +135,8 @@ class ScratchArena:
     treat them as ordinary arrays.  Buffers are only valid until the next
     request with the same key (the round loop copies results out before
     its next iteration).  Arenas are thread-local
-    (:func:`_thread_arena`): pooled executors run kernel calls on
-    several threads at once and must not share scratch.
+    (:func:`_thread_arena`): library callers may run kernel calls on
+    threads of their own, and those must not share scratch.
     """
 
     def __init__(self) -> None:

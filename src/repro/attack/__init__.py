@@ -2,13 +2,11 @@
 
 - :mod:`repro.attack.objective` — the margin objective ``F`` (Eq. 2).
 - :mod:`repro.attack.pgd` — projected gradient descent over box regions.
-- :mod:`repro.attack.fgsm` — the fast gradient sign method.
 - :mod:`repro.attack.search` — the ``Minimize`` step of Algorithm 1.
 """
 
 from repro.attack.objective import MarginObjective
 from repro.attack.pgd import PGDConfig, pgd_minimize, pgd_minimize_batch
-from repro.attack.fgsm import fgsm_step
 from repro.attack.search import SearchResult, find_counterexample
 
 __all__ = [
@@ -16,7 +14,6 @@ __all__ = [
     "PGDConfig",
     "pgd_minimize",
     "pgd_minimize_batch",
-    "fgsm_step",
     "SearchResult",
     "find_counterexample",
 ]

@@ -17,10 +17,6 @@ code can run
   directed-rounding slack proportional to the accumulated magnitude
   (see :func:`slack_for`), and fuzz tests pin the containment invariant
   (float32 bounds always contain the float64 bounds).
-- ``torch`` — optional, auto-registered only when ``import torch``
-  succeeds.  numpy-in / numpy-out at the op boundary: the hot
-  ``matmul``/``einsum`` sites run as torch ops (CPU or GPU), everything
-  else stays numpy at the backend dtype.
 
 Design rule (keeps the reference path bitwise and the kernels pure):
 kernels consult the *active* backend only at lift boundaries (element
@@ -60,12 +56,10 @@ __all__ = [
     "slack_for",
     "unit_roundoff",
     "use_backend",
-    "use_default_backend",
 ]
 
-#: The names the CLI exposes.  ``torch`` is accepted but resolves only
-#: when the import succeeds.
-BACKEND_CHOICES = ("numpy64", "numpy32", "torch")
+#: The names the CLI exposes.
+BACKEND_CHOICES = ("numpy64", "numpy32")
 
 #: Unit roundoff by dtype char.  float64 is deliberately absent: it is
 #: the bitwise reference precision, so its slack must be exactly zero.
@@ -147,7 +141,7 @@ class ArrayBackend:
     The base class *is* the numpy implementation — ``numpy64`` and
     ``numpy32`` are instances differing only in dtype, and their ops
     forward straight to numpy so the float64 instance is bitwise
-    transparent.  Subclasses (torch) override the hot ops.
+    transparent.
     """
 
     def __init__(self, name: str, dtype) -> None:
@@ -206,7 +200,6 @@ class ArrayBackend:
 # ----------------------------------------------------------------------
 
 _REGISTRY: dict[str, ArrayBackend] = {}
-_TORCH_PROBED = False
 _LOCK = threading.Lock()
 _TLS = threading.local()
 
@@ -226,47 +219,15 @@ def register(backend: ArrayBackend, *, replace: bool = False) -> ArrayBackend:
     return backend
 
 
-def _ensure_torch() -> None:
-    """Probe-and-register the optional torch backend exactly once."""
-    global _TORCH_PROBED
-    if _TORCH_PROBED:
-        return
-    with _LOCK:
-        if _TORCH_PROBED:
-            return
-        _TORCH_PROBED = True
-    try:
-        from repro.backend.torch_backend import make_torch_backend
-    except Exception:
-        return
-    backend = make_torch_backend()
-    if backend is not None:
-        register(backend)
-
-
 def available() -> tuple[str, ...]:
-    """Names of the backends that resolve on this host."""
-    _ensure_torch()
+    """Names of the registered backends."""
     return tuple(sorted(_REGISTRY))
 
 
 def get(name: str) -> ArrayBackend:
-    """Resolve a backend by name.
-
-    Raises ``KeyError`` with an actionable message when ``torch`` is
-    requested but not importable.
-    """
-    backend = _REGISTRY.get(name)
-    if backend is not None:
-        return backend
-    _ensure_torch()
+    """Resolve a backend by name (``KeyError`` naming the choices)."""
     backend = _REGISTRY.get(name)
     if backend is None:
-        if name == "torch":
-            raise KeyError(
-                "backend 'torch' is unavailable: torch is not importable "
-                "in this environment (install torch or pick numpy64/numpy32)"
-            )
         raise KeyError(
             f"unknown backend {name!r}; available: {available()}"
         )
@@ -277,8 +238,7 @@ def active() -> ArrayBackend:
     """The backend kernels should lift into right now.
 
     Thread-local ``use_backend`` overrides win over the module default,
-    so concurrent executor threads running calls tagged with different
-    backends never observe each other's choice.
+    so a scoped switch on one thread never leaks into another.
     """
     stack = getattr(_TLS, "stack", None)
     name = stack[-1] if stack else _ACTIVE_NAME
@@ -305,29 +265,6 @@ def use_backend(name: str) -> Iterator[ArrayBackend]:
         yield backend
     finally:
         stack.pop()
-
-
-@contextmanager
-def use_default_backend(name: str) -> Iterator[ArrayBackend]:
-    """Scoped swap of the module-level *default* backend.
-
-    Unlike :func:`use_backend` this is visible across threads — the
-    scheduler wraps each precision phase in it so pooled-executor worker
-    threads (which never see the scheduler thread's locals) run that
-    phase's kernels at the phase's precision.  Thread-local
-    :func:`use_backend` overrides still win, so worker *processes*
-    re-entering a call's stamped backend are unaffected.  Concurrent
-    callers swapping the default would race; the scheduler is the only
-    expected user.
-    """
-    global _ACTIVE_NAME
-    backend = get(name)
-    previous = _ACTIVE_NAME
-    _ACTIVE_NAME = backend.name
-    try:
-        yield backend
-    finally:
-        _ACTIVE_NAME = previous
 
 
 register(ArrayBackend("numpy64", np.float64))

@@ -12,9 +12,8 @@ so its results are **bitwise equal** to the fused kernel and every
 measured difference is memory traffic: per-round temporaries plus the
 full-``k`` passes compaction avoids.
 
-Shared between ``benchmarks/bench_zonotope_batch.py`` (the gating
-throughput floor) and ``scripts/sched_baseline.py --fused-bench`` (the
-``BENCH_fused.json`` trajectory row) so both measure the same reference.
+``benchmarks/bench_zonotope_batch.py`` gates the fused kernel's
+throughput floor, and its bitwise equality, against it.
 """
 
 from __future__ import annotations

@@ -86,7 +86,6 @@ from repro.core.config import VerifierConfig
 from repro.core.policy import BisectionPolicy
 from repro.core.property import RobustnessProperty, linf_property
 from repro.core.radius import certified_radius
-from repro.exec import EXECUTOR_KINDS
 from repro.learn import (
     COST_MODELS,
     TrainingProblem,
@@ -434,7 +433,6 @@ def _run_jobs(
             frontier=getattr(args, "frontier", "dfs"),
             cache=cache,
             workers=getattr(args, "workers", 1),
-            executor_kind=getattr(args, "executor", None),
             backend=args.backend,
             precision_escalation=True if args.precision_escalation else None,
             escalation_margin=args.escalation_margin,
@@ -584,7 +582,6 @@ def cmd_train(args: argparse.Namespace) -> int:
             workers=args.workers,
             cost_model=args.cost_model,
             cache=cache,
-            executor_kind=args.executor,
             rng_seed=args.seed,
         )
     except ValueError as exc:
@@ -848,16 +845,14 @@ def _finish_trace(path: str) -> None:
     print(f"trace written to {path}")
 
 
-def _add_executor_flag(parser: argparse.ArgumentParser) -> None:
+def _add_workers_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--executor",
-        choices=EXECUTOR_KINDS,
-        default=None,
-        help="where independent kernel calls run: 'serial' (inline), "
-        "'pooled' (threads; GEMM-shaped sweeps), 'process' (process "
-        "pool, forked where safe; pays off on the Python-heavy "
-        "zonotope/powerset paths the GIL serializes).  Default: serial "
-        "when --workers 1, pooled otherwise",
+        "--workers",
+        type=int,
+        default=1,
+        help="cores for independent fused kernel groups: 1 runs them "
+        "inline (serial executor), N > 1 on a pool of N worker processes "
+        "(forked where safe)",
     )
 
 
@@ -868,8 +863,8 @@ def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="array backend for the hot kernels: numpy64 (float64, the "
         "bitwise reference), numpy32 (float32 fast path; analyzer bounds "
-        "stay sound via outward rounding), torch (CPU/GPU, only when "
-        "torch is importable).  Default from REPRO_BACKEND or numpy64",
+        "stay sound via outward rounding).  Default from REPRO_BACKEND or "
+        "numpy64",
     )
     parser.add_argument(
         "--precision-escalation",
@@ -1036,14 +1031,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-job frontier chunk width inside fused sweeps",
     )
     schedule_parser.add_argument("--seed", type=int, default=0, help="random seed")
-    schedule_parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="cores for independent fused kernel groups; 1 = serial "
-        "executor",
-    )
-    _add_executor_flag(schedule_parser)
+    _add_workers_flag(schedule_parser)
     _add_domain_flags(schedule_parser)
     _add_abstraction_flags(schedule_parser)
     _add_backend_flags(schedule_parser)
@@ -1098,13 +1086,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-job frontier chunk width inside fused sweeps",
     )
     diff_parser.add_argument("--seed", type=int, default=0, help="random seed")
-    diff_parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="cores for independent fused kernel groups; 1 = serial",
-    )
-    _add_executor_flag(diff_parser)
+    _add_workers_flag(diff_parser)
     _add_domain_flags(diff_parser)
     _add_backend_flags(diff_parser)
     _add_trace_flag(diff_parser)
@@ -1131,13 +1113,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="BO batch width q: candidates proposed (constant-liar q-EI) "
         "and evaluated per scheduler run",
     )
-    train_parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="cores for each evaluation's scheduler run",
-    )
-    _add_executor_flag(train_parser)
+    _add_workers_flag(train_parser)
     train_parser.add_argument(
         "--cost-model",
         choices=COST_MODELS,

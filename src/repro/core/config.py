@@ -41,12 +41,14 @@ class VerifierConfig:
     batch_size: int = 16
 
     def __post_init__(self) -> None:
-        if self.delta <= 0:
+        # Phrased so that NaN fails: a NaN delta would drop
+        # δ-completeness, a NaN timeout the deadline.
+        if not self.delta > 0:
             raise ValueError(
                 "delta must be positive (Theorem 5.2 needs a strictly "
                 "positive slack to terminate)"
             )
-        if self.timeout is not None and self.timeout <= 0:
+        if self.timeout is not None and not self.timeout > 0:
             raise ValueError("timeout must be positive or None")
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")

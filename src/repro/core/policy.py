@@ -106,6 +106,20 @@ def _usable_dim(region: Box, dim: int) -> int:
     return fallback
 
 
+def _squash(raw: np.ndarray, half_diameter: float) -> np.ndarray:
+    """Squash each feature to a bounded, scale-free range so a single θ
+    generalizes across networks and region sizes (the paper trains on
+    ACAS and deploys on MNIST/CIFAR)."""
+    return np.array(
+        [
+            raw[0] / (half_diameter + 1e-12),
+            raw[1] / (1.0 + abs(raw[1])),
+            raw[2] / (1.0 + raw[2]),
+            raw[3] / (1.0 + raw[3]),
+        ]
+    )
+
+
 class LinearPolicy(VerificationPolicy):
     """The learnable policy ``φ(θ · ρ̂(ι))``.
 
@@ -171,20 +185,22 @@ class LinearPolicy(VerificationPolicy):
         f_star: float,
     ) -> np.ndarray:
         raw = featurize(network, prop, x_star, f_star)
-        # Squash each feature to a bounded, scale-free range so a single θ
-        # generalizes across networks and region sizes (the paper trains on
-        # ACAS and deploys on MNIST/CIFAR).
         half_diameter = prop.region.diameter() / 2.0
-        squashed = np.array(
-            [
-                raw[0] / (half_diameter + 1e-12),
-                raw[1] / (1.0 + abs(raw[1])),
-                raw[2] / (1.0 + raw[2]),
-                raw[3] / (1.0 + raw[3]),
-                1.0,  # bias
-            ]
-        )
-        return self.theta @ squashed
+        finite = np.isfinite(raw)
+        if finite.all():
+            squashed = _squash(raw, half_diameter)
+        else:
+            # A feature past float64's range (say an overflowed gradient
+            # norm) would squash to NaN.  Every squash lies in [-1, 1]
+            # (x* sits inside the region, so feature 1's ratio too), so
+            # such a feature takes the squash's limit instead: -1 at
+            # -inf, +1 at +inf or NaN.
+            squashed = np.where(
+                finite,
+                _squash(np.where(finite, raw, 0.0), half_diameter),
+                np.where(raw < 0, -1.0, 1.0),
+            )
+        return self.theta @ np.append(squashed, 1.0)  # 1.0: the bias
 
     def choose_domain(
         self,

@@ -1,13 +1,12 @@
-"""Kernel execution layer: serial, thread-pooled, and process-pooled
-execution of independent kernel calls (§6's "different threads"), shared
-by the scheduler and scheduled policy training.
+"""Kernel execution layer: serial and process-pooled execution of
+independent kernel calls (§6's "different threads"), shared by the
+scheduler and scheduled policy training; the worker count picks one.
 Process submissions cross as picklable descriptors (:mod:`repro.exec.calls`)
 that ship each network once per worker; operands travel by pickle."""
 
 from repro.exec.executor import (
     EXECUTOR_KINDS,
     KernelExecutor,
-    PooledExecutor,
     ProcessExecutor,
     SerialExecutor,
     make_executor,
@@ -17,7 +16,6 @@ from repro.exec.executor import (
 __all__ = [
     "KernelExecutor",
     "SerialExecutor",
-    "PooledExecutor",
     "ProcessExecutor",
     "EXECUTOR_KINDS",
     "make_executor",

@@ -8,28 +8,26 @@ group there — that share no arrays and may therefore run on any core.  This mo
 - :class:`SerialExecutor` runs each call inline at submission, on the
   caller's thread.  Submission order is execution order, making it the
   reference for every executor-equivalence test.
-- :class:`PooledExecutor` hands calls to a ``ThreadPoolExecutor``.  numpy
-  releases the GIL inside the dense kernels where verification time is
-  spent, so independent GEMM-shaped calls genuinely overlap on multi-core
-  hosts.
 - :class:`ProcessExecutor` hands calls to a process pool whose workers
   are forked where that is safe and spawned elsewhere.
-  The zonotope/powerset split+join contraction — the hottest path on
-  learned-policy workloads — is Python-loop-heavy and serializes under
-  threads; processes sidestep the GIL entirely.  Known kernel calls cross
-  the boundary as picklable descriptors (:mod:`repro.exec.calls`): the
-  network ships once per worker via its content digest, operands travel
-  as plain arrays and config dicts, and each worker pins its BLAS pools
-  to one thread so pooled runs neither oversubscribe the host nor perturb
-  GEMM rounding.
+  Processes sidestep the GIL, which serializes the Python-loop-heavy
+  zonotope/powerset split+join contraction under threads.  Known kernel
+  calls cross the boundary as picklable descriptors
+  (:mod:`repro.exec.calls`): the network ships once per worker via its
+  content digest, operands travel as plain arrays and config dicts, and
+  each worker pins its BLAS pools to one thread so pooled runs neither
+  oversubscribe the host nor perturb GEMM rounding.
+
+The worker count alone picks between them (:func:`make_executor`): one
+worker runs serially, more run on a process pool.
 
 **Reproducibility contract.**  An executor never changes *what* a call
 computes — only which core computes it.  Callers keep every semantic
 decision on their own thread: they build the call's operands (including
 all randomness) before submitting, and they consume results in
-deterministic (submission) order.  Under that discipline a pooled run is
-bitwise identical to a serial run; the scheduler's executor-equivalence
-matrix pins this.
+deterministic (submission) order.  Under that discipline a process-pool
+run is bitwise identical to a serial run; the scheduler's
+executor-equivalence matrix pins this.
 """
 
 from __future__ import annotations
@@ -41,15 +39,15 @@ import sys
 import threading
 import time
 from abc import ABC, abstractmethod
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import replace
 from typing import Callable
 
 from repro.obs.metrics import registry
 from repro.obs.trace import tracer
 
-#: ``--executor`` menu shared by the CLI and :func:`make_executor`.
-EXECUTOR_KINDS = ("serial", "pooled", "process")
+#: The executor kinds :func:`make_executor` builds.
+EXECUTOR_KINDS = ("serial", "process")
 
 #: Environment knobs that size the BLAS/OpenMP thread pools.  Process
 #: workers pin all of them to one thread: ``workers`` single-threaded
@@ -223,7 +221,7 @@ class KernelExecutor(ABC):
     ``cancel()``, ``cancelled()``, ``done()``.
     """
 
-    #: Report / bench identifier (``"serial"`` or ``"pooled"``).
+    #: Report / bench identifier (``"serial"`` or ``"process"``).
     name: str = ""
     #: Worker count the executor was built with (1 for serial).
     workers: int = 1
@@ -305,72 +303,13 @@ class SerialExecutor(KernelExecutor):
         # schema uniform across executor kinds.
         registry().observe(f"exec.{self.name}.wait_s", 0.0)
         # Mirror Future semantics exactly (result() re-raises) so callers
-        # cannot tell serial and pooled futures apart.
+        # cannot tell serial and process-pool futures apart.
         future.set_running_or_notify_cancel()
         try:
             future.set_result(fn(*args, **kwargs))
         except BaseException as exc:  # noqa: BLE001 - stored, not swallowed
             future.set_exception(exc)
         return future
-
-
-def _run_after_wait(fn, name, submitted_at, args, kwargs):
-    """Thread-pool work item: record queue wait, then run the call.
-
-    Runs on the pool thread of the same process, so perf_counter readings
-    are comparable with the submit-side stamp and the registry is shared.
-    """
-    registry().observe(
-        f"exec.{name}.wait_s", time.perf_counter() - submitted_at
-    )
-    return fn(*args, **kwargs)
-
-
-class PooledExecutor(KernelExecutor):
-    """Runs calls on a thread pool (the §6 "different threads").
-
-    The pool is created lazily on first submit and torn down by
-    :meth:`shutdown` (or the context manager).  ``workers=1`` is a valid
-    degenerate pool: same thread-hop overheads as a wide pool, no
-    concurrency — the honest baseline for worker-scaling measurements.
-    """
-
-    name = "pooled"
-
-    def __init__(self, workers: int = 4) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
-        self._pool: ThreadPoolExecutor | None = None
-        self._closed = False
-        self._lock = threading.Lock()
-
-    def submit(self, fn: Callable, /, *args, **kwargs):
-        with self._lock:
-            # A shut-down executor must stay dead: silently re-creating
-            # the pool here would leak one thread pool per stray submit
-            # in long-lived runs, with nobody left owning its shutdown.
-            if self._closed:
-                raise RuntimeError(
-                    "cannot submit to a PooledExecutor after shutdown()"
-                )
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.workers,
-                    thread_name_prefix="repro-kernel",
-                )
-            pool = self._pool
-        future = pool.submit(
-            _run_after_wait, fn, self.name, time.perf_counter(), args, kwargs
-        )
-        return self._observe_submit(future, _call_label(fn))
-
-    def shutdown(self, cancel_pending: bool = False) -> None:
-        with self._lock:
-            pool, self._pool = self._pool, None
-            self._closed = True
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=cancel_pending)
 
 
 class _EnvelopeFuture(Future):
@@ -429,11 +368,10 @@ class _EnvelopeFuture(Future):
 class ProcessExecutor(KernelExecutor):
     """Runs calls on a process pool (GIL-free parallelism).
 
-    Thread pools overlap only the GIL-dropping dense kernels; the
-    zonotope/powerset split+join contraction spends its time in Python
-    loops and serializes under threads.  Process workers run those calls
-    truly concurrently.  Three mechanisms make the boundary cheap and
-    faithful:
+    The zonotope/powerset split+join contraction spends its time in
+    Python loops, which threads would serialize on the GIL; process
+    workers run those calls truly concurrently.  Three mechanisms make
+    the boundary cheap and faithful:
 
     - **Forked workers where safe** (:func:`_start_method`): on Linux,
       with no other thread alive and a BLAS whose thread count can be
@@ -457,8 +395,7 @@ class ProcessExecutor(KernelExecutor):
       GEMM reduction order matches a serial run bitwise.
 
     The pool is created lazily on first submit and torn down by
-    :meth:`shutdown`; like :class:`PooledExecutor`, submits after
-    shutdown raise.  A worker that dies mid-call (OOM-killed, crashed
+    :meth:`shutdown`; submits after shutdown raise.  A worker that dies mid-call (OOM-killed, crashed
     extension) surfaces as ``BrokenProcessPool`` on its futures rather
     than hanging the run.
     """
@@ -558,7 +495,7 @@ def make_executor(
     a plain ``workers`` count plus an optional ``kind`` from
     :data:`EXECUTOR_KINDS`; in the latter case the engine builds one and
     must shut it down after the run (``owned=True``).  With no ``kind``
-    the historical default applies: serial for ``workers=1``, pooled
+    the worker count decides: serial for ``workers=1``, a process pool
     otherwise.
     """
     if executor is not None:
@@ -570,15 +507,13 @@ def make_executor(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if kind is None:
-        kind = "serial" if workers == 1 else "pooled"
+        kind = "serial" if workers == 1 else "process"
     if kind == "serial":
         if workers != 1:
             raise ValueError(
                 f"the serial executor runs on one worker, got workers={workers}"
             )
         return SerialExecutor(), True
-    if kind == "pooled":
-        return PooledExecutor(workers), True
     if kind == "process":
         return ProcessExecutor(workers), True
     raise ValueError(

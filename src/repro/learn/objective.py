@@ -12,8 +12,8 @@ manifest — one :class:`~repro.sched.VerificationJob` per (problem, θ) with
 the candidate's :class:`~repro.core.policy.LinearPolicy` attached — and
 :meth:`PolicyCostObjective.evaluate_many` drives *all* candidates' jobs
 through one scheduler run.  Same-network jobs of different candidates fuse
-into shared PGD/Analyze sweeps, independent kernel groups ride the
-executor's worker pool, and a persistent
+into shared PGD/Analyze sweeps, independent kernel groups ride one
+executor the objective keeps across rounds, and a persistent
 :class:`~repro.sched.ResultCache` makes re-evaluations (re-runs of a
 training command, or BO revisiting a θ) spawn zero fresh kernel work.
 
@@ -30,7 +30,7 @@ Two cost models:
   ``Scheduler([job])`` run per problem, so each problem's clock is its
   own; scores are measurements, not pure functions, so the result cache
   and concurrent workers are both refused (a cached job reports zero
-  seconds; pooled jobs contend for the cores whose time is being
+  seconds; concurrent jobs contend for the cores whose time is being
   measured).
 """
 
@@ -43,7 +43,7 @@ import numpy as np
 from repro.core.config import VerifierConfig
 from repro.core.policy import LinearPolicy
 from repro.core.property import RobustnessProperty
-from repro.exec import KernelExecutor, validate_executor_spec
+from repro.exec import KernelExecutor, make_executor, validate_executor_spec
 from repro.nn.network import Network
 from repro.sched import ResultCache, Scheduler, VerificationJob
 
@@ -73,17 +73,16 @@ class PolicyCostObjective:
             per-problem budget comes from the objective, not from here.
         rng_seed: every job's seed (the verifiers' ``rng``).
         cost_model: ``"work"`` or ``"time"`` — see the module docstring.
-        workers: cores for each evaluation's scheduler run.
+        workers: cores for each evaluation's scheduler run.  The
+            objective builds ONE executor from it (serial at one worker,
+            a process pool above) and reuses it across every evaluation
+            round — a per-round process pool would pay worker start-up
+            and network shipping on every round; release it with
+            :meth:`close`.
         cache: optional persistent result cache; ``"work"`` model only.
-        executor: ready :class:`~repro.exec.KernelExecutor` to reuse
-            across evaluations instead of building one per run.
-        executor_kind: ``"serial"`` / ``"pooled"`` / ``"process"`` —
-            the objective builds ONE executor of this kind and reuses it
-            across every evaluation round (a per-round process pool
-            would pay worker start-up and network shipping on every
-            round); release it with :meth:`close`.  Processes
-            pay off on powerset-heavy policies whose split loops the GIL
-            serializes under threads.
+        executor: ready :class:`~repro.exec.KernelExecutor` to use
+            instead of building one from ``workers`` (the caller keeps
+            ownership of its lifecycle).
     """
 
     def __init__(
@@ -97,13 +96,12 @@ class PolicyCostObjective:
         workers: int = 1,
         cache: ResultCache | None = None,
         executor: KernelExecutor | None = None,
-        executor_kind: str | None = None,
     ) -> None:
         if not problems:
             raise ValueError("the training suite must be non-empty")
-        if time_limit <= 0:
+        if not time_limit > 0:
             raise ValueError("time_limit must be positive")
-        if penalty < 1.0:
+        if not penalty >= 1.0:
             raise ValueError(
                 "penalty must be >= 1 (unsolved must cost at least the limit)"
             )
@@ -117,14 +115,14 @@ class PolicyCostObjective:
                 "(a cached job reports zero seconds, which would corrupt "
                 "time-based scores)"
             )
-        pooled = workers > 1 or (
+        concurrent = workers > 1 or (
             executor is not None and executor.workers > 1
         )
-        if pooled and cost_model == "time":
+        if concurrent and cost_model == "time":
             raise ValueError(
                 "concurrent workers only compose with the 'work' cost model "
-                "(pooled jobs contend for the cores whose time the 'time' "
-                "model is measuring, which would corrupt the scores)"
+                "(concurrent jobs contend for the cores whose time the "
+                "'time' model is measuring, which would corrupt the scores)"
             )
         self.problems = list(problems)
         self.time_limit = time_limit
@@ -133,12 +131,9 @@ class PolicyCostObjective:
         self.workers = workers
         self.cache = cache
         self.executor = executor
-        self.executor_kind = executor_kind
-        self._pool: KernelExecutor | None = None  # built from executor_kind
-        if executor_kind is not None:
-            # Fail on a bad (executor, workers, kind) combination now,
-            # not rounds into training.
-            validate_executor_spec(executor, workers, kind=executor_kind)
+        self._owned: KernelExecutor | None = None  # built from workers
+        # Fail on a bad worker count now, not rounds into training.
+        validate_executor_spec(executor, workers)
         base = base_config or VerifierConfig()
         # Per-problem budget comes from the objective, not the base config:
         # the wall clock for the time model, the depth cap (deterministic)
@@ -161,37 +156,30 @@ class PolicyCostObjective:
         """The verifier config every evaluation job runs under."""
         return self._config
 
-    def _run_executor(self) -> KernelExecutor | None:
+    def _run_executor(self) -> KernelExecutor:
         """The executor evaluations run on.
 
-        A caller-provided executor wins; otherwise ``executor_kind``
-        builds one pool lazily and keeps it for every later round —
+        A caller-provided executor wins; otherwise one is built from
+        ``workers`` on first use and kept for every later round —
         training is exactly the workload where per-round pool setup
         (worker start-up, per-worker network shipping) would dominate,
         so the pool's lifetime is the objective's.
         """
         if self.executor is not None:
             return self.executor
-        if self.executor_kind is None:
-            return None
-        if self._pool is None:
-            from repro.exec import make_executor
-
-            self._pool, _ = make_executor(
-                None, self.workers, kind=self.executor_kind
-            )
-        return self._pool
+        if self._owned is None:
+            self._owned, _ = make_executor(None, self.workers)
+        return self._owned
 
     def close(self) -> None:
         """Shut down the executor this objective built (if any).
 
-        Idempotent; a later evaluation builds a fresh pool.  Only pools
-        created from ``executor_kind`` are owned here — a caller-provided
-        ``executor`` keeps its caller's lifecycle.
+        Idempotent; a later evaluation builds a fresh one.  A
+        caller-provided ``executor`` keeps its caller's lifecycle.
         """
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(cancel_pending=True)
+        owned, self._owned = self._owned, None
+        if owned is not None:
+            owned.shutdown(cancel_pending=True)
 
     def _jobs(self, theta_vecs: list[np.ndarray]) -> list[VerificationJob]:
         jobs = []
@@ -240,7 +228,6 @@ class PolicyCostObjective:
             report = Scheduler(
                 batch,
                 cache=self.cache,
-                workers=self.workers,
                 executor=self._run_executor(),
             ).run()
             results.extend(report.results)

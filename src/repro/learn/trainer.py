@@ -90,15 +90,15 @@ class PolicyTrainer:
         candidates: BO batch width ``q`` — how many θs each round
             proposes (constant-liar q-EI) and evaluates in one scheduler
             run.  ``1`` is the sequential trainer.
-        workers: cores for each evaluation's scheduler run.
+        workers: cores for each evaluation's scheduler run (serial at
+            one worker, a process pool above, built once for the whole
+            training run).
         cost_model: ``"time"`` (the paper's wall-clock cost, default) or
             ``"work"`` (deterministic kernel-call cost — reproducible
             traces, cacheable evaluations).
         cache: optional persistent result cache (``"work"`` model only):
             a re-run of the same training command spawns no kernel work.
         executor: ready executor to reuse across evaluation rounds.
-        executor_kind: ``"serial"`` / ``"pooled"`` / ``"process"`` for
-            each evaluation's scheduler run (``--executor`` on the CLI).
         rng_seed: the seed every verification job runs under.
     """
 
@@ -116,7 +116,6 @@ class PolicyTrainer:
         cost_model: str = "time",
         cache: ResultCache | None = None,
         executor: KernelExecutor | None = None,
-        executor_kind: str | None = None,
         rng_seed: int = 0,
     ) -> None:
         if candidates < 1:
@@ -131,7 +130,6 @@ class PolicyTrainer:
             workers=workers,
             cache=cache,
             executor=executor,
-            executor_kind=executor_kind,
         )
         self.bounds = LinearPolicy.parameter_box(theta_scale)
         self._rng = as_generator(rng)
@@ -139,7 +137,7 @@ class PolicyTrainer:
         self.candidates = candidates
 
     def close(self) -> None:
-        """Release the evaluation executor built from ``executor_kind``.
+        """Release the evaluation executor built from ``workers``.
 
         Idempotent, and a later :meth:`train` call builds a fresh pool;
         call it when a process-pool training session is done (the CLI
@@ -183,7 +181,7 @@ class PolicyTrainer:
                             f"(best={optimizer.best().y:.3f})"
                         )
         finally:
-            # An executor_kind-built pool is reused across every round
+            # The objective's own executor is reused across every round
             # above, but must not outlive the training run: leaked worker
             # processes and the exported BLAS pins would follow the
             # parent around.  (Caller-provided executors are untouched,

@@ -259,10 +259,6 @@ class Network:
     def num_classes(self) -> int:
         return self.output_size
 
-    def layer_shapes(self) -> list[tuple[int, ...]]:
-        """Sample shape after each layer, starting with the input shape."""
-        return list(self._shapes)
-
     def num_params(self) -> int:
         return sum(p.size for layer in self.layers for p in layer.params())
 

@@ -35,11 +35,11 @@ call per (network, PGD-config) group, one fused Analyze call per
 groups share no arrays (operands are built on the scheduler thread before
 submission, results are consumed in deterministic group order after).
 The scheduler therefore submits each round's groups through a
-:class:`~repro.exec.KernelExecutor`; with a
-:class:`~repro.exec.PooledExecutor` they run on different cores, with a
-:class:`~repro.exec.ProcessExecutor` they cross into worker processes
-as picklable descriptors (:mod:`repro.exec.calls` — the GIL-free
-path for Python-loop-heavy zonotope/powerset sweeps), and the
+:class:`~repro.exec.KernelExecutor`: one worker runs them inline on a
+:class:`~repro.exec.SerialExecutor`, more hand them to a
+:class:`~repro.exec.ProcessExecutor`, where they cross into worker
+processes as picklable descriptors (:mod:`repro.exec.calls` — the
+GIL-free path for Python-loop-heavy zonotope/powerset sweeps).  The
 reproducibility contract survives untouched because group composition and
 within-group row order never change — only *which core* runs a group
 (process workers pin BLAS to one thread so even GEMM rounding matches;
@@ -52,6 +52,7 @@ serves the recorded outcome without spawning any PGD or Analyze work.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -74,7 +75,7 @@ from repro.abstract.netabs import (
 )
 from repro.backend import active as _active_backend
 from repro.backend import get as _get_backend
-from repro.backend import use_default_backend as _use_default_backend
+from repro.backend import use_backend as _use_backend
 from repro.attack.objective import MultiLabelMarginObjective
 from repro.attack.pgd import pgd_minimize_batch
 from repro.core.policy import default_policy
@@ -253,18 +254,21 @@ class Scheduler:
         controller: adaptive batch-width controller; defaults to probing
             upward from the largest job ``batch_size``.
         workers: cores for independent kernel groups; ``1`` runs
-            everything inline on a :class:`~repro.exec.SerialExecutor`.
+            everything inline on a :class:`~repro.exec.SerialExecutor`,
+            more run them on a :class:`~repro.exec.ProcessExecutor`.
         executor: a ready :class:`~repro.exec.KernelExecutor` to use
             instead of building one from ``workers`` (the caller keeps
             ownership of its lifecycle).
-        executor_kind: build the run's executor as ``"serial"`` /
-            ``"pooled"`` / ``"process"`` instead of the workers-based
-            default (threads for GEMM-shaped sweeps, processes for the
-            Python-heavy zonotope/powerset paths the GIL serializes).
-            Mutually exclusive with ``executor``.
+        executor_kind: ``"serial"`` or ``"process"``, naming the kind
+            ``workers`` already picks.  ``perfbench``'s
+            ``learned-process`` workload passes ``"process"``, so the
+            keyword stays until that workload drops it.  Mutually
+            exclusive with ``executor``.
         backend: array backend for the run's kernels (``numpy64`` /
-            ``numpy32`` / ``torch``); ``None`` inherits the ambient
-            active backend (itself seeded from ``REPRO_BACKEND``).
+            ``numpy32``); ``None`` inherits the ambient active backend
+            (itself seeded from ``REPRO_BACKEND``).  Each precision phase
+            runs inside ``use_backend`` of its own backend, so a caller's
+            scoped switch never overrides it.
         precision_escalation: run the two-phase mixed-precision mode —
             screen every job on the fast float32 backend, accept
             falsifications immediately (witnesses re-validated by a
@@ -318,8 +322,8 @@ class Scheduler:
         self.workers = workers
         self.executor = executor
         self.executor_kind = executor_kind
-        # Resolve (and validate) the backend eagerly so a bad name or a
-        # missing torch fails at construction, not mid-manifest.
+        # Resolve (and validate) the backend eagerly so a bad name fails
+        # at construction, not mid-manifest.
         self.backend = (
             _active_backend().name if backend is None else _get_backend(backend).name
         )
@@ -329,6 +333,8 @@ class Scheduler:
             ).lower() not in ("", "0", "false")
         self.precision_escalation = bool(precision_escalation)
         self.escalation_margin = float(escalation_margin)
+        if math.isnan(self.escalation_margin):
+            raise ValueError("escalation_margin must be a number, got nan")
         if abstraction not in ABSTRACTION_MODES:
             raise ValueError(
                 f"unknown abstraction mode {abstraction!r}; "
@@ -534,7 +540,7 @@ class Scheduler:
         driver's near-margin signal.
         """
         obs = metrics_registry()
-        with _use_default_backend(backend):
+        with _use_backend(backend):
             pending: list[tuple[int, VerificationJob]] = []
             probe_started = time.perf_counter()
             for index, job in indexed:

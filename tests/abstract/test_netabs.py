@@ -11,6 +11,8 @@ spurious counterexamples are never accepted.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ from repro.abstract.netabs import (
     abstraction_for,
     witness_margin,
 )
-from repro.backend import use_backend, use_default_backend
+from repro.backend import active, set_active, use_backend
 from repro.core.config import VerifierConfig
 from repro.core.policy import BisectionPolicy
 from repro.core.property import linf_property
@@ -483,7 +485,21 @@ def test_abstract_network_digest_pinned(mode):
     )
 
 
-@pytest.mark.parametrize("switch", [use_backend, use_default_backend])
+@contextmanager
+def _module_default(name):
+    """Switch the process-wide default backend, as ``--backend`` does,
+    and restore it afterwards."""
+    previous = active().name
+    set_active(name)
+    try:
+        yield
+    finally:
+        set_active(previous)
+
+
+@pytest.mark.parametrize(
+    "switch", [use_backend, _module_default], ids=["use_backend", "set_active"]
+)
 @pytest.mark.parametrize("mode", sorted(_PINNED_ABSTRACT_DIGESTS))
 def test_abstract_network_ignores_active_backend(mode, switch):
     """``repro schedule --backend numpy32`` builds the same abstract

@@ -41,15 +41,6 @@ class TestRegistry:
         with pytest.raises(KeyError, match="unknown backend"):
             backend.get("numpy128")
 
-    def test_torch_gated(self):
-        try:
-            import torch  # noqa: F401
-        except ImportError:
-            with pytest.raises(KeyError, match="torch"):
-                backend.get("torch")
-        else:
-            assert backend.get("torch").name == "torch"
-
     def test_numpy_ops_are_numpy(self):
         # The reference backend's ops must be literally numpy's, so
         # routing a kernel through the seam cannot change results.
@@ -85,19 +76,6 @@ class TestActiveManagement:
             thread.start()
             thread.join()
         assert seen["name"] == "numpy64"
-
-    def test_use_default_backend_crosses_threads(self):
-        seen = {}
-
-        def probe():
-            seen["name"] = backend.active().name
-
-        with backend.use_default_backend("numpy32"):
-            thread = threading.Thread(target=probe)
-            thread.start()
-            thread.join()
-        assert seen["name"] == "numpy32"
-        assert backend.active().name == "numpy64"
 
     def test_set_active_validates(self):
         with pytest.raises(KeyError):

@@ -1,7 +1,7 @@
 """Backend equivalence matrix: job-level outcomes match across backends.
 
 The mixed-precision contract is *outcome* equality, not bitwise bound
-equality: a numpy32 (or torch) scheduler run over the xor and scaled
+equality: a numpy32 scheduler run over the xor and scaled
 fig06-style suites must decide every job the same way the numpy64
 reference does, falsified witnesses must survive concrete float64
 re-evaluation, and the two-phase escalation mode must reproduce the
@@ -11,6 +11,7 @@ reference outcomes while keying its cache traffic per backend.
 import numpy as np
 import pytest
 
+from repro.backend import active as active_backend, use_backend
 from repro.bench.suites import SuiteScale, build_network, build_problems
 from repro.core.config import VerifierConfig
 from repro.core.property import RobustnessProperty, linf_property
@@ -22,12 +23,7 @@ TINY = SuiteScale(
     width_factor=0.12, image_size=4, train_samples=500, train_epochs=8
 )
 
-BACKENDS = ("numpy64", "numpy32", "torch")
-
-
-def _torch_or_skip(name):
-    if name == "torch":
-        pytest.importorskip("torch")
+BACKENDS = ("numpy64", "numpy32")
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +88,6 @@ def _witness_margin_f64(job, outcome) -> float:
 
 @pytest.mark.parametrize("backend_name", BACKENDS)
 def test_outcome_matrix(suite, reference, backend_name):
-    _torch_or_skip(backend_name)
     report = Scheduler(suite, backend=backend_name).run()
     assert report.backend == backend_name
     kinds = [r.outcome.kind for r in report.results]
@@ -122,6 +117,11 @@ def test_escalation_env_default(suite, monkeypatch):
     assert not Scheduler(suite).precision_escalation
 
 
+def test_escalation_margin_rejects_nan(suite):
+    with pytest.raises(ValueError, match="escalation_margin"):
+        Scheduler(suite, escalation_margin=float("nan"))
+
+
 def test_cache_isolation_between_backends(suite, tmp_path):
     """A numpy32 run never serves (or poisons) numpy64 entries."""
     cache = ResultCache(tmp_path / "cache")
@@ -135,13 +135,44 @@ def test_cache_isolation_between_backends(suite, tmp_path):
     assert again32.cache_hits == len(suite)
 
 
-def test_per_backend_kernel_counters(suite):
-    report = Scheduler(suite, backend="numpy32").run()
-    by_backend = {
+def _kernel_backends(report) -> dict:
+    return {
         name: value
         for name, value in report.metrics.items()
         if name.startswith("kernel.by_backend.")
     }
+
+
+def test_per_backend_kernel_counters(suite):
+    report = Scheduler(suite, backend="numpy32").run()
+    by_backend = _kernel_backends(report)
     assert by_backend.get("kernel.by_backend.numpy32.analyze_batches", 0) > 0
     assert not any("numpy64" in name for name in by_backend)
 
+
+@pytest.mark.parametrize(
+    "callers, run", [("numpy32", "numpy64"), ("numpy64", "numpy32")]
+)
+def test_run_backend_wins_over_a_callers_scoped_switch(suite, callers, run):
+    """A caller's ``use_backend`` cannot move a run off its own backend:
+    the kernels run on the backend the report names and the cache keys
+    carry."""
+    with use_backend(callers):
+        report = Scheduler(suite[:2], backend=run).run()
+    assert report.backend == run
+    by_backend = _kernel_backends(report)
+    assert by_backend.get(f"kernel.by_backend.{run}.analyze_rows", 0) > 0
+    assert not any(callers in name for name in by_backend)
+
+
+def test_run_restores_the_callers_backend(suite):
+    """Each phase's switch is scoped to the phase: once the run (both
+    escalation phases included) returns, the caller's backend is active
+    again."""
+    default = active_backend().name
+    with use_backend("numpy32"):
+        Scheduler(suite[:2], backend="numpy64").run()
+        assert active_backend().name == "numpy32"
+        Scheduler(suite[:2], precision_escalation=True).run()
+        assert active_backend().name == "numpy32"
+    assert active_backend().name == default

@@ -19,6 +19,8 @@ class TestVerifierConfig:
             {"max_depth": 0},
             {"min_split_fraction": 0.0},
             {"min_split_fraction": 0.5},
+            {"delta": float("nan")},
+            {"timeout": float("nan")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+import repro.core.policy as policy_module
 from repro.abstract.domains import DomainSpec, INTERVAL, ZONOTOPE
+from repro.attack.objective import MarginObjective
+from repro.core.features import NUM_FEATURES, featurize
 from repro.core.policy import (
     BisectionPolicy,
     DISJUNCT_CHOICES,
@@ -12,7 +15,8 @@ from repro.core.policy import (
     SplitChoice,
     default_policy,
 )
-from repro.core.property import RobustnessProperty
+from repro.core.property import RobustnessProperty, linf_property
+from repro.learn.pretrained import pretrained_policy
 from repro.nn.builders import mlp
 from repro.utils.boxes import Box
 
@@ -101,6 +105,66 @@ class TestLinearPolicy:
         prop = RobustnessProperty(region, 0)
         choice = default_policy().choose_split(net, prop, region.center, 1.0)
         assert choice.dim == 0  # dim 1 is degenerate
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_features_keep_choices_finite(self):
+        # Scaled by 1e160, the first layer overflows the gradient-norm
+        # feature to inf, whose squash x / (1 + x) alone would be NaN.
+        net = mlp(2, [8, 8], 2, rng=0)
+        net.layers[0].weight *= 1e160
+        net.layers[0].bias *= 1e160
+        prop = linf_property(net, np.full(2, 0.5), 0.1)
+        x_star = prop.region.center
+        f_star = MarginObjective(net, prop.label).value(x_star)
+        assert not np.isfinite(featurize(net, prop, x_star, f_star)).all()
+        for policy in (default_policy(), pretrained_policy()):
+            domain = policy.choose_domain(net, prop, x_star, f_star)
+            assert domain.base in ("interval", "zonotope")
+            assert domain.disjuncts in DISJUNCT_CHOICES
+            choice = policy.choose_split(net, prop, x_star, f_star)
+            assert np.isfinite(choice.value)
+
+    #: Raw features with every squash away from its limits.
+    RAW = np.array([0.05, -0.3, 2.0, 0.5])
+
+    def _squashed(self, raw, monkeypatch):
+        """The squashed features (bias appended): θ = I echoes them."""
+        monkeypatch.setattr(policy_module, "featurize", lambda *_: raw)
+        net, prop, x_star, f_star = context()
+        identity = LinearPolicy(np.eye(NUM_OUTPUTS, NUM_FEATURES + 1))
+        return identity._outputs(net, prop, x_star, f_star), prop
+
+    def test_finite_features_squash_exactly(self, monkeypatch):
+        # The shipped θ was trained against these formulas; the guard for
+        # non-finite features must leave them bit for bit.
+        raw = self.RAW
+        squashed, prop = self._squashed(raw, monkeypatch)
+        half_diameter = prop.region.diameter() / 2.0
+        assert squashed.tolist() == [
+            raw[0] / (half_diameter + 1e-12),
+            raw[1] / (1.0 + abs(raw[1])),
+            raw[2] / (1.0 + raw[2]),
+            raw[3] / (1.0 + raw[3]),
+            1.0,
+        ]
+
+    @pytest.mark.parametrize(
+        "value, limit",
+        [(np.inf, 1.0), (-np.inf, -1.0), (np.nan, 1.0)],
+        ids=["inf", "-inf", "nan"],
+    )
+    def test_non_finite_feature_takes_its_squash_limit(
+        self, value, limit, monkeypatch
+    ):
+        reference, _ = self._squashed(self.RAW, monkeypatch)
+        raw = self.RAW.copy()
+        raw[1] = value
+        squashed, _ = self._squashed(raw, monkeypatch)
+        assert squashed[1] == limit
+        # The finite features squash exactly as they do on their own.
+        np.testing.assert_array_equal(
+            np.delete(squashed, 1), np.delete(reference, 1)
+        )
 
     def test_describe(self):
         assert "LinearPolicy" in default_policy().describe()

@@ -1,15 +1,75 @@
 """Tests for the kernel execution layer (repro.exec)."""
 
-import threading
+import multiprocessing
 
 import pytest
 
 from repro.exec import (
-    PooledExecutor,
+    EXECUTOR_KINDS,
     ProcessExecutor,
     SerialExecutor,
     make_executor,
+    validate_executor_spec,
 )
+from repro.obs.metrics import registry
+
+
+@pytest.fixture(params=[1, 2], ids=["serial", "process"])
+def executor(request):
+    """The executor each worker count picks: inline at one worker, a
+    process pool above."""
+    built, _ = make_executor(workers=request.param)
+    yield built
+    built.shutdown()
+
+
+class TestExecutorContract:
+    """What engines rely on from either executor: futures with
+    ``concurrent.futures`` semantics, an idempotent shutdown that keeps
+    finished results, and metering under the executor's own name."""
+
+    def test_runs_submissions(self, executor):
+        futures = [executor.submit(pow, 3, i) for i in range(5)]
+        assert [f.result() for f in futures] == [3**i for i in range(5)]
+
+    def test_exceptions_surface_from_result(self, executor):
+        failing = executor.submit(divmod, 1, 0)
+        with pytest.raises(ZeroDivisionError):
+            failing.result()
+        # A failed call leaves the executor usable.
+        assert executor.submit(divmod, 7, 2).result() == (3, 1)
+
+    def test_shutdown_is_idempotent(self, executor):
+        executor.submit(pow, 2, 3).result()
+        executor.shutdown()
+        executor.shutdown()
+
+    def test_cancelling_shutdown_keeps_finished_results(self, executor):
+        finished = executor.submit(pow, 2, 10)
+        assert finished.result() == 1024
+        executor.shutdown(cancel_pending=True)
+        assert finished.done() and not finished.cancelled()
+        assert finished.result() == 1024
+
+    def test_context_exit_waits_for_submissions(self, executor):
+        with executor:
+            futures = [executor.submit(pow, 2, i) for i in range(4)]
+        assert all(f.done() for f in futures)
+        assert [f.result() for f in futures] == [1, 2, 4, 8]
+
+    def test_meters_every_call_under_its_name(self, executor):
+        obs = registry()
+        prefix = f"exec.{executor.name}"
+        depth = obs.snapshot()["gauges"].get(f"{prefix}.queue_depth", 0)
+        before = obs.counters_snapshot()
+        for i in range(3):
+            executor.submit(pow, 2, i)
+        # Shutdown waits for the pool, so every done callback has run.
+        executor.shutdown()
+        delta = obs.counters_since(before)
+        assert delta[f"{prefix}.submitted"] == 3
+        assert delta[f"{prefix}.completed"] == 3
+        assert obs.snapshot()["gauges"][f"{prefix}.queue_depth"] == depth
 
 
 class TestSerialExecutor:
@@ -29,50 +89,6 @@ class TestSerialExecutor:
             failing.result()
 
 
-
-class TestPooledExecutor:
-    def test_validates_workers(self):
-        with pytest.raises(ValueError, match="workers"):
-            PooledExecutor(0)
-
-    def test_runs_submissions(self):
-        with PooledExecutor(2) as executor:
-            futures = [executor.submit(pow, 3, i) for i in range(5)]
-            assert [f.result() for f in futures] == [3**i for i in range(5)]
-
-    def test_shutdown_cancels_backlog(self):
-        release = threading.Event()
-        ran = []
-        executor = PooledExecutor(1)
-        executor.submit(lambda: release.wait(5.0))
-        queued = executor.submit(ran.append, 1)
-        release.set()
-        executor.shutdown(cancel_pending=True)
-        assert queued.cancelled() or ran == [1]
-
-    def test_shutdown_is_idempotent(self):
-        executor = PooledExecutor(2)
-        executor.submit(lambda: 1).result()
-        executor.shutdown()
-        executor.shutdown()
-
-    def test_submit_after_shutdown_raises(self):
-        # Silently resurrecting the pool here used to leak one thread
-        # pool per stray submit in long-lived runs (nobody owned the new
-        # pool's shutdown); a dead executor must stay dead.
-        executor = PooledExecutor(2)
-        executor.submit(lambda: 1).result()
-        executor.shutdown()
-        with pytest.raises(RuntimeError, match="shutdown"):
-            executor.submit(lambda: 2)
-
-    def test_submit_after_shutdown_raises_even_if_never_used(self):
-        executor = PooledExecutor(2)
-        executor.shutdown()
-        with pytest.raises(RuntimeError, match="shutdown"):
-            executor.submit(lambda: 1)
-
-
 class TestMakeExecutor:
     def test_workers_one_is_serial(self):
         executor, owned = make_executor(workers=1)
@@ -80,7 +96,7 @@ class TestMakeExecutor:
 
     def test_many_workers_is_pooled(self):
         executor, owned = make_executor(workers=3)
-        assert isinstance(executor, PooledExecutor) and owned
+        assert isinstance(executor, ProcessExecutor) and owned
         assert executor.workers == 3
         executor.shutdown()
 
@@ -96,10 +112,6 @@ class TestMakeExecutor:
     def test_explicit_kinds(self):
         executor, owned = make_executor(workers=1, kind="serial")
         assert isinstance(executor, SerialExecutor) and owned
-        executor, owned = make_executor(workers=1, kind="pooled")
-        assert isinstance(executor, PooledExecutor) and owned
-        assert executor.workers == 1
-        executor.shutdown()
         executor, owned = make_executor(workers=2, kind="process")
         assert isinstance(executor, ProcessExecutor) and owned
         assert executor.workers == 2 and executor.name == "process"
@@ -116,5 +128,39 @@ class TestMakeExecutor:
     def test_rejects_kind_alongside_ready_executor(self):
         mine = SerialExecutor()
         with pytest.raises(ValueError, match="not both"):
-            make_executor(mine, kind="pooled")
+            make_executor(mine, kind="process")
+
+    @pytest.mark.parametrize("kind", EXECUTOR_KINDS)
+    def test_each_kind_reports_under_its_own_name(self, kind):
+        # Reports and metric names print ``executor.name``; it must be
+        # the kind that selected the executor.
+        executor, owned = make_executor(workers=1, kind=kind)
+        try:
+            assert owned and executor.name == kind and executor.workers == 1
+        finally:
+            executor.shutdown()
+
+
+class TestValidateExecutorSpec:
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"workers": 0}, "workers"),
+            ({"workers": 4, "kind": "serial"}, "serial"),
+            ({"workers": 2, "kind": "gpu"}, "executor kind"),
+            ({"executor": SerialExecutor(), "kind": "process"}, "not both"),
+        ],
+        ids=["zero-workers", "serial-many", "unknown-kind", "ready-and-kind"],
+    )
+    def test_raises_what_make_executor_would(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            validate_executor_spec(**kwargs)
+
+    def test_good_spec_starts_no_worker(self):
+        # Engines probe their spec at construction; the probe must not
+        # fork or spawn a pool that nobody will use.
+        before = set(multiprocessing.active_children())
+        validate_executor_spec(workers=4)
+        validate_executor_spec(workers=2, kind="process")
+        assert set(multiprocessing.active_children()) <= before
 

@@ -30,6 +30,10 @@ class TestValidation:
             PolicyCostObjective(suite, time_limit=0.0)
         with pytest.raises(ValueError, match="penalty"):
             PolicyCostObjective(suite, penalty=0.5)
+        with pytest.raises(ValueError, match="time_limit"):
+            PolicyCostObjective(suite, time_limit=float("nan"))
+        with pytest.raises(ValueError, match="penalty"):
+            PolicyCostObjective(suite, penalty=float("nan"))
 
 
 class TestCost:

@@ -52,15 +52,18 @@ def trace_of(trained):
 class TestWorkCostModel:
     def test_deterministic_across_runs_and_workers(self):
         theta = LinearPolicy.default().to_vector()
-        scores = [
-            PolicyCostObjective(
+        scores = []
+        for workers in (1, 1, 2, 4):
+            objective = PolicyCostObjective(
                 tiny_suite(),
                 cost_model="work",
                 base_config=VerifierConfig(max_depth=4),
                 workers=workers,
-            )(theta)
-            for workers in (1, 1, 2, 4)
-        ]
+            )
+            try:
+                scores.append(objective(theta))
+            finally:
+                objective.close()
         assert len(set(scores)) == 1
 
     def test_batch_evaluation_equals_individual_calls(self):
@@ -84,14 +87,14 @@ class TestWorkCostModel:
             )
 
     def test_pooled_workers_refused_for_time_model(self):
-        # Pooled jobs contend for the cores whose time the model measures;
-        # scores would be contention artifacts, so it is a hard error like
-        # the cache, not a footgun.
+        # Concurrent jobs contend for the cores whose time the model
+        # measures; scores would be contention artifacts, so it is a hard
+        # error like the cache, not a footgun.
         with pytest.raises(ValueError, match="workers"):
             PolicyCostObjective(tiny_suite(), cost_model="time", workers=4)
-        from repro.exec import PooledExecutor, SerialExecutor
+        from repro.exec import ProcessExecutor, SerialExecutor
 
-        with PooledExecutor(2) as executor:
+        with ProcessExecutor(2) as executor:
             with pytest.raises(ValueError, match="workers"):
                 PolicyCostObjective(
                     tiny_suite(), cost_model="time", executor=executor
@@ -133,22 +136,15 @@ class TestTraceEquivalence:
         assert trained.best_score == reference.y
 
     def test_workers_never_change_the_trace(self):
+        # At two workers candidate evaluation crosses the process
+        # boundary; the trace must not notice.  The objective builds ONE
+        # pool and reuses it across rounds.
         serial = work_trainer(candidates=2, workers=1).train(iterations=4)
-        pooled = work_trainer(candidates=2, workers=2).train(iterations=4)
-        assert trace_of(serial) == trace_of(pooled)
-
-    def test_process_executor_never_changes_the_trace(self):
-        # The `--executor process` training path: candidate evaluation
-        # crosses the process boundary, the trace must not notice.  The
-        # objective builds ONE pool and reuses it across rounds.
-        serial = work_trainer(candidates=2, workers=1).train(iterations=3)
-        trainer = work_trainer(
-            candidates=2, workers=2, executor_kind="process"
-        )
-        process = trainer.train(iterations=3)
+        trainer = work_trainer(candidates=2, workers=2)
+        process = trainer.train(iterations=4)
         # train() closes the pool it built on the way out — no leaked
         # worker processes, no lingering BLAS env pins.
-        assert trainer.objective._pool is None
+        assert trainer.objective._owned is None
         assert trace_of(serial) == trace_of(process)
 
     def test_iteration_budget_counts_evaluations_not_rounds(self):
@@ -161,6 +157,73 @@ class TestTraceEquivalence:
             work_trainer(candidates=0)
         with pytest.raises(ValueError, match="iterations"):
             work_trainer().train(iterations=0)
+
+
+def work_objective(**kwargs):
+    return PolicyCostObjective(
+        tiny_suite(),
+        cost_model="work",
+        base_config=VerifierConfig(max_depth=4),
+        **kwargs,
+    )
+
+
+class TestExecutorLifecycle:
+    """The objective owns one executor, built from ``workers`` on first
+    use and kept across rounds; a caller's executor wins and keeps its
+    caller's lifecycle."""
+
+    def test_builds_nothing_before_the_first_evaluation(self):
+        objective = work_objective(workers=2)
+        assert objective._owned is None
+        objective.close()
+        assert objective._owned is None
+
+    @pytest.mark.parametrize(
+        "workers, kind", [(1, "serial"), (2, "process")]
+    )
+    def test_one_executor_serves_every_round(self, workers, kind):
+        theta = LinearPolicy.default().to_vector()
+        objective = work_objective(workers=workers)
+        try:
+            first = objective.evaluate_many([theta])
+            owned = objective._owned
+            assert owned.name == kind and owned.workers == workers
+            assert objective.evaluate_many([theta]) == first
+            assert objective._owned is owned
+        finally:
+            objective.close()
+        assert objective._owned is None
+
+    def test_close_is_idempotent_and_a_later_round_rebuilds(self):
+        theta = LinearPolicy.default().to_vector()
+        objective = work_objective(workers=2)
+        try:
+            score = objective(theta)
+            objective.close()
+            objective.close()
+            assert objective(theta) == score
+            assert objective._owned is not None
+        finally:
+            objective.close()
+
+    def test_callers_executor_wins_and_outlives_close(self):
+        from repro.exec import ProcessExecutor
+
+        theta = LinearPolicy.default().to_vector()
+        reference = work_objective()
+        try:
+            expected = reference(theta)
+        finally:
+            reference.close()
+        with ProcessExecutor(2) as executor:
+            objective = work_objective(executor=executor)
+            assert objective(theta) == expected
+            assert objective._owned is None
+            objective.close()
+            # Still the caller's: close() left it running.
+            assert executor.submit(pow, 2, 5).result() == 32
+            assert objective(theta) == expected
 
 
 class TestCachedRerun:

@@ -1,15 +1,15 @@
 """Executor-equivalence matrix: execution placement is a pure knob.
 
 The tentpole contract of the execution layer (DESIGN.md §8–§9):
-submitting a scheduler round's independent fused groups to a thread pool
-— or marshalling them across a process boundary — changes *which core*
-runs a group, never what it computes: group composition, within-group row
-order, and result-consumption order are all fixed on the scheduler
-thread, and process workers pin their BLAS pools to one thread so GEMM
-rounding matches the serial run.  These tests pin bitwise-identical
-per-job outcomes, witnesses, and statistics for whole manifests under
-``SerialExecutor`` vs ``PooledExecutor`` vs ``ProcessExecutor`` with
-workers ∈ {1, 2, 4}, across every frontier policy.
+marshalling a scheduler round's independent fused groups across a
+process boundary changes *which core* runs a group, never what it
+computes: group composition, within-group row order, and
+result-consumption order are all fixed on the scheduler thread, and
+process workers pin their BLAS pools to one thread so GEMM rounding
+matches the serial run.  These tests pin bitwise-identical per-job
+outcomes, witnesses, and statistics for whole manifests under
+``SerialExecutor`` vs ``ProcessExecutor`` with workers ∈ {1, 2, 4},
+across every frontier policy.
 """
 
 import numpy as np
@@ -19,7 +19,7 @@ from repro.abstract.domains import DomainSpec
 from repro.core.config import VerifierConfig
 from repro.core.policy import BisectionPolicy
 from repro.core.property import RobustnessProperty, linf_property
-from repro.exec import PooledExecutor, ProcessExecutor, SerialExecutor
+from repro.exec import ProcessExecutor, SerialExecutor
 from repro.nn.builders import mlp, xor_network
 from repro.obs.trace import tracer
 from repro.sched import Scheduler, VerificationJob
@@ -159,22 +159,9 @@ def assert_reports_bitwise_equal(reference, candidate):
 
 
 class TestBatchedEngineMatrix:
-    @pytest.mark.parametrize("frontier", POLICIES)
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_pooled_matches_serial(
-        self, frontier, workers, manifest, serial_reports
-    ):
-        with PooledExecutor(workers) as executor:
-            pooled = Scheduler(
-                manifest, frontier=frontier, executor=executor
-            ).run()
-        assert pooled.executor == "pooled"
-        assert pooled.workers == workers
-        assert_reports_bitwise_equal(serial_reports[frontier], pooled)
-
     def test_workers_argument_builds_the_pool(self, manifest, serial_reports):
         report = Scheduler(manifest, workers=2).run()
-        assert report.executor == "pooled" and report.workers == 2
+        assert report.executor == "process" and report.workers == 2
         assert_reports_bitwise_equal(serial_reports["dfs"], report)
 
     @pytest.mark.parametrize("frontier", POLICIES)
@@ -272,5 +259,5 @@ class TestValidation:
     def test_rejects_kind_alongside_ready_executor(self, manifest):
         with pytest.raises(ValueError, match="not both"):
             Scheduler(
-                manifest, executor=SerialExecutor(), executor_kind="pooled"
+                manifest, executor=SerialExecutor(), executor_kind="process"
             )

@@ -27,6 +27,9 @@ class _ProcessRows:
     """Every row of the matrix that crosses a process boundary."""
 
     rows = matrix.TestBatchedEngineMatrix
+    test_workers_argument_builds_the_pool = (
+        rows.test_workers_argument_builds_the_pool
+    )
     test_process_matches_serial = rows.test_process_matches_serial
     test_executor_kind_argument_builds_the_process_pool = (
         rows.test_executor_kind_argument_builds_the_process_pool

@@ -420,14 +420,6 @@ class TestTrainCommand:
         # Default-θ seed + 2 evaluations.
         assert len(payload["observations"]) == 3
 
-    def test_bad_executor_combination_exits_cleanly(self, suite, tmp_path):
-        # Validated at trainer construction, not rounds into training.
-        with pytest.raises(SystemExit, match="serial"):
-            main([
-                "train", suite, "--iterations", "1", "--workers", "2",
-                "--executor", "serial", "--out", str(tmp_path / "t.json"),
-            ])
-
     def test_cached_rerun_spawns_no_work(self, suite, tmp_path, capsys):
         cache = tmp_path / "cache"
         argv = [
@@ -480,6 +472,22 @@ class TestTrainCommand:
                 "verify", xor_path, "--center", "0.5,0.5",
                 "--disjuncts", "4", "--policy-file", str(artifact),
             ])
+
+    @pytest.mark.parametrize(
+        "flag, key", [("--penalty", "penalty"), ("--time-limit", "time_limit")]
+    )
+    def test_nan_budget_flag_exits_with_one_line(
+        self, flag, key, suite, tmp_path, capsys
+    ):
+        # NaN fails every comparison, so a `< 1` style check would let it
+        # through and train to the end on NaN scores.
+        message = _one_line_exit(
+            ["train", suite, "--iterations", "1", flag, "nan",
+             "--out", str(tmp_path / "theta.json")],
+            capsys,
+        )
+        assert key in message
+        assert not (tmp_path / "theta.json").exists()
 
     def test_time_cost_model_refuses_cache(self, suite, tmp_path):
         with pytest.raises(SystemExit, match="work"):
@@ -588,38 +596,10 @@ class TestScheduleWorkers:
         code = main(["schedule", str(manifest), "--workers", "2"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "pooled executor x2" in out
+        assert "process executor x2" in out
         code = main(["schedule", str(manifest)])
         assert "serial executor x1" in capsys.readouterr().out
         assert code == 0
-
-    def test_executor_flag_selects_the_kind(self, xor_path, tmp_path, capsys):
-        manifest = tmp_path / "manifest.json"
-        manifest.write_text(json.dumps({
-            "defaults": {"network": xor_path, "epsilon": 0.04,
-                         "timeout": 30.0},
-            "jobs": [
-                {"center": "0.5,0.88", "name": "hi-y"},
-                {"center": "0.88,0.5", "name": "hi-x"},
-            ],
-        }))
-        code = main([
-            "schedule", str(manifest), "--executor", "process",
-            "--workers", "2",
-        ])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "process executor x2" in out
-        # Pooled can be forced even at one worker.
-        code = main(["schedule", str(manifest), "--executor", "pooled"])
-        assert "pooled executor x1" in capsys.readouterr().out
-        assert code == 0
-        # Serial with several workers is a contradiction, caught eagerly.
-        with pytest.raises(SystemExit, match="serial"):
-            main([
-                "schedule", str(manifest), "--executor", "serial",
-                "--workers", "4",
-            ])
 
 
 class TestIncrementalCommands:
@@ -733,6 +713,10 @@ MALFORMED = [
                  id="text-center"),
     pytest.param({"timeout": -1}, ["--timeout", "-1"], "timeout",
                  id="negative-timeout"),
+    pytest.param({"timeout": float("nan")}, ["--timeout", "nan"], "timeout",
+                 id="nan-timeout"),
+    pytest.param({"delta": float("nan")}, ["--delta", "nan"], "delta",
+                 id="nan-delta"),
     pytest.param({"batch_size": 0}, ["--batch-size", "0"], "batch",
                  id="zero-batch-size"),
     pytest.param({"network": "missing.npz"}, [], "network",
@@ -1097,6 +1081,28 @@ class TestVerifyRunsTheScheduler:
         ]
         assert counters["kernel.by_backend.numpy64.analyze_rows"] > 0
         assert counters["kernel.by_backend.numpy32.analyze_rows"] > 0
+
+    @pytest.mark.parametrize("verb", ["verify", "schedule"])
+    def test_nan_escalation_margin_exits_with_one_line(
+        self, verb, xor_path, tmp_path, capsys
+    ):
+        # Against NaN every margin comparison is false, so every
+        # screen-phase certification would silently re-run on float64.
+        if verb == "schedule":
+            manifest = tmp_path / "m.json"
+            manifest.write_text(json.dumps({"jobs": [
+                {"network": xor_path, "center": "0.5,0.5", "epsilon": 0.05},
+            ]}))
+            argv = ["schedule", str(manifest)]
+        else:
+            argv = [
+                "verify", xor_path, "--center", "0.5,0.5", "--epsilon", "0.05",
+            ]
+        message = _one_line_exit(
+            [*argv, "--precision-escalation", "--escalation-margin", "nan"],
+            capsys,
+        )
+        assert "escalation_margin" in message
 
     def test_schedule_prints_the_screen_backend(self, xor_path, tmp_path):
         manifest = tmp_path / "m.json"
