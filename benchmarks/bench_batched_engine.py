@@ -13,7 +13,10 @@ checked here:
 - the fixed-workload batched kernels beat their per-region loops outright;
 - DeepPoly back-substitution over each region's live ReLU units beats the
   dense rewrite it replaced by >= 1.5x on a deep MLP, at margins within
-  1e-9 and identical verdicts.
+  1e-9 and identical verdicts;
+- DeepPoly's one-sided ReLU pass beats bounding every unit from both
+  sides by >= 1.3x on the same MLP, at margins within 1e-9 and identical
+  verdicts.
 """
 
 import time
@@ -22,7 +25,12 @@ import numpy as np
 from conftest import TIMEOUT, load_problems, one_shot
 
 from repro.abstract.analyzer import analyze, analyze_batch
-from repro.abstract.deeppoly import DeepPolyBatch, _DiagBounds, _split_signs
+from repro.abstract.deeppoly import (
+    DeepPolyBatch,
+    _DiagBounds,
+    _relu_relaxation,
+    _split_signs,
+)
 from repro.abstract.domains import DEEPPOLY
 from repro.attack.objective import MarginObjective
 from repro.attack.pgd import PGDConfig, pgd_minimize, pgd_minimize_batch
@@ -168,17 +176,27 @@ def _dense_bound_expr(self, a, lower):
     return _dot_rows(pos, self.box_high) + _dot_rows(neg, self.box_low) + b
 
 
-def test_deeppoly_live_units_contract(benchmark):
-    """Back-substitution over each region's live ReLU units: >= 1.5x the
-    dense rewrite on a 9x200 MLP (about half of each layer is dead per
-    region at this radius), margins within 1e-9, identical verdicts."""
+def _two_sided_relu(self):
+    """Every unit bounded from both sides: the ReLU transformer the
+    one-sided pass replaced."""
+    low, high = self.bounds()
+    return self._extended(_DiagBounds(*_relu_relaxation(low, high)))
+
+
+def _live_units_case():
     net = mlp(64, [200] * 9, 10, rng=0)
     rng = np.random.default_rng(7)
     regions = [
         Box.from_center_radius(rng.uniform(0.3, 0.7, 64), 5e-4)
         for _ in range(8)
     ]
-    live_impl = DeepPolyBatch._bound_expr
+    return net, regions
+
+
+def _race(benchmark, net, regions, name, slow_impl):
+    """Best of three alternating timings of ``analyze_batch`` as is and
+    with ``DeepPolyBatch.<name>`` replaced by ``slow_impl``; the two
+    legs must agree on verdicts and on margins within 1e-9."""
 
     def timed():
         start = time.perf_counter()
@@ -187,25 +205,55 @@ def test_deeppoly_live_units_contract(benchmark):
 
     def run():
         timed()  # warm caches outside the comparison
-        live_s, dense_s = float("inf"), float("inf")
+        fast_s, slow_s = float("inf"), float("inf")
         for _ in range(3):
-            live, seconds = timed()
-            live_s = min(live_s, seconds)
-            DeepPolyBatch._bound_expr = _dense_bound_expr
+            fast, seconds = timed()
+            fast_s = min(fast_s, seconds)
+            saved = getattr(DeepPolyBatch, name)
+            setattr(DeepPolyBatch, name, slow_impl)
             try:
-                dense, seconds = timed()
-                dense_s = min(dense_s, seconds)
+                slow, seconds = timed()
             finally:
-                DeepPolyBatch._bound_expr = live_impl
-        return live, dense, live_s, dense_s
+                setattr(DeepPolyBatch, name, saved)
+            slow_s = min(slow_s, seconds)
+        return fast, slow, fast_s, slow_s
 
-    live, dense, live_s, dense_s = one_shot(benchmark, run)
+    fast, slow, fast_s, slow_s = one_shot(benchmark, run)
+    assert [r.verified for r in fast] == [r.verified for r in slow]
+    for got, want in zip(fast, slow):
+        assert abs(got.margin_lower_bound - want.margin_lower_bound) < 1e-9
+    return fast_s, slow_s
+
+
+def test_deeppoly_live_units_contract(benchmark, monkeypatch):
+    """Back-substitution over each region's live ReLU units: >= 1.5x the
+    dense rewrite on a 9x200 MLP (about half of each layer is dead per
+    region at this radius), margins within 1e-9, identical verdicts.
+    Both legs bound every ReLU unit from both sides, so the ratio is the
+    live-unit rewrite's alone."""
+    net, regions = _live_units_case()
+    monkeypatch.setattr(DeepPolyBatch, "relu", _two_sided_relu)
+    live_s, dense_s = _race(
+        benchmark, net, regions, "_bound_expr", _dense_bound_expr
+    )
     print()
     print(
         f"deeppoly live-unit rewrite: dense {dense_s * 1e3:.0f}ms, "
         f"live {live_s * 1e3:.0f}ms ({dense_s / live_s:.2f}x)"
     )
-    assert [r.verified for r in live] == [r.verified for r in dense]
-    for got, want in zip(live, dense):
-        assert abs(got.margin_lower_bound - want.margin_lower_bound) < 1e-9
     assert dense_s >= 1.5 * live_s
+
+
+def test_deeppoly_one_sided_contract(benchmark):
+    """The one-sided ReLU pass: >= 1.3x bounding every unit from both
+    sides on the live-unit contract's MLP, where almost every unit is
+    settled by the side its region center predicts; margins within
+    1e-9, identical verdicts."""
+    net, regions = _live_units_case()
+    one_s, two_s = _race(benchmark, net, regions, "relu", _two_sided_relu)
+    print()
+    print(
+        f"deeppoly one-sided relu: two-sided {two_s * 1e3:.0f}ms, "
+        f"one-sided {one_s * 1e3:.0f}ms ({two_s / one_s:.2f}x)"
+    )
+    assert two_s >= 1.3 * one_s

@@ -109,6 +109,20 @@ def _split_signs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(a, 0.0), np.minimum(a, 0.0)
 
 
+def _slack_terms(layers: list, n_in: int) -> int:
+    """The float32 slack's term count ``(L+1)·max(n_in, width)``, with
+    ``width`` the widest relation in the chain: every rewrite's dot
+    products run over some relation's width, not only the final
+    concretization over the input (DESIGN §12)."""
+    width = n_in
+    for layer in layers:
+        if isinstance(layer, _DiagBounds):
+            width = max(width, layer.dl.shape[-1])
+        else:
+            width = max(width, *layer.al.shape[-2:])
+    return (len(layers) + 1) * width
+
+
 def _relu_relaxation(
     low: np.ndarray, high: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -132,6 +146,16 @@ def _relu_relaxation(
     bu = np.where(crossing, -slope * low, zero)
     dl = np.where(stable | (crossing & (high > -low)), one, zero)
     return dl, du, bu
+
+
+def _unsettled(known: np.ndarray, plus: np.ndarray) -> np.ndarray:
+    """Units whose one computed bound does not fix their relaxation.
+
+    ``known`` holds ``l_j`` where ``plus`` and ``u_j`` elsewhere.
+    ``l_j >= 0`` makes a unit stable and ``u_j < 0`` dead whatever the
+    other side is; every other unit needs both bounds.
+    """
+    return np.where(plus, known < 0.0, known >= 0.0)
 
 
 class DeepPolyState:
@@ -216,9 +240,7 @@ class DeepPolyState:
             result = pos @ box_low + neg @ box_high + b
         else:
             result = pos @ box_high + neg @ box_low + b
-        scale = _slack_for(
-            a.dtype, (len(self.layers) + 1) * max(self.box.ndim, a.shape[-1])
-        )
+        scale = _slack_for(a.dtype, _slack_terms(self.layers, self.box.ndim))
         if scale:
             # Outward rounding (float32 path): the rewrite chain's round-off
             # is bounded by the accumulated magnitude of the final expression.
@@ -435,6 +457,9 @@ class _LiveUnits:
     kept are the deepest ones — those every later rewrite passes
     through.  Row blocks into a non-ReLU relation (the input layer) are
     plain row copies, cheap next to their GEMM, and never kept.
+
+    It also carries the regions' box centers through the chain
+    (:meth:`center`) for the one-sided ReLU pass.
     """
 
     def __init__(self) -> None:
@@ -442,6 +467,34 @@ class _LiveUnits:
         self.held = 0
         self._live: dict[int, tuple] = {}
         self._blocks: dict[tuple[int, int, int], tuple] = {}
+        self._path: list[tuple] = []  # (relation, center value after it)
+
+    def center(self, batch: "DeepPolyBatch") -> np.ndarray:
+        """The regions' box centers through ``batch``'s relations —
+        shared affine rows and the concrete ReLU ``max(v, 0)`` — as
+        ``(B, n)``.  The center is a point of its region, so each value
+        lies inside that unit's bounds.  Extends the longest forwarded
+        prefix of ``batch.layers`` instead of starting over."""
+        path, layers = self._path, batch.layers
+        done = 0
+        while (
+            done < min(len(path), len(layers))
+            and path[done][0] is layers[done]
+        ):
+            done += 1
+        del path[done:]
+        if path:
+            value = path[-1][1]
+        else:
+            low, high = batch.box_low, batch.box_high
+            value = (low + high) * low.dtype.type(0.5)
+        for layer in layers[done:]:
+            if type(layer) is _DiagBounds:
+                value = np.maximum(value, 0.0)
+            else:
+                value = value @ layer.al.T + layer.bl
+            path.append((layer, value))
+        return value
 
     def live(self, relu: _DiagBounds) -> tuple[np.ndarray, ...]:
         """``(idx, dl, du, bu)`` of ``relu`` (see :func:`_live_units`)."""
@@ -521,7 +574,8 @@ class DeepPolyBatch(BatchedElement):
     count ``K``) and each affine rewrite is one batched GEMM against the
     per-region block ``W[live_above][:, live_below]`` — the flops shrink
     by the square of the live fraction.  Other chains (maxpool, pad) use
-    the dense rewrite.
+    the dense rewrite.  On the MLP chains :meth:`relu` also bounds each
+    settled unit from one side only.
     """
 
     def __init__(
@@ -643,16 +697,45 @@ class DeepPolyBatch(BatchedElement):
         in the same concretization over the input box.
         """
         a = np.atleast_2d(a)
-        box_low, box_high = self.box_low, self.box_high
         width = _live_width(self.layers)
         if width is None:
             a, b, owned = self._rewrite_dense(a, lower)
-        else:
-            a, b, owned, cols = self._rewrite_live(a, lower, width)
-            if cols is not None:  # a ReLU straight on the input
-                idx = self._units.live(cols)[0]
-                box_low = np.take_along_axis(box_low, idx, axis=1)
-                box_high = np.take_along_axis(box_high, idx, axis=1)
+            return self._concretize(a, b, owned, None, lower)
+        return self._concretize(*self._rewrite_live(a, lower, width), lower)
+
+    def _signed_lower(
+        self, sign: np.ndarray, idx: np.ndarray | None, width: int
+    ) -> np.ndarray:
+        """Lower bounds of the per-region signed unit rows
+        ``sign[r, k]·e_j``, ``j = idx[r, k]`` (``j = k`` when ``idx`` is
+        ``None``), over a live-unit chain topped by an affine on a ReLU:
+        ``(B, rows)``.
+
+        A row signed ``-1`` returns ``-u_j``: negating a row negates
+        every product and partial sum of its back-substitution exactly,
+        so ``lower(-e) = -upper(e)`` bit for bit at equal shapes.
+        """
+        return self._concretize(
+            *self._rewrite_live(None, True, width, top=(sign, idx)), True
+        )
+
+    def _concretize(
+        self,
+        a: np.ndarray,
+        b,
+        owned: bool,
+        cols: _DiagBounds | None,
+        lower: bool,
+    ) -> np.ndarray:
+        """Evaluate the rewritten expression ``a·x + b`` over the input
+        box: ``(B, rows)``.  ``cols`` is the ReLU relation whose live
+        units index ``a``'s columns (a ReLU straight on the input), or
+        ``None`` for every input unit."""
+        box_low, box_high = self.box_low, self.box_high
+        if cols is not None:
+            idx = self._units.live(cols)[0]
+            box_low = np.take_along_axis(box_low, idx, axis=1)
+            box_high = np.take_along_axis(box_high, idx, axis=1)
         if a.ndim == 2:
             a = np.broadcast_to(a, (self.batch_size, *a.shape))
             owned = False
@@ -665,9 +748,7 @@ class DeepPolyBatch(BatchedElement):
         # The dense rewrite's term count, on both paths: the live-unit
         # rewrite only drops exact-zero terms (DESIGN §12).
         scale = _slack_for(
-            a.dtype,
-            (len(self.layers) + 1)
-            * max(self.box_low.shape[1], a.shape[-1]),
+            a.dtype, _slack_terms(self.layers, self.box_low.shape[1])
         )
         if scale:
             # Outward rounding (float32 path), mirroring DeepPolyState.
@@ -678,7 +759,11 @@ class DeepPolyBatch(BatchedElement):
         return result
 
     def _rewrite_live(
-        self, a: np.ndarray, lower: bool, width: int
+        self,
+        a: np.ndarray | None,
+        lower: bool,
+        width: int,
+        top: tuple[np.ndarray, np.ndarray | None] | None = None,
     ) -> tuple[np.ndarray, np.ndarray, bool, _DiagBounds | None]:
         """Rewrite ``a`` down to the input over each region's live units.
 
@@ -690,17 +775,34 @@ class DeepPolyBatch(BatchedElement):
         block ``W[live_above][:, live_below]``.  A full-width shared
         expression (the top of the chain) rewrites as one shared GEMM and
         is then gathered to the live columns below.
+
+        ``top = (sign, idx)`` replaces ``a`` with the per-region signed
+        unit rows of :meth:`_signed_lower`.  Through the top affine they
+        are ``sign·W[j]`` gathered to the live columns below — the
+        identity's rewrite with rows selected and negated, exactly.
         """
-        units = self._units
-        units.cap = max(
-            units.cap, self.batch_size * width * width * a.dtype.itemsize
-        )
         mm = _active_backend().matmul
         layers = self.layers
+        units = self._units
         b: np.ndarray | float = 0.0
         owned = False
         cols: _DiagBounds | None = None
-        for pos in range(len(layers) - 1, -1, -1):
+        start = len(layers) - 1
+        if top is not None:
+            sign, idx = top
+            affine, cols = layers[-1], layers[-2]
+            live = units.live(cols)[0]
+            if idx is None:
+                a, b = _gather_columns(affine.al, live), affine.bl * sign
+            else:
+                a = _gather_block(affine.al, idx, live)
+                b = affine.bl[idx] * sign
+            a *= sign[:, :, None]
+            owned, start = True, len(layers) - 2
+        units.cap = max(
+            units.cap, self.batch_size * width * width * a.dtype.itemsize
+        )
+        for pos in range(start, -1, -1):
             layer = layers[pos]
             if type(layer) is _DiagBounds:
                 idx, dl, du, bu = units.live(layer)
@@ -836,7 +938,44 @@ class DeepPolyBatch(BatchedElement):
         return self._extended(_LayerBounds(weight, bias, weight, bias))
 
     def relu(self) -> "DeepPolyBatch":
-        low, high = self.bounds()
+        """The DeepPoly ReLU, bounding each settled unit from one side.
+
+        On a live-unit chain whose top affine sits on a ReLU, one signed
+        lower pass replaces :meth:`bounds`' two: unit ``j`` gets row
+        ``+e_j`` (its ``l_j``) when its pre-activation at the region's
+        center is positive, else ``-e_j`` (its ``-u_j``).  ``l_j >= 0``
+        (identity) and ``u_j < 0`` (zero) settle a unit, so its
+        relaxation is the two-sided one whatever the unseen side holds.
+        Every other unit — crossing, ``u_j = 0``, or mispredicted — gets
+        the other side in a second pass over per-region row subsets.
+        Other chains take both sides for every unit.
+        """
+        layers = self.layers
+        width = _live_width(layers)
+        if (
+            width is None
+            or len(layers) < 2
+            or type(layers[-2]) is not _DiagBounds
+        ):
+            low, high = self.bounds()
+            return self._extended(_DiagBounds(*_relu_relaxation(low, high)))
+        plus = self._units.center(self) > 0.0
+        one = self._dtype.type(1.0)
+        sign = np.where(plus, one, -one)
+        known = self._signed_lower(sign, None, width) * sign  # l on +, u on -
+        other = known
+        unsettled = _unsettled(known, plus)
+        rows = int(unsettled.sum(axis=1).max(initial=0))
+        if rows:
+            # Unsettled units first, padded with the region's settled
+            # ones: their relaxation ignores the side the pad computes.
+            idx = np.argsort(~unsettled, axis=1, kind="stable")[:, :rows]
+            back = -np.take_along_axis(sign, idx, axis=1)
+            second = self._signed_lower(back, idx, width) * back
+            other = known.copy()
+            np.put_along_axis(other, idx, second, axis=1)
+        low = np.where(plus, known, other)
+        high = np.where(plus, other, known)
         return self._extended(_DiagBounds(*_relu_relaxation(low, high)))
 
     def pad(self, radii: np.ndarray) -> "DeepPolyBatch":

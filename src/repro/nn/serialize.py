@@ -11,10 +11,11 @@ regardless of where (or whether) they live on disk.  The scheduler's result
 cache (:mod:`repro.sched.cache`) keys on this digest.
 
 :func:`layer_digests` refines the single address into a rolling per-layer
-chain: entry ``i`` is the whole-network digest scheme applied to the prefix
-``layers[:i+1]``, so the chain's last link *is* ``network_digest`` bit for
-bit (every existing whole-network cache key stays warm) and two networks
-that agree on their first ``k`` layers share the first ``k`` links.  The
+chain: entry ``i`` addresses the prefix ``layers[:i+1]`` and is derived
+from entry ``i-1`` plus layer ``i`` alone, so a chain hashes each layer
+once.  Its last entry *is* ``network_digest`` bit for bit (every existing
+whole-network cache key stays warm), and two networks that agree on their
+first ``k`` layers share the first ``k`` links.  The
 prefix-checkpoint cache (:mod:`repro.sched.cache` ``PrefixRecord``) keys
 on these links, which is what makes re-verification after a fine-tune a
 suffix run instead of a cold one.
@@ -58,22 +59,16 @@ def _layer_spec(layer) -> dict:
     raise TypeError(f"cannot serialize layer type {type(layer).__name__}")
 
 
-def _prefix_digest(network: Network, end: int) -> str:
-    """The whole-network digest scheme applied to ``layers[:end]``.
+def _params(layer) -> list[np.ndarray]:
+    """A layer's parameters as C-contiguous float64 arrays: their buffers
+    are the bytes every digest hashes, passed to ``update`` uncopied."""
+    return [
+        np.ascontiguousarray(param, dtype=np.float64) for param in layer.params()
+    ]
 
-    ``end == len(layers)`` reproduces the historical ``network_digest``
-    exactly (same header JSON, same parameter byte stream), which is the
-    chain-compatibility invariant :func:`layer_digests` relies on.
-    """
-    header = {
-        "input_shape": list(network.input_shape),
-        "layers": [_layer_spec(layer) for layer in network.layers[:end]],
-    }
-    digest = hashlib.sha256(json.dumps(header, sort_keys=True).encode())
-    for layer in network.layers[:end]:
-        for param in layer.params():
-            digest.update(np.ascontiguousarray(param, dtype=np.float64).tobytes())
-    return digest.hexdigest()
+
+def _sha256_json(obj) -> "hashlib._Hash":
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode())
 
 
 def network_digest(network: Network) -> str:
@@ -96,30 +91,57 @@ def network_digest(network: Network) -> str:
     if memo is not None:
         return memo
     network.freeze_params()
-    network._digest = _prefix_digest(network, len(network.layers))
+    digest = _sha256_json({
+        "input_shape": list(network.input_shape),
+        "layers": [_layer_spec(layer) for layer in network.layers],
+    })
+    for layer in network.layers:
+        for param in _params(layer):
+            digest.update(param)
+    network._digest = digest.hexdigest()
     return network._digest
 
 
-def layer_digests(network: Network) -> list[str]:
-    """The rolling per-layer digest chain: one link per layer prefix.
+def _chain_links(network: Network) -> tuple[str, ...]:
+    """Every layer's chained link, the last one included.
 
-    Entry ``i`` addresses the sub-network ``layers[:i+1]`` (with the full
-    network's input shape); the last entry equals
-    :func:`network_digest` bit for bit.  Memoized on the instance next to
-    the whole-network memo and invalidated at the same points, so the
-    O(L²) hashing cost is paid once per network, not once per lookup.
+    Link ``k`` hashes link ``k-1`` (the input shape's digest for the
+    first layer) with layer ``k``'s spec, parameter shapes and parameter
+    bytes, so each layer is hashed once.  A link depends only on its
+    prefix, never on the layers after it.  Memoized on the instance and
+    dropped with the whole-network memo.
     """
     memo = getattr(network, "_layer_digests", None)
     if memo is not None:
-        return list(memo)
+        return memo
     network.freeze_params()
-    chain = [
-        _prefix_digest(network, end)
-        for end in range(1, len(network.layers) + 1)
-    ]
-    network._layer_digests = tuple(chain)
-    network._digest = chain[-1]
-    return chain
+    link = _sha256_json({"input_shape": list(network.input_shape)}).hexdigest()
+    links = []
+    for layer in network.layers:
+        params = _params(layer)
+        digest = _sha256_json({
+            "prev": link,
+            "layer": _layer_spec(layer),
+            "shapes": [list(param.shape) for param in params],
+        })
+        for param in params:
+            digest.update(param)
+        link = digest.hexdigest()
+        links.append(link)
+    network._layer_digests = tuple(links)
+    return network._layer_digests
+
+
+def layer_digests(network: Network) -> list[str]:
+    """The per-layer digest chain: one link per layer prefix.
+
+    Entry ``i`` addresses the sub-network ``layers[:i+1]`` (with the full
+    network's input shape).  Entries before the last are chained links
+    (:func:`_chain_links`), hashing each layer once; the last entry is
+    :func:`network_digest` bit for bit, so every result-cache key stays
+    warm.  Both are memoized on the instance.
+    """
+    return [*_chain_links(network)[:-1], network_digest(network)]
 
 
 def common_prefix_layers(old: Network, new: Network) -> int:
@@ -128,12 +150,11 @@ def common_prefix_layers(old: Network, new: Network) -> int:
     The count is in *layers* (digest-chain links), not analyzer ops; a
     whole-network match returns ``len(new.layers)``.  Zero means the
     chains diverge at the first layer (or the input shapes differ) and no
-    prefix state is reusable.
+    prefix state is reusable.  Compares the chained links throughout, so
+    a network's last layer matches the same layer inside a longer one.
     """
-    chain_old = layer_digests(old)
-    chain_new = layer_digests(new)
     common = 0
-    for link_old, link_new in zip(chain_old, chain_new):
+    for link_old, link_new in zip(_chain_links(old), _chain_links(new)):
         if link_old != link_new:
             break
         common += 1

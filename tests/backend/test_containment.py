@@ -90,3 +90,26 @@ def test_float64_path_bitwise_through_backend_seam():
     with use_backend("numpy64"):
         b = analyze(network, region, 1, domain)
     assert a.margin_lower_bound == b.margin_lower_bound
+
+
+def test_deeppoly_float32_slack_counts_hidden_widths():
+    """Float32 DeepPoly never reports a margin above the true minimum.
+
+    Every unit of this 1-input, 1000-wide network is stable on the tiny
+    box, so the network is affine there and the minimum margin sits at
+    a vertex.  The float32 slack must count the hidden relations' width,
+    not only the input's: with the input's alone, both states claimed a
+    margin above that minimum.
+    """
+    network = mlp(1, [1000, 1000], 3, rng=3)
+    region = Box(np.array([0.5 - 1e-6]), np.array([0.5 + 1e-6]))
+    vertices = network.forward(np.stack([region.low, region.high]))
+    true_min = float((vertices[:, :1] - vertices[:, 1:]).min())
+    domain = DomainSpec("deeppoly", 1)
+    reference = analyze(network, region, 0, domain).margin_lower_bound
+    assert reference == pytest.approx(true_min, abs=1e-12)
+    with use_backend("numpy32"):
+        sequential = analyze(network, region, 0, domain)
+        (batched,) = analyze_batch_multi(network, [region], [0], domain)
+    assert sequential.margin_lower_bound <= true_min
+    assert batched.margin_lower_bound <= true_min

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn.builders import lenet_conv, mlp, xor_network
-from repro.nn.layers import Dense
+from repro.nn.layers import Dense, ReLU
 from repro.nn.network import Network
 from repro.nn.serialize import load_network, save_network
 
@@ -105,6 +105,39 @@ class TestDigestChain:
         assert chain[:-1] == chain_t[:-1]
         assert chain[-1] != chain_t[-1]
         assert common_prefix_layers(net, tuned) == len(net.layers) - 1
+
+    @pytest.mark.parametrize("param", ["weight", "bias"])
+    @pytest.mark.parametrize("layer", [0, 2, 4])
+    def test_perturbed_layer_changes_exactly_the_later_links(
+        self, layer, param
+    ):
+        from repro.nn.serialize import common_prefix_layers, layer_digests
+
+        net = mlp(6, [10, 8], 4, rng=0)  # D R D R D: 5 layers
+        tuned = mlp(6, [10, 8], 4, rng=0)
+        getattr(tuned.layers[layer], param)[0] += 1e-6
+        chain, chain_t = layer_digests(net), layer_digests(tuned)
+        assert [a == b for a, b in zip(chain, chain_t)] == [
+            k < layer for k in range(len(net.layers))
+        ]
+        assert common_prefix_layers(net, tuned) == layer
+
+    def test_extension_shares_every_link_of_the_shorter_network(self):
+        """Appending layers keeps the whole shorter network as a common
+        prefix, although its last link is the whole-network digest and
+        the longer network's link at that depth is a chained one."""
+        from repro.nn.serialize import common_prefix_layers, layer_digests
+
+        net = mlp(6, [10, 8], 4, rng=0)
+        rng = np.random.default_rng(1)
+        extended = Network(
+            [*net.layers, ReLU(), Dense(rng.normal(size=(3, 4)), np.zeros(3))],
+            input_shape=net.input_shape,
+        )
+        depth = len(net.layers)
+        assert common_prefix_layers(net, extended) == depth
+        assert common_prefix_layers(extended, net) == depth
+        assert layer_digests(extended)[: depth - 1] == layer_digests(net)[:-1]
 
     def test_common_prefix_identical_and_divergent(self):
         from repro.nn.serialize import common_prefix_layers
