@@ -26,17 +26,16 @@ handed.  The outward-rounding slack is likewise dtype-driven
 (:func:`slack_for` returns 0.0 for float64), so transformer math never
 depends on mutable global state.
 
-The active backend is a module-level default (seeded from the
-``REPRO_BACKEND`` environment variable so spawned executor workers
-inherit it) with a thread-local override stack for scoped switches
-(:func:`use_backend`) — kernel calls crossing the process boundary
-carry their backend tag in the call descriptor and re-enter it on the
-worker (see ``repro.exec.calls``).
+The active backend is a module-level default (``numpy64``) with a
+thread-local override stack for scoped switches (:func:`use_backend`).
+Nothing reads the environment: a run names its backend in its
+``RunOptions``, and kernel calls crossing the process boundary carry
+their backend tag in the call descriptor and re-enter it on the worker
+(see ``repro.exec.calls``).
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from contextlib import contextmanager
 from typing import Iterator
@@ -203,11 +202,8 @@ _REGISTRY: dict[str, ArrayBackend] = {}
 _LOCK = threading.Lock()
 _TLS = threading.local()
 
-#: Module-level default, seeded from the environment so spawn-based
-#: executor workers come up on the same backend as the parent.  The name
-#: is validated lazily (at first ``active()``/``get()``) so a bogus env
-#: var fails with a clear error at use, not a crash at import.
-_ACTIVE_NAME = os.environ.get("REPRO_BACKEND", "numpy64") or "numpy64"
+#: Module-level default; :func:`set_active` moves it.
+_ACTIVE_NAME = "numpy64"
 
 
 def register(backend: ArrayBackend, *, replace: bool = False) -> ArrayBackend:

@@ -119,7 +119,6 @@ class GaussianProcess:
             clone._x = self._x.copy()
             clone._chol = (self._chol[0].copy(), True)
             clone._alpha = self._alpha.copy()
-            clone._y_norm = self._y_norm.copy()
             clone._y_mean = self._y_mean
             clone._y_std = self._y_std
         return clone
@@ -128,9 +127,7 @@ class GaussianProcess:
         """Restandardize targets and recompute ``alpha`` (O(n²))."""
         self._y_mean = float(np.mean(y))
         self._y_std = float(np.std(y)) or 1.0
-        y_norm = (y - self._y_mean) / self._y_std
-        self._alpha = cho_solve(self._chol, y_norm)
-        self._y_norm = y_norm
+        self._alpha = cho_solve(self._chol, (y - self._y_mean) / self._y_std)
 
     def posterior(self, xq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and variance at query points (de-standardized)."""
@@ -145,13 +142,3 @@ class GaussianProcess:
         mean = mean_norm * self._y_std + self._y_mean
         var = var_norm * self._y_std**2
         return mean, var
-
-    def log_marginal_likelihood(self) -> float:
-        """Log evidence of the standardized targets under the prior."""
-        if not self.is_fit:
-            raise RuntimeError("fit() must be called before the likelihood")
-        n = self._x.shape[0]
-        chol_matrix = self._chol[0]
-        log_det = 2.0 * float(np.sum(np.log(np.diag(chol_matrix))))
-        fit_term = float(self._y_norm @ self._alpha)
-        return -0.5 * (fit_term + log_det + n * np.log(2.0 * np.pi))

@@ -7,8 +7,6 @@ on shapes and print paper-style tables.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.bench.harness import KINDS, ResultTable
 
 
@@ -77,14 +75,6 @@ def falsification_counts(table: ResultTable) -> dict[str, int]:
     }
 
 
-def solved_superset(table: ResultTable, tool_a: str, tool_b: str) -> bool:
-    """True when ``tool_a`` solves a superset of what ``tool_b`` solves."""
-    return all(
-        ra.solved or not rb.solved
-        for ra, rb in zip(table.of(tool_a), table.of(tool_b))
-    )
-
-
 def verified_subset_solved(
     table: ResultTable, reference: str, other: str
 ) -> tuple[int, int]:
@@ -133,9 +123,3 @@ def format_counts(counts: dict[str, int], title: str) -> str:
     for tool, count in counts.items():
         lines.append(f"  {tool:<16} {count}")
     return "\n".join(lines)
-
-
-def mean_solve_time(table: ResultTable, tool: str) -> float:
-    """Average time over solved benchmarks (NaN when none solved)."""
-    times = [r.time_seconds for r in table.of(tool) if r.solved]
-    return float(np.mean(times)) if times else float("nan")

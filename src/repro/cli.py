@@ -26,6 +26,10 @@ Commands:
 through one path and run them through the same
 :class:`~repro.sched.Scheduler` call, so abstraction, precision
 escalation, backend selection and the printed mode lines behave alike.
+``verify``, ``schedule``, ``diff-verify`` and ``train`` read their run
+options (``--backend``, ``--precision-escalation``, ``--workers``...)
+into one :class:`~repro.sched.RunOptions` (:func:`_run_options`), the
+only way an option reaches a run: no verb sets process-wide state.
 
 ``verify`` and ``schedule`` accept ``--abstraction {off,syntactic,semantic}``
 (with ``--abstraction-level N``): a CEGAR pre-pass that merges similar
@@ -35,11 +39,13 @@ concrete float64 witness check, and refines (or falls back to the
 concrete network) on spurious counterexamples — see
 :mod:`repro.abstract.netabs`.
 
-``verify``, ``schedule``, and ``train`` accept ``--trace out.json``:
-the run's hierarchical spans (scheduler round → fused group → kernel
-call → cache probe) and final metric counters are written as a Chrome
-trace-event file, loadable in ``chrome://tracing`` / Perfetto and
-summarized by ``repro stats``.
+``verify``, ``schedule``, ``diff-verify`` and ``train`` accept
+``--trace out.json``: the run's hierarchical spans (scheduler round →
+fused group → kernel call → cache probe) and final metric counters are
+written as a Chrome trace-event file, loadable in ``chrome://tracing`` /
+Perfetto and summarized by ``repro stats``.
+
+Every flag more than one verb takes is declared once, in :data:`_FLAGS`.
 
 Networks are ``.npz`` archives produced by :func:`repro.nn.save_network`;
 points are ``.npy`` arrays or comma-separated values.
@@ -69,6 +75,7 @@ cache.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -80,7 +87,7 @@ from repro.abstract.netabs import (
     DEFAULT_LEVEL as NETABS_DEFAULT_LEVEL,
 )
 from repro.attack.pgd import PGDConfig
-from repro.backend import BACKEND_CHOICES, set_active as set_active_backend
+from repro.backend import BACKEND_CHOICES
 from repro.attack.search import find_counterexample
 from repro.core.config import VerifierConfig
 from repro.core.policy import BisectionPolicy
@@ -104,7 +111,8 @@ from repro.obs.trace import tracer
 from repro.sched import (
     FRONTIER_POLICIES,
     ResultCache,
-    ScheduleReport,
+    RunOptionError,
+    RunOptions,
     Scheduler,
     VerificationJob,
     point_digest,
@@ -161,29 +169,25 @@ def _load_point(spec: str, expected_size: int) -> np.ndarray:
     return point
 
 
-def _add_common(
-    parser: argparse.ArgumentParser, center_required: bool = True
-) -> None:
-    parser.add_argument("network", help="path to a .npz network archive")
-    parser.add_argument(
-        "--center",
-        required=center_required,
-        default=None,
-        help="input point: a .npy file or comma-separated values",
-    )
-    parser.add_argument(
-        "--epsilon", type=float, default=0.05, help="L-infinity radius"
-    )
-    parser.add_argument(
-        "--timeout", type=float, default=10.0, help="budget in seconds"
-    )
-    parser.add_argument("--seed", type=int, default=0, help="random seed")
+def _run_options(args: argparse.Namespace) -> RunOptions:
+    """The run's :class:`RunOptions`, each field read from the flag of the
+    same name; a field whose flag the verb does not take keeps the
+    record's default.  A bad value exits with one line naming the flag."""
+    fields = {
+        field.name: getattr(args, field.name)
+        for field in dataclasses.fields(RunOptions)
+        if hasattr(args, field.name)
+    }
+    try:
+        return RunOptions(**fields)
+    except RunOptionError as exc:
+        flag = "--" + exc.field.replace("_", "-")
+        raise SystemExit(f"bad {flag}: {exc}") from None
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     """One property as a one-job scheduler run (same path as ``schedule``)."""
-    _check_abstraction_level(args)
-    _apply_kernel_flags(args)
+    options = _run_options(args)
     spec = {
         "name": "verify",
         "network": args.network,
@@ -192,7 +196,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     }
     network = _load_networks([spec])[args.network]
     job = _spec_job(spec, network, args)
-    report = _run_jobs(args, [job])
+    report = Scheduler([job], options=options).run()
     _print_modes(report)
     outcome = report.results[0].outcome
     print(f"result: {outcome.kind}")
@@ -224,17 +228,6 @@ def _check_flag(ok: bool, flag: str, rule: str, value) -> None:
     meets ``rule``; callers phrase ``ok`` so that NaN fails it)."""
     if not ok:
         raise SystemExit(f"bad {flag}: must be {rule}, got {value}")
-
-
-def _check_abstraction_level(args: argparse.Namespace) -> None:
-    """With abstraction on, a level below 1 would run the concrete
-    network under an ``abstraction: <mode> level <N>`` report line."""
-    _check_flag(
-        args.abstraction == "off" or args.abstraction_level >= 1,
-        "--abstraction-level",
-        f">= 1 with --abstraction {args.abstraction}",
-        args.abstraction_level,
-    )
 
 
 def _flag_center(args: argparse.Namespace, network) -> np.ndarray:
@@ -416,40 +409,8 @@ def _spec_job(spec: dict, network, args: argparse.Namespace) -> VerificationJob:
     )
 
 
-def _run_jobs(
-    args: argparse.Namespace,
-    jobs: list[VerificationJob],
-    cache: ResultCache | None = None,
-    incremental: bool = False,
-) -> ScheduleReport:
-    """Run ``jobs`` through the scheduler under the verb's flags.
-
-    ``verify``, ``schedule`` and ``diff-verify`` all land here; flags a
-    verb does not offer keep the scheduler's defaults.
-    """
-    try:
-        scheduler = Scheduler(
-            jobs,
-            frontier=getattr(args, "frontier", "dfs"),
-            cache=cache,
-            workers=getattr(args, "workers", 1),
-            backend=args.backend,
-            precision_escalation=True if args.precision_escalation else None,
-            escalation_margin=args.escalation_margin,
-            abstraction=getattr(args, "abstraction", "off"),
-            abstraction_level=getattr(
-                args, "abstraction_level", NETABS_DEFAULT_LEVEL
-            ),
-            incremental=incremental,
-        )
-    except (KeyError, ValueError) as exc:
-        raise SystemExit(str(exc))
-    return scheduler.run()
-
-
 def cmd_schedule(args: argparse.Namespace) -> int:
-    _check_abstraction_level(args)
-    _apply_kernel_flags(args)
+    options = _run_options(args)
     if args.incremental and not args.cache:
         raise SystemExit(
             "--incremental requires --cache (prefix checkpoints live in "
@@ -463,7 +424,7 @@ def cmd_schedule(args: argparse.Namespace) -> int:
             max_entries=args.cache_max_entries,
             max_bytes=args.cache_max_bytes,
         )
-    report = _run_jobs(args, jobs, cache, incremental=args.incremental)
+    report = Scheduler(jobs, cache=cache, options=options).run()
     return _print_schedule_report(report, jobs, cache)
 
 
@@ -530,7 +491,7 @@ def cmd_diff_verify(args: argparse.Namespace) -> int:
     checkpoints recorded under the old network are addressed by chain
     links the new network still shares.
     """
-    _apply_kernel_flags(args)
+    options = _run_options(args)
     old_network = _load_archive(args.old_network, "bad old network")
     new_network = _load_archive(args.new_network, "bad new network")
     common = common_prefix_layers(old_network, new_network)
@@ -542,7 +503,7 @@ def cmd_diff_verify(args: argparse.Namespace) -> int:
         max_entries=args.cache_max_entries,
         max_bytes=args.cache_max_bytes,
     )
-    report = _run_jobs(args, jobs, cache, incremental=True)
+    report = Scheduler(jobs, cache=cache, options=options).run()
     return _print_schedule_report(report, jobs, cache)
 
 
@@ -567,7 +528,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     from repro.learn import PolicyTrainer
 
     _check_flag(args.iterations >= 1, "--iterations", ">= 1", args.iterations)
-    _apply_kernel_flags(args)
+    options = _run_options(args)
     problems = _suite_problems(args.suite)
     cache = _open_cache(args.cache) if args.cache else None
     try:
@@ -579,7 +540,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             base_config=VerifierConfig(max_depth=args.max_depth),
             rng=args.seed,
             candidates=args.candidates,
-            workers=args.workers,
+            options=options,
             cost_model=args.cost_model,
             cache=cache,
             rng_seed=args.seed,
@@ -589,7 +550,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     print(
         f"training on {len(problems)} problems "
         f"({args.iterations} BO evaluations, q={args.candidates}, "
-        f"{args.workers} workers, {args.cost_model} cost) ..."
+        f"{options.workers} workers, {args.cost_model} cost) ..."
     )
     try:
         trained = trainer.train(args.iterations, verbose=True)
@@ -827,17 +788,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_trace_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--trace",
-        default=None,
-        metavar="PATH",
-        help="write the run's spans and metric counters as a Chrome "
-        "trace-event JSON file (view in chrome://tracing or Perfetto, "
-        "summarize with 'repro stats')",
-    )
-
-
 def _finish_trace(path: str) -> None:
     """Flush the enabled tracer plus a full metrics snapshot to ``path``."""
     tracer().write(path, metrics=metrics_registry().snapshot())
@@ -845,67 +795,83 @@ def _finish_trace(path: str) -> None:
     print(f"trace written to {path}")
 
 
-def _add_workers_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--workers",
+#: Every argument more than one verb takes, declared once: name ->
+#: ``add_argument`` keywords.  A verb picks its own with
+#: :func:`_add_flags`; the run-option flags among them are named after
+#: their :class:`RunOptions` field (see :func:`_run_options`).
+_FLAGS: dict[str, dict] = {
+    "network": dict(help="path to a .npz network archive"),
+    "manifest": dict(
+        help="path to a JSON job manifest (see module docstring)"
+    ),
+    "--center": dict(
+        default=None,
+        help="input point: a .npy file or comma-separated values",
+    ),
+    "--epsilon": dict(type=float, default=0.05, help="L-infinity radius"),
+    "--timeout": dict(
+        type=float,
+        default=10.0,
+        help="per-job budget in seconds, counted from the job's first "
+        "fused sweep (it bounds completion latency, since fused kernel "
+        "time is shared across jobs)",
+    ),
+    "--delta": dict(type=float, default=1e-6, help="δ-completeness slack"),
+    "--batch-size": dict(
+        type=int,
+        default=16,
+        help="per-job frontier sub-regions per fused sweep",
+    ),
+    "--seed": dict(type=int, default=0, help="random seed"),
+    "--cache": dict(
+        default=None,
+        help="directory of the persistent result cache (created on "
+        "demand): the records it holds are reused instead of re-running "
+        "kernel work",
+    ),
+    "--cache-max-entries": dict(
+        type=int,
+        default=None,
+        help="record-count budget: least-recently-used records (results "
+        "and prefix checkpoints) are pruned past it",
+    ),
+    "--cache-max-bytes": dict(
+        type=int,
+        default=None,
+        help="total-size budget for the cache directory, same LRU pruning",
+    ),
+    "--frontier": dict(
+        choices=sorted(FRONTIER_POLICIES),
+        default="dfs",
+        help="which jobs' chunks fill each fused sweep",
+    ),
+    "--workers": dict(
         type=int,
         default=1,
         help="cores for independent fused kernel groups: 1 runs them "
         "inline (serial executor), N > 1 on a pool of N worker processes "
         "(forked where safe)",
-    )
-
-
-def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--backend",
-        choices=BACKEND_CHOICES,
+    ),
+    "--domain": dict(
+        choices=DOMAIN_CHOICES,
+        default="policy",
+        help="abstract domain: 'policy' lets the learned policy choose "
+        "per sub-region; a base name pins it (all batched-kernel domains "
+        "run GEMM-shaped under the batched engines)",
+    ),
+    "--disjuncts": dict(
+        type=int,
+        default=1,
+        help="disjunct budget of the bounded powerset (requires a fixed "
+        "--domain; e.g. --domain zonotope --disjuncts 2 is the paper's "
+        "(Z, 2))",
+    ),
+    "--policy-file": dict(
         default=None,
-        help="array backend for the hot kernels: numpy64 (float64, the "
-        "bitwise reference), numpy32 (float32 fast path; analyzer bounds "
-        "stay sound via outward rounding).  Default from REPRO_BACKEND or "
-        "numpy64",
-    )
-    parser.add_argument(
-        "--precision-escalation",
-        action="store_true",
-        help="two-phase mixed precision: screen every job on the float32 "
-        "backend, accept falsifications after a concrete float64 witness "
-        "check, and re-run only near-margin or undecided jobs on the "
-        "float64 reference",
-    )
-    parser.add_argument(
-        "--escalation-margin",
-        type=float,
-        default=1e-2,
-        help="PGD-margin comfort threshold below which a screen-phase "
-        "certification escalates to float64",
-    )
-
-
-def _apply_kernel_flags(args: argparse.Namespace) -> None:
-    """Export the kernel knobs before any executor can spawn.
-
-    Every knob must be in the environment before a process pool's first
-    worker spawns, so workers inherit the same settings and stay
-    comparable with the parent.
-    """
-    import os
-
-    backend = getattr(args, "backend", None)
-    if backend is not None:
-        try:
-            set_active_backend(backend)
-        except KeyError as exc:
-            raise SystemExit(exc.args[0])
-        os.environ["REPRO_BACKEND"] = backend
-    if getattr(args, "precision_escalation", False):
-        os.environ["REPRO_PRECISION_ESCALATION"] = "1"
-
-
-def _add_abstraction_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--abstraction",
+        help="θ artifact from 'repro train': deploy that learned policy "
+        "instead of the shipped one (requires --domain policy)",
+    ),
+    "--abstraction": dict(
         choices=ABSTRACTION_MODES,
         default="off",
         help="network-abstraction CEGAR pre-pass: merge similar neurons "
@@ -913,41 +879,61 @@ def _add_abstraction_flags(parser: argparse.ArgumentParser) -> None:
         "first, and refine or fall back to the concrete network on "
         "spurious counterexamples.  'syntactic' clusters by weight rows, "
         "'semantic' by activation signatures over sampled inputs",
-    )
-    parser.add_argument(
-        "--abstraction-level",
+    ),
+    "--abstraction-level": dict(
         type=int,
         default=NETABS_DEFAULT_LEVEL,
         metavar="N",
         help="aggressiveness of the merge: each hidden layer keeps "
         "~width/2^N neuron groups (higher = smaller abstract network, "
         f"looser bounds; default {NETABS_DEFAULT_LEVEL})",
-    )
-
-
-def _add_domain_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--domain",
-        choices=DOMAIN_CHOICES,
-        default="policy",
-        help="abstract domain: 'policy' lets the learned policy choose "
-        "per sub-region; a base name pins it (all batched-kernel domains "
-        "run GEMM-shaped under the batched engines)",
-    )
-    parser.add_argument(
-        "--disjuncts",
-        type=int,
-        default=1,
-        help="disjunct budget of the bounded powerset (requires a fixed "
-        "--domain; e.g. --domain zonotope --disjuncts 2 is the paper's "
-        "(Z, 2))",
-    )
-    parser.add_argument(
-        "--policy-file",
+    ),
+    "--backend": dict(
+        choices=BACKEND_CHOICES,
         default=None,
-        help="θ artifact from 'repro train': deploy that learned policy "
-        "instead of the shipped one (requires --domain policy)",
-    )
+        help="array backend for the hot kernels: numpy64 (float64, the "
+        "bitwise reference, default), numpy32 (float32 fast path; "
+        "analyzer bounds stay sound via outward rounding)",
+    ),
+    "--precision-escalation": dict(
+        action="store_true",
+        help="two-phase mixed precision: screen every job on the float32 "
+        "backend, accept falsifications after a concrete float64 witness "
+        "check, and re-run only near-margin or undecided jobs on the "
+        "float64 reference",
+    ),
+    "--escalation-margin": dict(
+        type=float,
+        default=1e-2,
+        help="PGD-margin comfort threshold below which a screen-phase "
+        "certification escalates to float64",
+    ),
+    "--trace": dict(
+        default=None,
+        metavar="PATH",
+        help="write the run's spans and metric counters as a Chrome "
+        "trace-event JSON file (view in chrome://tracing or Perfetto, "
+        "summarize with 'repro stats')",
+    ),
+}
+
+#: Flag groups several verbs share.
+_POINT_FLAGS = ("network", "--center", "--epsilon", "--timeout", "--seed")
+_JOB_FLAGS = ("--timeout", "--delta", "--batch-size", "--seed")
+_POLICY_FLAGS = ("--domain", "--disjuncts", "--policy-file")
+_ABSTRACTION_FLAGS = ("--abstraction", "--abstraction-level")
+_BACKEND_FLAGS = ("--backend", "--precision-escalation", "--escalation-margin")
+_CACHE_BUDGET_FLAGS = ("--cache-max-entries", "--cache-max-bytes")
+
+
+def _add_flags(
+    parser: argparse.ArgumentParser, *names: str, required: tuple = ()
+) -> None:
+    """Give ``parser`` the shared arguments ``names`` (see :data:`_FLAGS`);
+    the options in ``required`` must be passed."""
+    for name in names:
+        extra = {"required": True} if name in required else {}
+        parser.add_argument(name, **_FLAGS[name], **extra)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -958,52 +944,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify_parser = sub.add_parser("verify", help="decide a robustness property")
-    _add_common(verify_parser)
-    verify_parser.add_argument(
-        "--delta", type=float, default=1e-6, help="δ-completeness slack"
+    _add_flags(
+        verify_parser, *_POINT_FLAGS, "--delta", "--batch-size",
+        *_POLICY_FLAGS, *_ABSTRACTION_FLAGS, *_BACKEND_FLAGS, "--trace",
+        required=("--center",),
     )
-    verify_parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=16,
-        help="frontier sub-regions per batched sweep",
-    )
-    _add_domain_flags(verify_parser)
-    _add_abstraction_flags(verify_parser)
-    _add_backend_flags(verify_parser)
-    _add_trace_flag(verify_parser)
     verify_parser.set_defaults(func=cmd_verify)
 
     schedule_parser = sub.add_parser(
         "schedule",
         help="run a manifest of jobs through the multi-property scheduler",
     )
-    schedule_parser.add_argument(
-        "manifest", help="path to a JSON job manifest (see module docstring)"
-    )
-    schedule_parser.add_argument(
-        "--frontier",
-        choices=sorted(FRONTIER_POLICIES),
-        default="dfs",
-        help="which jobs' chunks fill each fused sweep",
-    )
-    schedule_parser.add_argument(
-        "--cache",
-        default=None,
-        help="directory of the persistent result cache (created on demand)",
-    )
-    schedule_parser.add_argument(
-        "--cache-max-entries",
-        type=int,
-        default=None,
-        help="record-count budget: least-recently-used records are pruned "
-        "past it (recency = last served, via file mtime)",
-    )
-    schedule_parser.add_argument(
-        "--cache-max-bytes",
-        type=int,
-        default=None,
-        help="total-size budget for the cache directory, same LRU pruning",
+    _add_flags(
+        schedule_parser, "manifest", "--frontier", "--cache",
+        *_CACHE_BUDGET_FLAGS, *_JOB_FLAGS, "--workers", *_POLICY_FLAGS,
+        *_ABSTRACTION_FLAGS, *_BACKEND_FLAGS, "--trace",
     )
     schedule_parser.add_argument(
         "--incremental",
@@ -1013,29 +968,6 @@ def build_parser() -> argparse.ArgumentParser:
         "digest-chain link the network still shares — bitwise-identical "
         "to a cold run — and record checkpoints for future runs",
     )
-    schedule_parser.add_argument(
-        "--timeout",
-        type=float,
-        default=10.0,
-        help="per-job budget in seconds, counted from the job's first "
-        "fused sweep (it bounds completion latency, since fused kernel "
-        "time is shared across jobs)",
-    )
-    schedule_parser.add_argument(
-        "--delta", type=float, default=1e-6, help="δ-completeness slack"
-    )
-    schedule_parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=16,
-        help="per-job frontier chunk width inside fused sweeps",
-    )
-    schedule_parser.add_argument("--seed", type=int, default=0, help="random seed")
-    _add_workers_flag(schedule_parser)
-    _add_domain_flags(schedule_parser)
-    _add_abstraction_flags(schedule_parser)
-    _add_backend_flags(schedule_parser)
-    _add_trace_flag(schedule_parser)
     schedule_parser.set_defaults(func=cmd_schedule)
 
     diff_parser = sub.add_parser(
@@ -1050,47 +982,14 @@ def build_parser() -> argparse.ArgumentParser:
     diff_parser.add_argument(
         "new_network", help="the changed .npz network archive to verify"
     )
-    diff_parser.add_argument(
-        "manifest", help="path to a JSON job manifest (see module docstring)"
+    _add_flags(
+        diff_parser, "manifest", "--cache", *_CACHE_BUDGET_FLAGS,
+        "--frontier", *_JOB_FLAGS, "--workers", *_POLICY_FLAGS,
+        *_BACKEND_FLAGS, "--trace",
+        required=("--cache",),
     )
-    diff_parser.add_argument(
-        "--cache",
-        required=True,
-        help="persistent cache directory holding the previous run's "
-        "prefix checkpoints (created on demand)",
-    )
-    diff_parser.add_argument(
-        "--cache-max-entries", type=int, default=None,
-        help="record-count budget (LRU, both record families)",
-    )
-    diff_parser.add_argument(
-        "--cache-max-bytes", type=int, default=None,
-        help="total-size budget for the cache directory",
-    )
-    diff_parser.add_argument(
-        "--frontier",
-        choices=sorted(FRONTIER_POLICIES),
-        default="dfs",
-        help="which jobs' chunks fill each fused sweep",
-    )
-    diff_parser.add_argument(
-        "--timeout", type=float, default=10.0, help="per-job budget in seconds"
-    )
-    diff_parser.add_argument(
-        "--delta", type=float, default=1e-6, help="δ-completeness slack"
-    )
-    diff_parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=16,
-        help="per-job frontier chunk width inside fused sweeps",
-    )
-    diff_parser.add_argument("--seed", type=int, default=0, help="random seed")
-    _add_workers_flag(diff_parser)
-    _add_domain_flags(diff_parser)
-    _add_backend_flags(diff_parser)
-    _add_trace_flag(diff_parser)
-    diff_parser.set_defaults(func=cmd_diff_verify)
+    # Always incremental: resuming from prefix checkpoints is the verb.
+    diff_parser.set_defaults(func=cmd_diff_verify, incremental=True)
 
     train_parser = sub.add_parser(
         "train",
@@ -1113,7 +1012,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="BO batch width q: candidates proposed (constant-liar q-EI) "
         "and evaluated per scheduler run",
     )
-    _add_workers_flag(train_parser)
     train_parser.add_argument(
         "--cost-model",
         choices=COST_MODELS,
@@ -1147,19 +1045,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="random BO samples before the GP model takes over",
     )
     train_parser.add_argument(
-        "--cache",
-        default=None,
-        help="persistent result-cache directory: re-evaluated candidates "
-        "(and re-runs of this command) spawn no kernel work",
-    )
-    train_parser.add_argument(
         "--out",
         default="trained_policy.json",
         help="where to write the θ artifact",
     )
-    train_parser.add_argument("--seed", type=int, default=0, help="random seed")
-    _add_backend_flags(train_parser)
-    _add_trace_flag(train_parser)
+    _add_flags(
+        train_parser, "--workers", "--cache", "--seed", *_BACKEND_FLAGS,
+        "--trace",
+    )
     train_parser.set_defaults(func=cmd_train)
 
     radius_parser = sub.add_parser(
@@ -1167,14 +1060,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="certified-radius search (one network, or every center of a "
         ".json manifest — bracketed from cached records first)",
     )
-    _add_common(radius_parser, center_required=False)
-    radius_parser.add_argument(
-        "--cache",
-        default=None,
-        help="result-cache directory: cached verified/falsified records "
-        "seed each search's bracket before any probe job is spawned",
-    )
-    _add_domain_flags(radius_parser)
+    _add_flags(radius_parser, *_POINT_FLAGS, "--cache", *_POLICY_FLAGS)
     radius_parser.set_defaults(func=cmd_radius)
 
     cache_parser = sub.add_parser(
@@ -1195,13 +1081,13 @@ def build_parser() -> argparse.ArgumentParser:
     prune_parser.set_defaults(func=cmd_cache_prune)
 
     attack_parser = sub.add_parser("attack", help="PGD falsification only")
-    _add_common(attack_parser)
+    _add_flags(attack_parser, *_POINT_FLAGS, required=("--center",))
     attack_parser.add_argument("--steps", type=int, default=100)
     attack_parser.add_argument("--restarts", type=int, default=5)
     attack_parser.set_defaults(func=cmd_attack)
 
     info_parser = sub.add_parser("info", help="print network architecture")
-    info_parser.add_argument("network", help="path to a .npz network archive")
+    _add_flags(info_parser, "network")
     info_parser.set_defaults(func=cmd_info)
 
     stats_parser = sub.add_parser(

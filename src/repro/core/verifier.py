@@ -311,11 +311,8 @@ class BatchedVerifier(Verifier):
     sequential engine would never have reached — order-only, speculative
     work that the statistics count honestly.
 
-    The run pins ``precision_escalation=False`` (a stray
-    ``REPRO_PRECISION_ESCALATION`` must not turn a plain verify into a
-    two-phase one) and hands the job this instance's generator, so a
-    reused instance draws successive root seeds exactly like
-    :class:`Verifier`.
+    The run hands the job this instance's generator, so a reused
+    instance draws successive root seeds exactly like :class:`Verifier`.
     """
 
     def verify(self, prop: RobustnessProperty):
@@ -330,7 +327,7 @@ class BatchedVerifier(Verifier):
             policy=self.policy,
             seed=self._rng,
         )
-        report = Scheduler([job], precision_escalation=False).run()
+        report = Scheduler([job]).run()
         return report.results[0].outcome
 
 

@@ -36,16 +36,16 @@ Two cost models:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.core.config import VerifierConfig
 from repro.core.policy import LinearPolicy
 from repro.core.property import RobustnessProperty
-from repro.exec import KernelExecutor, make_executor, validate_executor_spec
+from repro.exec import KernelExecutor, make_executor
 from repro.nn.network import Network
-from repro.sched import ResultCache, Scheduler, VerificationJob
+from repro.sched import ResultCache, RunOptions, Scheduler, VerificationJob
 
 #: ``--cost-model`` menu of the ``train`` command.
 COST_MODELS = ("work", "time")
@@ -73,15 +73,16 @@ class PolicyCostObjective:
             per-problem budget comes from the objective, not from here.
         rng_seed: every job's seed (the verifiers' ``rng``).
         cost_model: ``"work"`` or ``"time"`` — see the module docstring.
-        workers: cores for each evaluation's scheduler run.  The
-            objective builds ONE executor from it (serial at one worker,
-            a process pool above) and reuses it across every evaluation
-            round — a per-round process pool would pay worker start-up
-            and network shipping on every round; release it with
-            :meth:`close`.
+        options: the :class:`~repro.sched.RunOptions` every evaluation's
+            scheduler run gets (backend, precision escalation, workers...).
+            The objective builds ONE executor from ``options.workers``
+            (serial at one worker, a process pool above) and reuses it
+            across every evaluation round — a per-round process pool
+            would pay worker start-up and network shipping on every
+            round; release it with :meth:`close`.
         cache: optional persistent result cache; ``"work"`` model only.
         executor: ready :class:`~repro.exec.KernelExecutor` to use
-            instead of building one from ``workers`` (the caller keeps
+            instead of building one from ``options`` (the caller keeps
             ownership of its lifecycle).
     """
 
@@ -93,10 +94,11 @@ class PolicyCostObjective:
         base_config: VerifierConfig | None = None,
         rng_seed: int = 0,
         cost_model: str = "time",
-        workers: int = 1,
+        options: RunOptions | None = None,
         cache: ResultCache | None = None,
         executor: KernelExecutor | None = None,
     ) -> None:
+        options = options or RunOptions()
         if not problems:
             raise ValueError("the training suite must be non-empty")
         if not time_limit > 0:
@@ -115,7 +117,7 @@ class PolicyCostObjective:
                 "(a cached job reports zero seconds, which would corrupt "
                 "time-based scores)"
             )
-        concurrent = workers > 1 or (
+        concurrent = options.workers > 1 or (
             executor is not None and executor.workers > 1
         )
         if concurrent and cost_model == "time":
@@ -128,12 +130,10 @@ class PolicyCostObjective:
         self.time_limit = time_limit
         self.penalty = penalty
         self.cost_model = cost_model
-        self.workers = workers
+        self.options = options
         self.cache = cache
         self.executor = executor
-        self._owned: KernelExecutor | None = None  # built from workers
-        # Fail on a bad worker count now, not rounds into training.
-        validate_executor_spec(executor, workers)
+        self._owned: KernelExecutor | None = None  # built from options
         base = base_config or VerifierConfig()
         # Per-problem budget comes from the objective, not the base config:
         # the wall clock for the time model, the depth cap (deterministic)
@@ -160,7 +160,7 @@ class PolicyCostObjective:
         """The executor evaluations run on.
 
         A caller-provided executor wins; otherwise one is built from
-        ``workers`` on first use and kept for every later round —
+        ``options`` on first use and kept for every later round —
         training is exactly the workload where per-round pool setup
         (worker start-up, per-worker network shipping) would dominate,
         so the pool's lifetime is the objective's.
@@ -168,7 +168,9 @@ class PolicyCostObjective:
         if self.executor is not None:
             return self.executor
         if self._owned is None:
-            self._owned, _ = make_executor(None, self.workers)
+            self._owned, _ = make_executor(
+                None, self.options.workers, kind=self.options.executor_kind
+            )
         return self._owned
 
     def close(self) -> None:
@@ -224,11 +226,14 @@ class PolicyCostObjective:
         # sweeps; the time model needs each problem's clock to itself.
         batches = [jobs] if self.cost_model == "work" else [[j] for j in jobs]
         results = []
+        # The ready executor stands in for the options' executor kind.
+        options = replace(self.options, executor_kind=None)
         for batch in batches:
             report = Scheduler(
                 batch,
                 cache=self.cache,
                 executor=self._run_executor(),
+                options=options,
             ).run()
             results.extend(report.results)
             self.fresh_calls += report.fresh_calls()

@@ -30,7 +30,7 @@ from repro.core.config import VerifierConfig
 from repro.core.policy import LinearPolicy
 from repro.exec import KernelExecutor
 from repro.learn.objective import PolicyCostObjective, TrainingProblem
-from repro.sched import ResultCache
+from repro.sched import ResultCache, RunOptions
 from repro.utils.rng import as_generator
 
 #: Artifact format tag (bumped on incompatible schema changes).
@@ -90,9 +90,10 @@ class PolicyTrainer:
         candidates: BO batch width ``q`` — how many θs each round
             proposes (constant-liar q-EI) and evaluates in one scheduler
             run.  ``1`` is the sequential trainer.
-        workers: cores for each evaluation's scheduler run (serial at
-            one worker, a process pool above, built once for the whole
-            training run).
+        options: the :class:`~repro.sched.RunOptions` of every
+            evaluation's scheduler run; its ``workers`` size the executor
+            built once for the whole training run (serial at one worker,
+            a process pool above).
         cost_model: ``"time"`` (the paper's wall-clock cost, default) or
             ``"work"`` (deterministic kernel-call cost — reproducible
             traces, cacheable evaluations).
@@ -112,7 +113,7 @@ class PolicyTrainer:
         base_config: VerifierConfig | None = None,
         rng: int | np.random.Generator | None = None,
         candidates: int = 1,
-        workers: int = 1,
+        options: RunOptions | None = None,
         cost_model: str = "time",
         cache: ResultCache | None = None,
         executor: KernelExecutor | None = None,
@@ -127,7 +128,7 @@ class PolicyTrainer:
             base_config=base_config,
             rng_seed=rng_seed,
             cost_model=cost_model,
-            workers=workers,
+            options=options,
             cache=cache,
             executor=executor,
         )
@@ -137,7 +138,7 @@ class PolicyTrainer:
         self.candidates = candidates
 
     def close(self) -> None:
-        """Release the evaluation executor built from ``workers``.
+        """Release the evaluation executor built from ``options``.
 
         Idempotent, and a later :meth:`train` call builds a fresh pool;
         call it when a process-pool training session is done (the CLI
@@ -207,7 +208,7 @@ def train_policy(
     """Convenience one-call training (the paper's full training phase).
 
     Keyword arguments pass through to :class:`PolicyTrainer`
-    (``candidates``, ``workers``, ``cost_model``, ``cache``, ...).
+    (``candidates``, ``options``, ``cost_model``, ``cache``, ...).
     """
     trainer = PolicyTrainer(
         problems, time_limit=time_limit, penalty=penalty, rng=rng, **kwargs

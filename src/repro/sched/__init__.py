@@ -11,6 +11,9 @@ properties of the same network and keep every ``batch_size`` slot full.
   policies plus the adaptive batch-width controller.
 - :mod:`repro.sched.cache` — the persistent content-addressed result
   cache (network/property/config digests, certified-radius queries).
+- :mod:`repro.sched.options` — :class:`RunOptions`, the one record that
+  carries a run's options (backend, escalation, abstraction, executor...)
+  to the scheduler.
 - :mod:`repro.sched.scheduler` — the :class:`Scheduler` engine and its
   :class:`ScheduleReport`.  It is the only frontier engine: a one-job run
   is the single-property case (``BatchedVerifier``, ``repro verify``).
@@ -44,6 +47,7 @@ from repro.sched.frontier import (
     make_frontier,
 )
 from repro.sched.job import JobQueue, VerificationJob
+from repro.sched.options import RunOptionError, RunOptions
 from repro.sched.scheduler import (
     JobResult,
     ScheduleReport,
@@ -54,6 +58,8 @@ __all__ = [
     "VerificationJob",
     "JobQueue",
     "Scheduler",
+    "RunOptions",
+    "RunOptionError",
     "ScheduleReport",
     "JobResult",
     "FrontierPolicy",

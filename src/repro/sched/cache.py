@@ -67,6 +67,7 @@ verified radius and the smallest falsified radius.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import re
@@ -503,9 +504,11 @@ class ResultCache:
         The record's descriptor fields become a JSON ``__meta__`` entry
         and its arrays ride as named ``.npz`` members (float bit patterns
         preserved exactly — the bitwise-resume contract depends on it).
-        Atomic temp-file + rename, same as result records, and the same
-        budget accounting: a prefix put can trigger mixed-family LRU
-        eviction.
+        The archive is built in memory and written in one call
+        (``np.savez`` straight to a file pays a header write and seek per
+        member).  Atomic temp-file + rename, same as result records, and
+        the same budget accounting: a prefix put can trigger mixed-family
+        LRU eviction.
         """
         key = prefix_key(
             record.prefix_digest,
@@ -530,11 +533,14 @@ class ResultCache:
                 },
                 sort_keys=True,
             )
+            archive = io.BytesIO()
+            np.savez(archive, __meta__=np.array(meta), **record.arrays)
+            payload = archive.getbuffer()
+            size = payload.nbytes
             fd, tmp = _writer_temp(path.parent, ".tmp.npz")
-            os.close(fd)
             try:
-                np.savez(tmp, __meta__=np.array(meta), **record.arrays)
-                size = os.path.getsize(tmp)
+                with os.fdopen(fd, "wb") as handle:
+                    handle.write(payload)
                 os.replace(tmp, path)
             except OSError:
                 try:

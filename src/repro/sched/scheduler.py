@@ -52,8 +52,6 @@ serves the recorded outcome without spawning any PGD or Analyze work.
 
 from __future__ import annotations
 
-import math
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -66,15 +64,8 @@ from repro.abstract.checkpoint import (
     region_batch_digest,
     supports_checkpoint,
 )
-from repro.abstract.netabs import (
-    ABSTRACTION_MODES,
-    DEFAULT_LEVEL,
-    DEFAULT_MAX_ROUNDS,
-    abstraction_for,
-    witness_margin,
-)
+from repro.abstract.netabs import abstraction_for, witness_margin
 from repro.backend import active as _active_backend
-from repro.backend import get as _get_backend
 from repro.backend import use_backend as _use_backend
 from repro.attack.objective import MultiLabelMarginObjective
 from repro.attack.pgd import pgd_minimize_batch
@@ -98,12 +89,9 @@ from repro.nn.serialize import layer_digests, network_digest
 from repro.obs.metrics import registry as metrics_registry
 from repro.obs.trace import span
 from repro.sched.cache import CacheRecord, ResultCache, cacheable, job_key
-from repro.sched.frontier import (
-    AdaptiveBatchController,
-    FrontierPolicy,
-    make_frontier,
-)
+from repro.sched.frontier import AdaptiveBatchController, make_frontier
 from repro.sched.job import JobQueue, VerificationJob
+from repro.sched.options import RunOptions
 from repro.utils.rng import as_generator
 from repro.utils.timing import Deadline, Stopwatch
 
@@ -246,107 +234,51 @@ class Scheduler:
     Args:
         jobs: a :class:`JobQueue`, a list of jobs, or ``None`` (submit
             later via :meth:`submit`).
-        frontier: a :class:`FrontierPolicy` or its name
-            (``"fifo"`` / ``"dfs"`` / ``"priority"``).
         cache: optional persistent :class:`ResultCache`; decided jobs are
             recorded, and later runs with identical keys are served
-            without spawning any verification work.
+            without spawning any verification work.  Incremental runs
+            also read and write prefix checkpoints here.
         controller: adaptive batch-width controller; defaults to probing
             upward from the largest job ``batch_size``.
-        workers: cores for independent kernel groups; ``1`` runs
-            everything inline on a :class:`~repro.exec.SerialExecutor`,
-            more run them on a :class:`~repro.exec.ProcessExecutor`.
         executor: a ready :class:`~repro.exec.KernelExecutor` to use
-            instead of building one from ``workers`` (the caller keeps
-            ownership of its lifecycle).
-        executor_kind: ``"serial"`` or ``"process"``, naming the kind
-            ``workers`` already picks.  ``perfbench``'s
-            ``learned-process`` workload passes ``"process"``, so the
-            keyword stays until that workload drops it.  Mutually
-            exclusive with ``executor``.
-        backend: array backend for the run's kernels (``numpy64`` /
-            ``numpy32``); ``None`` inherits the ambient active backend
-            (itself seeded from ``REPRO_BACKEND``).  Each precision phase
-            runs inside ``use_backend`` of its own backend, so a caller's
-            scoped switch never overrides it.
-        precision_escalation: run the two-phase mixed-precision mode —
-            screen every job on the fast float32 backend, accept
-            falsifications immediately (witnesses re-validated by a
-            concrete float64 forward pass), accept comfortable
-            certifications, and re-run only the near-margin or
-            undecided jobs on the float64 reference backend.  ``None``
-            defers to ``REPRO_PRECISION_ESCALATION``.
-        escalation_margin: PGD-margin comfort threshold for accepting a
-            screen-phase certification without escalation; jobs whose
-            attack never got within this margin of the decision
-            boundary keep their float32 verdict.
-        incremental: enable prefix-checkpoint reuse for the fused
-            Analyze groups.  Each group probes ``cache``
-            for the deepest :class:`~repro.abstract.checkpoint.PrefixBounds`
-            captured under the network's own digest chain (a fine-tuned
-            network shares chain links with its ancestor for every
-            unchanged prefix layer, so no "old network" is ever named),
-            resumes the analyzer from it — bitwise-identical to a cold
-            run — and emits checkpoints at the deeper boundaries for
-            future runs.  Requires ``cache``; silently inert for domains
-            without checkpoint support (powerset, symbolic), which
-            degrade to exactly the cold call.
+            instead of building one from ``options.workers`` (the caller
+            keeps ownership of its lifecycle).  Mutually exclusive with
+            ``options.executor_kind``.
+        options: the run's :class:`~repro.sched.options.RunOptions`.
+        **fields: the same options as keywords
+            (``Scheduler(jobs, workers=2)``); they build the record, so
+            passing both forms is a ``TypeError``.
     """
 
     def __init__(
         self,
         jobs: JobQueue | list[VerificationJob] | None = None,
-        frontier: str | FrontierPolicy = "dfs",
         cache: ResultCache | None = None,
         controller: AdaptiveBatchController | None = None,
-        workers: int = 1,
         executor: KernelExecutor | None = None,
-        executor_kind: str | None = None,
-        backend: str | None = None,
-        precision_escalation: bool | None = None,
-        escalation_margin: float = 1e-2,
-        abstraction: str = "off",
-        abstraction_level: int = DEFAULT_LEVEL,
-        netabs_max_rounds: int = DEFAULT_MAX_ROUNDS,
-        incremental: bool = False,
+        options: RunOptions | None = None,
+        **fields,
     ) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
+        if options is None:
+            options = RunOptions(**fields)
+        elif fields:
+            raise TypeError(
+                "pass the run options as options= or as keywords, not both "
+                f"(got options= and {sorted(fields)})"
+            )
+        if executor is not None:
+            # A ready executor and an executor kind contradict each other.
+            validate_executor_spec(executor, kind=options.executor_kind)
         if isinstance(jobs, JobQueue):
             self.queue = jobs
         else:
             self.queue = JobQueue(list(jobs) if jobs else None)
-        self.policy = make_frontier(frontier)
+        self.options = options
+        self.policy = make_frontier(options.frontier)
         self.cache = cache
         self.controller = controller
-        self.workers = workers
         self.executor = executor
-        self.executor_kind = executor_kind
-        # Resolve (and validate) the backend eagerly so a bad name fails
-        # at construction, not mid-manifest.
-        self.backend = (
-            _active_backend().name if backend is None else _get_backend(backend).name
-        )
-        if precision_escalation is None:
-            precision_escalation = os.environ.get(
-                "REPRO_PRECISION_ESCALATION", ""
-            ).lower() not in ("", "0", "false")
-        self.precision_escalation = bool(precision_escalation)
-        self.escalation_margin = float(escalation_margin)
-        if math.isnan(self.escalation_margin):
-            raise ValueError("escalation_margin must be a number, got nan")
-        if abstraction not in ABSTRACTION_MODES:
-            raise ValueError(
-                f"unknown abstraction mode {abstraction!r}; "
-                f"choose from {ABSTRACTION_MODES}"
-            )
-        self.abstraction = abstraction
-        self.abstraction_level = int(abstraction_level)
-        self.netabs_max_rounds = int(netabs_max_rounds)
-        self.incremental = bool(incremental)
-        # Fail on a bad (executor, workers, kind) combination here, not
-        # mid-manifest.
-        validate_executor_spec(executor, workers, kind=executor_kind)
+        self.backend = options.backend or _active_backend().name
 
     def submit(self, job: VerificationJob) -> int:
         """Queue one more job; returns its index in the report."""
@@ -481,11 +413,12 @@ class Scheduler:
         watch = Stopwatch().start()
         obs = metrics_registry()
         counters_before = obs.counters_snapshot()
+        options = self.options
         executor, owned = make_executor(
-            self.executor, self.workers, kind=self.executor_kind
+            self.executor, options.workers, kind=options.executor_kind
         )
         screen = ""
-        if self.precision_escalation:
+        if options.precision_escalation:
             # The one place the screen rule lives: float32 in front of
             # the float64 reference; any other backend screens itself.
             screen = "numpy32" if self.backend == "numpy64" else self.backend
@@ -495,17 +428,17 @@ class Scheduler:
             executor=executor.name,
             workers=executor.workers,
             backend=self.backend,
-            escalation=self.precision_escalation,
+            escalation=options.precision_escalation,
             screen_backend=screen,
-            abstraction=self.abstraction,
+            abstraction=options.abstraction,
             abstraction_level=(
-                self.abstraction_level if self.abstraction != "off" else 0
+                options.abstraction_level if options.abstraction != "off" else 0
             ),
-            incremental=self.incremental,
+            incremental=options.incremental,
         )
 
         try:
-            if self.abstraction != "off":
+            if options.abstraction != "off":
                 self._run_netabs(report, jobs, executor)
             else:
                 self._dispatch(report, list(enumerate(jobs)), executor)
@@ -572,7 +505,7 @@ class Scheduler:
         the concrete fallback, so abstraction composes with
         mixed-precision escalation for free.
         """
-        if self.precision_escalation:
+        if self.options.precision_escalation:
             self._run_escalated(report, indexed, executor)
         else:
             self._run_phase(report, indexed, executor, self.backend)
@@ -610,8 +543,8 @@ class Scheduler:
             network = pairs[0][1].network
             abstraction = abstraction_for(
                 network,
-                self.abstraction,
-                self.abstraction_level,
+                self.options.abstraction,
+                self.options.abstraction_level,
                 regions=[job.prop.region for _, job in pairs],
             )
             if abstraction is None:
@@ -687,7 +620,7 @@ class Scheduler:
                     survivors = []
                     break
                 if (
-                    rounds >= self.netabs_max_rounds
+                    rounds >= self.options.netabs_max_rounds
                     or not abstraction.refine_round()
                 ):
                     concrete.extend(undecided)
@@ -736,7 +669,8 @@ class Scheduler:
                 continue
             if (
                 outcome.kind == "verified"
-                and margins.get(index, float("-inf")) > self.escalation_margin
+                and margins.get(index, float("-inf"))
+                > self.options.escalation_margin
             ):
                 continue
             escalate.append((index, job))
@@ -931,7 +865,7 @@ class Scheduler:
             # checkpoint-aware twin (cold behaviour bitwise-identical);
             # unsupported domains keep the plain call.
             checkpointed = (
-                self.incremental
+                self.options.incremental
                 and self.cache is not None
                 and supports_checkpoint(domain)
             )

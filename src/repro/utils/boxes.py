@@ -232,14 +232,6 @@ class Box:
     # Set operations
     # ------------------------------------------------------------------
 
-    def intersect(self, other: "Box") -> "Box | None":
-        """Box intersection, or ``None`` when the boxes are disjoint."""
-        low = np.maximum(self.low, other.low)
-        high = np.minimum(self.high, other.high)
-        if np.any(low > high):
-            return None
-        return Box(low, high)
-
     def hull(self, other: "Box") -> "Box":
         """Smallest box containing both operands (the interval join)."""
         return Box(np.minimum(self.low, other.low), np.maximum(self.high, other.high))

@@ -6,8 +6,6 @@ kernel-call descriptor round trip that carries a backend across the
 process boundary.
 """
 
-import subprocess
-import sys
 import threading
 
 import numpy as np
@@ -81,25 +79,6 @@ class TestActiveManagement:
         with pytest.raises(KeyError):
             backend.set_active("bogus")
         assert backend.active().name == "numpy64"
-
-    def test_env_seeds_default(self):
-        # Spawned processes (executor workers) inherit the parent's
-        # backend through REPRO_BACKEND.
-        out = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "from repro.backend import active; print(active().name)",
-            ],
-            capture_output=True,
-            text=True,
-            env={
-                "REPRO_BACKEND": "numpy32",
-                "PYTHONPATH": "src",
-                "PATH": "/usr/bin:/bin",
-            },
-        )
-        assert out.stdout.strip() == "numpy32"
 
 
 class TestRoundingHelpers:

@@ -110,13 +110,6 @@ def test_escalation_matches_reference(suite, reference):
     ]
 
 
-def test_escalation_env_default(suite, monkeypatch):
-    monkeypatch.setenv("REPRO_PRECISION_ESCALATION", "1")
-    assert Scheduler(suite).precision_escalation
-    monkeypatch.setenv("REPRO_PRECISION_ESCALATION", "0")
-    assert not Scheduler(suite).precision_escalation
-
-
 def test_escalation_margin_rejects_nan(suite):
     with pytest.raises(ValueError, match="escalation_margin"):
         Scheduler(suite, escalation_margin=float("nan"))

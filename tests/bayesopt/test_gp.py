@@ -12,8 +12,6 @@ class TestFit:
         gp = GaussianProcess()
         with pytest.raises(RuntimeError, match="fit"):
             gp.posterior(np.zeros((1, 2)))
-        with pytest.raises(RuntimeError, match="fit"):
-            gp.log_marginal_likelihood()
 
     def test_validation(self):
         gp = GaussianProcess()
@@ -68,16 +66,6 @@ class TestPosterior:
         assert mean[0] == pytest.approx(3.0, abs=1e-6)
 
 
-class TestLikelihood:
-    def test_good_lengthscale_scores_higher(self):
-        rng = np.random.default_rng(2)
-        x = np.linspace(0, 1, 15).reshape(-1, 1)
-        y = np.sin(6 * x[:, 0]) + 0.01 * rng.normal(size=15)
-        good = GaussianProcess(RBF(lengthscale=0.25), noise=1e-4).fit(x, y)
-        bad = GaussianProcess(RBF(lengthscale=100.0), noise=1e-4).fit(x, y)
-        assert good.log_marginal_likelihood() > bad.log_marginal_likelihood()
-
-
 class TestIncrementalExtension:
     def _data(self, n=14, d=4, seed=3):
         rng = np.random.default_rng(seed)
@@ -93,11 +81,6 @@ class TestIncrementalExtension:
         query = np.random.default_rng(1).uniform(0.0, 1.0, (25, x.shape[1]))
         for got, want in zip(grown.posterior(query), full.posterior(query)):
             np.testing.assert_allclose(got, want, atol=1e-10)
-        np.testing.assert_allclose(
-            grown.log_marginal_likelihood(),
-            full.log_marginal_likelihood(),
-            atol=1e-10,
-        )
 
     def test_extend_one_point_at_a_time(self):
         x, y = self._data(n=8)

@@ -1,6 +1,5 @@
 """Tests for report generation."""
 
-import numpy as np
 import pytest
 
 from repro.bench.harness import BenchRecord, ResultTable
@@ -10,9 +9,7 @@ from repro.bench.report import (
     format_cactus,
     format_counts,
     format_summary,
-    mean_solve_time,
     solved_counts,
-    solved_superset,
     speedup_on_common,
     summary_percentages,
     verified_subset_solved,
@@ -77,22 +74,10 @@ class TestComparisons:
         table.records["B"] = [BenchRecord("timeout", 1.0)]
         assert speedup_on_common(table, "A", "B") is None
 
-    def test_solved_superset(self):
-        table = synthetic_table()
-        assert not solved_superset(table, "A", "B")  # B solves #3, A times out
-        table.records["B"][3] = BenchRecord("timeout", 1.0)
-        assert solved_superset(table, "A", "B")
-
     def test_verified_subset_solved(self):
         solved, total = verified_subset_solved(synthetic_table(), "A", "B")
         # A verified benchmarks 0 and 1; B solved only 0 of those.
         assert (solved, total) == (1, 2)
-
-    def test_mean_solve_time(self):
-        assert mean_solve_time(synthetic_table(), "A") == pytest.approx(3.5 / 3)
-        table = ResultTable(problems=[None])
-        table.records["X"] = [BenchRecord("timeout", 1.0)]
-        assert np.isnan(mean_solve_time(table, "X"))
 
 
 class TestFormatting:

@@ -22,7 +22,7 @@ from repro.learn import (
     pretrained_policy,
 )
 from repro.nn.builders import xor_network
-from repro.sched import ResultCache
+from repro.sched import ResultCache, RunOptions
 from repro.utils.boxes import Box
 
 
@@ -58,7 +58,7 @@ class TestWorkCostModel:
                 tiny_suite(),
                 cost_model="work",
                 base_config=VerifierConfig(max_depth=4),
-                workers=workers,
+                options=RunOptions(workers=workers),
             )
             try:
                 scores.append(objective(theta))
@@ -91,7 +91,9 @@ class TestWorkCostModel:
         # measures; scores would be contention artifacts, so it is a hard
         # error like the cache, not a footgun.
         with pytest.raises(ValueError, match="workers"):
-            PolicyCostObjective(tiny_suite(), cost_model="time", workers=4)
+            PolicyCostObjective(
+                tiny_suite(), cost_model="time", options=RunOptions(workers=4)
+            )
         from repro.exec import ProcessExecutor, SerialExecutor
 
         with ProcessExecutor(2) as executor:
@@ -114,7 +116,9 @@ class TestTraceEquivalence:
         """The acceptance pin: scheduled candidate evaluation at q=1 /
         workers=1 reproduces the classic sequential suggest-evaluate-
         observe loop observation for observation."""
-        trained = work_trainer(candidates=1, workers=1).train(iterations=4)
+        trained = work_trainer(
+            candidates=1, options=RunOptions(workers=1)
+        ).train(iterations=4)
 
         # Reference: the pre-scheduler trainer loop, hand-rolled.
         objective = PolicyCostObjective(
@@ -139,8 +143,10 @@ class TestTraceEquivalence:
         # At two workers candidate evaluation crosses the process
         # boundary; the trace must not notice.  The objective builds ONE
         # pool and reuses it across rounds.
-        serial = work_trainer(candidates=2, workers=1).train(iterations=4)
-        trainer = work_trainer(candidates=2, workers=2)
+        serial = work_trainer(
+            candidates=2, options=RunOptions(workers=1)
+        ).train(iterations=4)
+        trainer = work_trainer(candidates=2, options=RunOptions(workers=2))
         process = trainer.train(iterations=4)
         # train() closes the pool it built on the way out — no leaked
         # worker processes, no lingering BLAS env pins.
@@ -148,7 +154,9 @@ class TestTraceEquivalence:
         assert trace_of(serial) == trace_of(process)
 
     def test_iteration_budget_counts_evaluations_not_rounds(self):
-        trained = work_trainer(candidates=3, workers=1).train(iterations=5)
+        trained = work_trainer(
+            candidates=3, options=RunOptions(workers=1)
+        ).train(iterations=5)
         # Default-θ seed observation + exactly 5 evaluations.
         assert len(trained.history.observations) == 6
 
@@ -169,12 +177,12 @@ def work_objective(**kwargs):
 
 
 class TestExecutorLifecycle:
-    """The objective owns one executor, built from ``workers`` on first
+    """The objective owns one executor, built from ``options`` on first
     use and kept across rounds; a caller's executor wins and keeps its
     caller's lifecycle."""
 
     def test_builds_nothing_before_the_first_evaluation(self):
-        objective = work_objective(workers=2)
+        objective = work_objective(options=RunOptions(workers=2))
         assert objective._owned is None
         objective.close()
         assert objective._owned is None
@@ -184,7 +192,7 @@ class TestExecutorLifecycle:
     )
     def test_one_executor_serves_every_round(self, workers, kind):
         theta = LinearPolicy.default().to_vector()
-        objective = work_objective(workers=workers)
+        objective = work_objective(options=RunOptions(workers=workers))
         try:
             first = objective.evaluate_many([theta])
             owned = objective._owned
@@ -197,7 +205,7 @@ class TestExecutorLifecycle:
 
     def test_close_is_idempotent_and_a_later_round_rebuilds(self):
         theta = LinearPolicy.default().to_vector()
-        objective = work_objective(workers=2)
+        objective = work_objective(options=RunOptions(workers=2))
         try:
             score = objective(theta)
             objective.close()
@@ -229,13 +237,17 @@ class TestExecutorLifecycle:
 class TestCachedRerun:
     def test_second_run_spawns_no_kernel_work(self, tmp_path):
         first = work_trainer(
-            candidates=2, workers=2, cache=ResultCache(tmp_path)
+            candidates=2,
+            options=RunOptions(workers=2),
+            cache=ResultCache(tmp_path),
         )
         first_trained = first.train(iterations=3)
         assert first.objective.fresh_calls > 0
 
         second = work_trainer(
-            candidates=2, workers=2, cache=ResultCache(tmp_path)
+            candidates=2,
+            options=RunOptions(workers=2),
+            cache=ResultCache(tmp_path),
         )
         second_trained = second.train(iterations=3)
         assert second.objective.fresh_calls == 0

@@ -504,6 +504,32 @@ class TestPrefixFamily:
             )
         )
 
+    def test_prefix_file_is_the_savez_archive(self, cache, monkeypatch):
+        import io
+        import time
+
+        # ``np.savez`` stamps each member with the wall clock; freeze it.
+        monkeypatch.setattr(time, "time", lambda: 1_000_000_000.0)
+        record = self._prefix_record(0)
+        cache.put_prefix(record)
+        stored = self._prefix_path(cache, record).read_bytes()
+        meta = json.dumps(
+            {
+                "boundary": record.boundary,
+                "op_count": record.op_count,
+                "prefix_digest": record.prefix_digest,
+                "regions_digest": record.regions_digest,
+                "domain": list(record.domain),
+                "backend": record.backend,
+                "kind": record.kind,
+                "meta": record.meta,
+            },
+            sort_keys=True,
+        )
+        expected = io.BytesIO()
+        np.savez(expected, __meta__=np.array(meta), **record.arrays)
+        assert stored == expected.getvalue()
+
     def test_family_counts_and_len_cover_both(self, cache):
         record = CacheRecord(kind="verified", stats={})
         cache.put("aa" + "0" * 62, record)

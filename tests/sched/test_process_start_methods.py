@@ -7,12 +7,16 @@ method selector patched in a fixture:
 
 - forked: each test builds its own pools, and every pool must fork;
 - spawned: every pool spawns, whatever the platform allows.
+
+The spawned rows also check that the run's backend reaches every
+worker: no environment variable carries it there.
 """
 
 import pytest
 
 from repro.exec import ProcessExecutor
 from repro.exec import executor as executor_module
+from repro.sched import Scheduler
 from tests.exec.test_executor_process import needs_fork
 from tests.sched import test_executor_matrix as matrix
 from tests.sched.test_executor_matrix import (  # noqa: F401 - fixtures
@@ -73,3 +77,20 @@ class TestSpawnedWorkers(_ProcessRows):
     @pytest.fixture(autouse=True)
     def spawn_only(self, monkeypatch):
         monkeypatch.setattr(executor_module, "_start_method", lambda: "spawn")
+
+    def test_backend_reaches_spawned_workers(self, manifest):
+        # A spawned worker starts on the module default backend; the
+        # run's own backend reaches it in every kernel call descriptor.
+        serial = Scheduler(manifest, backend="numpy32").run()
+        report = Scheduler(manifest, backend="numpy32", workers=2).run()
+        assert report.executor == "process"
+        rows = [
+            name for name in report.metrics
+            if name.startswith("kernel.by_backend.")
+        ]
+        assert rows
+        assert all(name.startswith("kernel.by_backend.numpy32.")
+                   for name in rows)
+        assert [r.outcome.kind for r in report.results] == [
+            r.outcome.kind for r in serial.results
+        ]

@@ -5,6 +5,11 @@ a small fixed problem.  For each, a check that does not rest on the code
 under test — not a pinned digest, a pinned outcome or a twin
 implementation — must pass on the real code and fail under the mutant.
 
+- **M4** — the scheduler's refinement step (``refine_unverified``) queues
+  a split's left child twice and drops the right child, so VERIFIED no
+  longer rests on leaves that cover the region.  Check: a VERIFIED job's
+  region holds no misclassified point of a dense float64 grid, on
+  Example 2.2's falsifiable property (region [-1, 2], label 1).
 - **M7** — DeepPoly's one-sided ReLU pass (DESIGN §4) gives no unit its
   second side.  A crossing unit then keeps the one bound it got as both,
   so it is zeroed (``l < 0`` predicted active) or passed through as the
@@ -18,8 +23,41 @@ import pytest
 from repro.abstract import deeppoly
 from repro.abstract.analyzer import analyze_batch
 from repro.abstract.domains import DEEPPOLY
-from repro.nn.builders import mlp
+from repro.core.config import VerifierConfig
+from repro.core.property import RobustnessProperty
+from repro.nn.builders import example_2_2_network, mlp
+from repro.sched import Scheduler, VerificationJob, scheduler
 from repro.utils.boxes import Box
+
+
+def _m4_left_child_twice(monkeypatch):
+    refine = scheduler.refine_unverified
+
+    def left_twice(*args, **kwargs):
+        terminal, pairs = refine(*args, **kwargs)
+        return terminal, [(left, left) for left, _ in pairs]
+
+    monkeypatch.setattr(scheduler, "refine_unverified", left_twice)
+
+
+def _verified_but_misclassified() -> int:
+    """VERIFIED jobs whose region holds a grid point the network
+    misclassifies, on Example 2.2's falsifiable property."""
+    network = example_2_2_network()
+    prop = RobustnessProperty(Box(np.array([-1.0]), np.array([2.0])), 1)
+    job = VerificationJob(
+        network, prop, config=VerifierConfig(timeout=10.0), seed=0
+    )
+    report = Scheduler([job]).run()
+    violations = 0
+    for result in report.results:
+        if result.outcome.kind != "verified":
+            continue
+        region = result.job.prop.region
+        grid = np.linspace(region.low, region.high, 3001)
+        labels = network.forward(grid).argmax(axis=1)
+        violations += int((labels != result.job.prop.label).any())
+    return violations
 
 
 def _m7_no_second_pass(monkeypatch):
@@ -51,14 +89,18 @@ def _deeppoly_output_escapes() -> int:
 
 MUTANTS = [
     pytest.param(
+        _m4_left_child_twice, _verified_but_misclassified,
+        id="M4-refine-left-child-twice",
+    ),
+    pytest.param(
         _m7_no_second_pass, _deeppoly_output_escapes,
         id="M7-deeppoly-no-second-pass",
     ),
 ]
 
 
-@pytest.mark.parametrize("mutate, escapes", MUTANTS)
-def test_independent_check_catches_mutant(mutate, escapes, monkeypatch):
-    assert escapes() == 0
+@pytest.mark.parametrize("mutate, violations", MUTANTS)
+def test_independent_check_catches_mutant(mutate, violations, monkeypatch):
+    assert violations() == 0
     mutate(monkeypatch)
-    assert escapes() > 0
+    assert violations() > 0

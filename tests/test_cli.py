@@ -2,18 +2,19 @@
 
 import json
 import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import repro
+from repro import backend
 from repro.cli import main
+from repro.core.config import VerifierConfig
+from repro.core.property import RobustnessProperty
 from repro.nn.builders import redundant_mlp, xor_network
 from repro.nn.serialize import load_network, save_network
 from repro.obs.metrics import registry as metrics_registry
+from repro.sched import Scheduler, VerificationJob
+from repro.utils.boxes import Box
 
 
 @pytest.fixture()
@@ -488,6 +489,33 @@ class TestTrainCommand:
         )
         assert key in message
         assert not (tmp_path / "theta.json").exists()
+
+    def test_escalation_margin_reaches_the_runs(self, suite, tmp_path, capsys):
+        # Timeouts escalate under any margin; a certification escalates
+        # only when its PGD margin stays within the threshold.
+        escalated = []
+        for margin in ("1e-9", "1e9"):
+            before = metrics_registry().counters_snapshot()
+            assert main([
+                "train", suite, "--iterations", "1", "--max-depth", "4",
+                "--precision-escalation", "--escalation-margin", margin,
+                "--out", str(tmp_path / "theta.json"),
+            ]) == 0
+            work = metrics_registry().counters_since(before)
+            escalated.append(work.get("sched.escalated", 0))
+        assert escalated[0] < escalated[1]
+
+    def test_backend_reaches_the_runs(self, suite, tmp_path, capsys):
+        before = metrics_registry().counters_snapshot()
+        assert main([
+            "train", suite, "--iterations", "1", "--max-depth", "4",
+            "--backend", "numpy32", "--out", str(tmp_path / "theta.json"),
+        ]) == 0
+        work = metrics_registry().counters_since(before)
+        rows = [name for name in work if name.startswith("kernel.by_backend.")]
+        assert rows
+        assert all(name.startswith("kernel.by_backend.numpy32.")
+                   for name in rows)
 
     def test_time_cost_model_refuses_cache(self, suite, tmp_path):
         with pytest.raises(SystemExit, match="work"):
@@ -1049,36 +1077,21 @@ class TestVerifyRunsTheScheduler:
             line for line in merged.splitlines() if line.startswith("result:")
         ]
 
-    @staticmethod
-    def _repro(argv, cwd):
-        """``python -m repro *argv`` in a fresh interpreter: --backend and
-        --precision-escalation set process-wide state (active backend,
-        ``REPRO_*`` variables) that must not leak into other tests."""
-        env = {
-            name: value for name, value in os.environ.items()
-            if not name.startswith("REPRO_")
-        }
-        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
-        return subprocess.run(
-            [sys.executable, "-m", "repro", *argv],
-            capture_output=True, text=True, cwd=cwd, env=env,
+    def test_escalation_reruns_on_float64(
+        self, xor_path, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        before = metrics_registry().counters_snapshot()
+        code = main([
+            "verify", xor_path, "--center", "0.5,0.5", "--epsilon", "0.05",
+            "--backend", "numpy32", "--precision-escalation",
+            "--escalation-margin", "1e9",
+        ])
+        counters = metrics_registry().counters_since(before)
+        assert code == 0
+        assert "backend: numpy32 screen, 1 jobs escalated" in (
+            capsys.readouterr().out
         )
-
-    def test_escalation_reruns_on_float64(self, xor_path, tmp_path):
-        trace = tmp_path / "t.json"
-        done = self._repro(
-            [
-                "verify", xor_path, "--center", "0.5,0.5", "--epsilon",
-                "0.05", "--backend", "numpy32", "--precision-escalation",
-                "--escalation-margin", "1e9", "--trace", str(trace),
-            ],
-            tmp_path,
-        )
-        assert done.returncode == 0, done.stderr
-        assert "backend: numpy32 screen, 1 jobs escalated" in done.stdout
-        counters = json.loads(trace.read_text())["otherData"]["metrics"][
-            "counters"
-        ]
         assert counters["kernel.by_backend.numpy64.analyze_rows"] > 0
         assert counters["kernel.by_backend.numpy32.analyze_rows"] > 0
 
@@ -1104,13 +1117,54 @@ class TestVerifyRunsTheScheduler:
         )
         assert "escalation_margin" in message
 
-    def test_schedule_prints_the_screen_backend(self, xor_path, tmp_path):
+    def test_schedule_prints_the_screen_backend(
+        self, xor_path, tmp_path, capsys
+    ):
         manifest = tmp_path / "m.json"
         manifest.write_text(json.dumps({"jobs": [
             {"network": xor_path, "center": "0.5,0.5", "epsilon": 0.05},
         ]}))
-        done = self._repro(
-            ["schedule", str(manifest), "--precision-escalation"], tmp_path
+        assert main(["schedule", str(manifest), "--precision-escalation"]) == 0
+        assert "backend: numpy32 screen" in capsys.readouterr().out
+
+
+def _repro_environment() -> dict:
+    return {
+        name: value for name, value in os.environ.items()
+        if name.startswith("REPRO_")
+    }
+
+
+class TestNoStateSurvivesMain:
+    """Flags reach a run only through its ``RunOptions``: ``main()`` sets
+    no environment variable and leaves the process default backend
+    alone, whether the command succeeds or exits on a bad value."""
+
+    @pytest.mark.parametrize("margin", ["1e-2", "nan"])
+    def test_backend_flags_leave_no_state(
+        self, margin, xor_path, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        environment = _repro_environment()
+        argv = [
+            "verify", xor_path, "--center", "0.5,0.5", "--epsilon", "0.05",
+            "--backend", "numpy32", "--precision-escalation",
+            "--escalation-margin", margin,
+        ]
+        if margin == "nan":
+            _one_line_exit(argv, capsys)
+        else:
+            assert main(argv) == 0
+            assert "backend: numpy32 screen" in capsys.readouterr().out
+        assert _repro_environment() == environment
+        assert backend.active().name == "numpy64"
+        job = VerificationJob(
+            xor_network(),
+            RobustnessProperty(
+                Box(np.array([0.45, 0.45]), np.array([0.55, 0.55])), 1
+            ),
+            config=VerifierConfig(timeout=10.0),
         )
-        assert done.returncode == 0, done.stderr
-        assert "backend: numpy32 screen" in done.stdout
+        report = Scheduler([job]).run()
+        assert not report.escalation
+        assert report.backend == "numpy64"

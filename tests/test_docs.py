@@ -6,6 +6,7 @@ These tests keep the documentation deliverable honest: every module under
 entry points stay true.
 """
 
+import argparse
 import importlib
 import importlib.util
 import inspect
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.cli import build_parser
 
 REPO_ROOT = Path(repro.__file__).resolve().parents[2]
 
@@ -91,6 +93,41 @@ class TestRepositoryDocs:
         for script in sorted((REPO_ROOT / "examples").glob("*.py")):
             first = script.read_text().lstrip()
             assert first.startswith('"""'), f"{script.name} lacks a docstring"
+
+
+def _verb_flags(parser: argparse.ArgumentParser, prefix: str = "") -> dict:
+    """``{verb: its option strings}`` for every (nested) subcommand."""
+    verbs = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                verbs[prefix + name] = set(sub._option_string_actions)
+                verbs.update(_verb_flags(sub, f"{prefix}{name} "))
+    return verbs
+
+
+def _readme_flag_rows() -> list[tuple[str, set]]:
+    """``(flag cell, {commands})`` per row of README's CLI flag table."""
+    readme = (REPO_ROOT / "README.md").read_text()
+    table = readme.split("## CLI flags", 1)[1].split("\n## ", 1)[0]
+    rows = []
+    for line in table.splitlines():
+        if line.startswith("| `-"):
+            flag, commands = (cell.strip() for cell in line.split("|")[1:3])
+            rows.append((flag, set(commands.split(", "))))
+    return rows
+
+
+class TestReadmeFlagTable:
+    def test_each_row_names_the_verbs_that_take_its_flag(self):
+        verbs = _verb_flags(build_parser())
+        rows = _readme_flag_rows()
+        assert rows
+        for flag, commands in rows:
+            assert flag.count("`") == 2, f"one flag per row: {flag}"
+            name = flag.strip("`")
+            takes = {verb for verb, flags in verbs.items() if name in flags}
+            assert commands == takes, name
 
 
 #: Every runnable file shipped next to the library.  All of them guard

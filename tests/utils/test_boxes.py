@@ -188,18 +188,6 @@ class TestSplitting:
 
 
 class TestSetOps:
-    def test_intersect_overlapping(self):
-        a = unit2()
-        b = Box(np.array([0.5, 0.5]), np.array([2.0, 2.0]))
-        both = a.intersect(b)
-        np.testing.assert_allclose(both.low, [0.5, 0.5])
-        np.testing.assert_allclose(both.high, [1.0, 1.0])
-
-    def test_intersect_disjoint_is_none(self):
-        a = unit2()
-        b = Box(np.array([2.0, 2.0]), np.array([3.0, 3.0]))
-        assert a.intersect(b) is None
-
     def test_hull(self):
         a = unit2()
         b = Box(np.array([2.0, -1.0]), np.array([3.0, 0.5]))
