@@ -117,6 +117,7 @@ from repro.sched import (
     VerificationJob,
     point_digest,
 )
+from repro.utils.timing import Deadline
 
 #: ``--domain`` menu: ``policy`` lets the learned policy pick per
 #: sub-region; any base domain pins a fixed :class:`DomainSpec` (combine
@@ -742,6 +743,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
     _check_flag(args.epsilon >= 0.0, "--epsilon", "a number >= 0", args.epsilon)
     _check_flag(args.steps >= 1, "--steps", ">= 1", args.steps)
     _check_flag(args.restarts >= 1, "--restarts", ">= 1", args.restarts)
+    _check_flag(args.timeout > 0.0, "--timeout", "a number > 0", args.timeout)
     network = _load_archive(args.network, "bad network")
     center = _flag_center(args, network)
     prop = linf_property(network, center, args.epsilon)
@@ -750,6 +752,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
         prop,
         PGDConfig(steps=args.steps, restarts=args.restarts),
         rng=args.seed,
+        deadline=Deadline(args.timeout),
     )
     print(f"best margin found: {result.value:.6f}")
     if result.is_counterexample():

@@ -49,11 +49,11 @@ def featurize(
         )
     objective = MarginObjective(network, prop.label)
     grad = objective.gradient(x_star)
+    # Huge finite weights can overflow a norm to inf; the policy's squash
+    # maps inf to its limit, so the overflow is expected, not an error.
+    with np.errstate(over="ignore"):
+        distance = float(np.linalg.norm(x_star - prop.region.center))
+        steepness = float(np.linalg.norm(grad))
     return np.array(
-        [
-            float(np.linalg.norm(x_star - prop.region.center)),
-            float(f_star),
-            float(np.linalg.norm(grad)),
-            prop.region.mean_width(),
-        ]
+        [distance, float(f_star), steepness, prop.region.mean_width()]
     )

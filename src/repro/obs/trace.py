@@ -2,7 +2,7 @@
 
 The span taxonomy mirrors the scheduler's execution shape (DESIGN.md
 §11): a ``sched.round`` span per fused sweep, ``sched.pgd_group`` /
-``sched.analyze_group`` spans per fused kernel group, ``exec.*.call``
+``sched.analyze_group`` spans per fused kernel call, ``exec.*.call``
 spans per executor submission (emitted at completion with the submit
 timestamp, so pool calls show their true extent), and ``cache.probe`` /
 ``cache.put`` spans per cache touch.  Load the output in

@@ -5,10 +5,13 @@ batched engine exploited that *within* one property.  This package widens
 the scope to whole job manifests: many (network, property) pairs drive one
 shared frontier so fused PGD/Analyze sweeps mix sub-regions from different
 properties of the same network and keep every ``batch_size`` slot full.
+Each round takes every active job's next chunk (up to 512 items) and
+sends its Analyze groups as calls of at most 8 regions, so a process
+pool has several independent calls to run at once.
 
 - :mod:`repro.sched.job` — :class:`VerificationJob` / :class:`JobQueue`.
 - :mod:`repro.sched.frontier` — FIFO / DFS / hardest-first frontier
-  policies plus the adaptive batch-width controller.
+  policies plus the fixed fused-sweep width tests pass in.
 - :mod:`repro.sched.cache` — the persistent content-addressed result
   cache (network/property/config digests, certified-radius queries).
 - :mod:`repro.sched.options` — :class:`RunOptions`, the one record that
@@ -38,7 +41,6 @@ from repro.sched.cache import (
 )
 from repro.sched.frontier import (
     FRONTIER_POLICIES,
-    AdaptiveBatchController,
     DfsFrontier,
     FifoFrontier,
     FixedBatchController,
@@ -68,7 +70,6 @@ __all__ = [
     "PriorityFrontier",
     "FRONTIER_POLICIES",
     "make_frontier",
-    "AdaptiveBatchController",
     "FixedBatchController",
     "PruneResult",
     "ResultCache",

@@ -1,4 +1,4 @@
-"""Frontier policies and the adaptive batch-size controller.
+"""Frontier policies and the fused-sweep width.
 
 The scheduler's shared frontier is the union of every active job's
 refinement frontier.  A :class:`FrontierPolicy` decides *which jobs'
@@ -19,11 +19,11 @@ Policies:
   attention first, so falsifiable jobs terminate (and free their slots)
   early.
 
-The :class:`AdaptiveBatchController` picks how many frontier items each
-fused sweep should target: it widens the target while measured kernel
-throughput (work items per second) keeps scaling with batch width, and
-backs off one step when throughput regresses — batched GEMMs gain from
-width only until memory bandwidth saturates.
+A :class:`FixedBatchController` caps how many frontier items one fused
+sweep takes.  The width is a pure performance knob: it decides which
+jobs share a round, never a job's own chunks, and the scheduler splits
+each round's Analyze groups into calls of a fixed height whatever the
+width (DESIGN.md §6).
 """
 
 from __future__ import annotations
@@ -100,71 +100,11 @@ def make_frontier(policy: str | FrontierPolicy) -> FrontierPolicy:
     return FRONTIER_POLICIES[policy]()
 
 
-class AdaptiveBatchController:
-    """Widens the fused-sweep item target while throughput keeps scaling.
-
-    Operates like an additive-increase probe with memory: at each plateau
-    the controller averages a few sweeps' throughput; if widening improved
-    items/second by at least ``min_gain`` it widens again (doubling, capped
-    at ``max_target``), otherwise it returns to the previous width and
-    stops probing.  Sweeps smaller than the current target (frontier ran
-    dry) are ignored — they measure scarcity, not kernel scaling.
-    """
-
-    def __init__(
-        self,
-        start: int = 16,
-        max_target: int = 512,
-        samples_per_level: int = 2,
-        min_gain: float = 1.05,
-    ) -> None:
-        if start < 1:
-            raise ValueError("start must be >= 1")
-        if max_target < start:
-            raise ValueError("max_target must be >= start")
-        if samples_per_level < 1:
-            raise ValueError("samples_per_level must be >= 1")
-        if min_gain <= 0:
-            raise ValueError("min_gain must be positive")
-        self.target = start
-        self.max_target = max_target
-        self.samples_per_level = samples_per_level
-        self.min_gain = min_gain
-        self._rates: list[float] = []
-        self._previous: tuple[int, float] | None = None  # (target, rate)
-        self._frozen = False
-
-    def record(self, items: int, seconds: float) -> None:
-        """Feed one fused sweep's size and wall-clock into the probe."""
-        if self._frozen or seconds <= 0.0 or items < self.target:
-            return
-        self._rates.append(items / seconds)
-        if len(self._rates) < self.samples_per_level:
-            return
-        rate = sum(self._rates) / len(self._rates)
-        self._rates = []
-        if self._previous is not None:
-            prev_target, prev_rate = self._previous
-            if rate < prev_rate * self.min_gain:
-                # Widening stopped paying: settle at the previous width.
-                self.target = prev_target
-                self._frozen = True
-                return
-        self._previous = (self.target, rate)
-        if self.target >= self.max_target:
-            self._frozen = True
-            return
-        self.target = min(self.target * 2, self.max_target)
-
-    @property
-    def settled(self) -> bool:
-        """True once the controller has stopped probing for a wider batch."""
-        return self._frozen
-
-
-class FixedBatchController(AdaptiveBatchController):
-    """A controller that never widens — the ``--no-adapt`` baseline."""
+class FixedBatchController:
+    """A fixed fused-sweep width: each round takes active jobs' next
+    chunks, in frontier-policy order, until they hold ``target`` items."""
 
     def __init__(self, target: int) -> None:
-        super().__init__(start=target, max_target=target)
-        self._frozen = True
+        if target < 1:
+            raise ValueError("target must be >= 1")
+        self.target = target

@@ -6,12 +6,13 @@ are many-job runs.  A *single* property's frontier keeps GEMM batches
 full only while it is at least ``batch_size`` wide — which it rarely is
 near the root and near the leaves — so the :class:`Scheduler` accepts a
 whole manifest of (network, property) jobs and drives them through fused
-sweeps: each round, the frontier policy picks which jobs run, every
-chosen job contributes exactly the next chunk of its own DFS frontier,
-and the union of chunks goes through **one** batched PGD call per
-(network, PGD-config) group and **one** batched Analyze call per
-(network, domain) group.  Properties disagree on the target class, so the
-fused kernels use the per-region-label variants
+sweeps: each round takes every active job's next chunk of its own DFS
+frontier, in frontier-policy order, until the round holds
+:data:`ROUND_ITEMS` items; the union of chunks goes through **one**
+batched PGD call per (network, PGD-config) group, and each (network,
+domain) Analyze group goes out as contiguous calls of at most
+:data:`ANALYZE_CALL_REGIONS` regions.  Properties disagree on the target
+class, so the fused kernels use the per-region-label variants
 (:class:`~repro.attack.objective.MultiLabelMarginObjective`,
 :func:`~repro.abstract.analyzer.analyze_batch_multi`).
 
@@ -23,25 +24,25 @@ is Algorithm 1's own code (:func:`~repro.core.verifier.first_falsified` /
 :func:`~repro.core.verifier.choose_domains` /
 :func:`~repro.core.verifier.refine_unverified`).  A job therefore produces
 the same outcome, witness, and statistics under every frontier policy,
-every adaptive batch width, and every co-scheduled job mix as its
-one-job run (``BatchedVerifier(network, policy, config,
+every round width, every Analyze call cap, and every co-scheduled job
+mix as its one-job run (``BatchedVerifier(network, policy, config,
 rng=seed).verify(prop)``), up to the §4 BLAS round-off caveat (fused
 batches have different operand shapes) — pinned exact on the stock numpy
 build by ``tests/sched/test_scheduler.py``.
 
 **Execution layer.**  Every kernel call a round produces — one fused PGD
-call per (network, PGD-config) group, one fused Analyze call per
-(network, domain) group — is independent of its sibling groups: different
-groups share no arrays (operands are built on the scheduler thread before
-submission, results are consumed in deterministic group order after).
-The scheduler therefore submits each round's groups through a
+call per (network, PGD-config) group, one Analyze call per slice of a
+(network, domain) group — is independent of its siblings: different calls
+share no arrays (operands are built on the scheduler thread before
+submission, results are consumed in submission order after).  The
+scheduler therefore submits each round's calls through a
 :class:`~repro.exec.KernelExecutor`: one worker runs them inline on a
 :class:`~repro.exec.SerialExecutor`, more hand them to a
 :class:`~repro.exec.ProcessExecutor`, where they cross into worker
 processes as picklable descriptors (:mod:`repro.exec.calls` — the
 GIL-free path for Python-loop-heavy zonotope/powerset sweeps).  The
-reproducibility contract survives untouched because group composition and
-within-group row order never change — only *which core* runs a group
+reproducibility contract survives untouched because the calls a round
+makes do not depend on the executor — only *which core* runs each one
 (process workers pin BLAS to one thread so even GEMM rounding matches;
 DESIGN.md §9).
 
@@ -89,11 +90,23 @@ from repro.nn.serialize import layer_digests, network_digest
 from repro.obs.metrics import registry as metrics_registry
 from repro.obs.trace import span
 from repro.sched.cache import CacheRecord, ResultCache, cacheable, job_key
-from repro.sched.frontier import AdaptiveBatchController, make_frontier
+from repro.sched.frontier import FixedBatchController, make_frontier
 from repro.sched.job import JobQueue, VerificationJob
 from repro.sched.options import RunOptions
 from repro.utils.rng import as_generator
 from repro.utils.timing import Deadline, Stopwatch
+
+#: Items one round takes by default: every active job's next chunk, in
+#: frontier-policy order, until the round holds this many.
+ROUND_ITEMS = 512
+
+#: Most regions one Analyze call carries.  A (network, domain) group
+#: larger than this goes out as several contiguous calls, all submitted
+#: before any is consumed, so a process pool always has calls to run in
+#: parallel.  PGD keeps one call per group: its rows are not reliably
+#: batch-height-stable, while zonotope and powerset rows are (DESIGN §7).
+ANALYZE_CALL_REGIONS = 8
+
 
 class _JobState:
     """Mutable per-job scheduling state: one Algorithm-1 frontier."""
@@ -192,7 +205,6 @@ class ScheduleReport:
     frontier: str = ""
     executor: str = ""
     workers: int = 1
-    final_batch_target: int = 0
     backend: str = "numpy64"
     escalation: bool = False
     screen_backend: str = ""
@@ -238,8 +250,8 @@ class Scheduler:
             recorded, and later runs with identical keys are served
             without spawning any verification work.  Incremental runs
             also read and write prefix checkpoints here.
-        controller: adaptive batch-width controller; defaults to probing
-            upward from the largest job ``batch_size``.
+        controller: the round width; defaults to
+            ``FixedBatchController(ROUND_ITEMS)``.
         executor: a ready :class:`~repro.exec.KernelExecutor` to use
             instead of building one from ``options.workers`` (the caller
             keeps ownership of its lifecycle).  Mutually exclusive with
@@ -254,7 +266,7 @@ class Scheduler:
         self,
         jobs: JobQueue | list[VerificationJob] | None = None,
         cache: ResultCache | None = None,
-        controller: AdaptiveBatchController | None = None,
+        controller: FixedBatchController | None = None,
         executor: KernelExecutor | None = None,
         options: RunOptions | None = None,
         **fields,
@@ -276,7 +288,7 @@ class Scheduler:
         self.options = options
         self.policy = make_frontier(options.frontier)
         self.cache = cache
-        self.controller = controller
+        self.controller = controller or FixedBatchController(ROUND_ITEMS)
         self.executor = executor
         self.backend = options.backend or _active_backend().name
 
@@ -693,11 +705,6 @@ class Scheduler:
         backend: str,
     ) -> dict[int, float]:
         states = [_JobState(index, job) for index, job in pending]
-        controller = self.controller
-        if controller is None and states:
-            controller = AdaptiveBatchController(
-                start=max(state.config.batch_size for state in states)
-            )
         round_no = 0
         active = list(states)
         while active:
@@ -714,11 +721,11 @@ class Scheduler:
                 break
 
             # The frontier policy picks which jobs' next chunks fill the
-            # fused sweep up to the controller's current width target.
+            # fused sweep up to the round width.
             plan: list[tuple[_JobState, list[WorkItem]]] = []
             total = 0
             for state in self.policy.order(active):
-                if total >= controller.target and plan:
+                if total >= self.controller.target and plan:
                     break
                 chunk = state.pop_chunk()
                 state.last_round = round_no
@@ -727,14 +734,12 @@ class Scheduler:
             round_no += 1
 
             metrics_registry().inc("sched.rounds")
-            started = time.perf_counter()
             with span(
                 "sched.round", cat="sched",
                 round=round_no - 1, jobs=len(plan), items=total,
                 backend=backend, dtype=_active_backend().dtype.name,
             ):
                 self._fused_sweep(plan, executor)
-            controller.record(total, time.perf_counter() - started)
             report.sweeps += 1
             report.swept_items += total
 
@@ -752,12 +757,11 @@ class Scheduler:
                 cached=False,
                 elapsed=outcome.stats.time_seconds,
             )
-        report.final_batch_target = controller.target if controller else 0
         return {state.index: state.last_margin for state in states}
 
     @staticmethod
     def _group_deadline(states: list[_JobState]) -> Deadline | None:
-        """The *latest* deadline of a fused group.
+        """The *latest* deadline of a fused call's jobs.
 
         Fused kernels cannot abort one job without aborting its batch
         mates, so mid-kernel aborts only fire once every participant is
@@ -776,12 +780,14 @@ class Scheduler:
         """One scheduler round: fused Minimize, fused Analyze, refine.
 
         Algorithm 1's three steps chunk by chunk; only the kernel-call
-        grouping spans jobs.  Each stage's groups are
-        pairwise independent — their operands (regions, labels, rngs) are
-        built here on the scheduler thread before submission, and their
-        results are consumed in submission order after — so the executor
-        may run them on any cores without touching the reproducibility
-        contract (only per-job deadline checks see the wall clock move).
+        grouping spans jobs.  Each stage's calls are pairwise
+        independent — their operands (regions, labels, rngs) are built
+        here on the scheduler thread before submission, and their results
+        are consumed in submission order after — so the executor may run
+        them on any cores without touching the reproducibility contract
+        (only per-job deadline checks see the wall clock move).  How a
+        stage splits into calls depends only on the round's plan, never
+        on the executor.
         """
         obs = metrics_registry()
 
@@ -852,15 +858,13 @@ class Scheduler:
                 key = (id(state.job.network), domain)
                 analyze_groups.setdefault(key, []).append((state, pos, item))
 
+        # Each group goes out as contiguous calls of at most
+        # ANALYZE_CALL_REGIONS regions, every one submitted before any is
+        # consumed: one large group no longer runs alone while the other
+        # workers wait.
         analyze_submissions: list[tuple] = []
-        for (_, domain), entries in analyze_groups.items():
-            network = entries[0][0].job.network
-            group_states = list(
-                {id(state): state for state, _, _ in entries}.values()
-            )
-            regions = [item.region for _, _, item in entries]
-            labels = [state.job.prop.label for state, _, _ in entries]
-            deadline = self._group_deadline(group_states)
+        for (_, domain), group in analyze_groups.items():
+            network = group[0][0].job.network
             # Incremental mode swaps the fused Analyze kernel for its
             # checkpoint-aware twin (cold behaviour bitwise-identical);
             # unsupported domains keep the plain call.
@@ -869,32 +873,40 @@ class Scheduler:
                 and self.cache is not None
                 and supports_checkpoint(domain)
             )
-            if checkpointed:
-                future = self._submit_checkpointed(
-                    executor, network, regions, labels, domain, deadline
+            for start in range(0, len(group), ANALYZE_CALL_REGIONS):
+                entries = group[start : start + ANALYZE_CALL_REGIONS]
+                call_states = list(
+                    {id(state): state for state, _, _ in entries}.values()
                 )
-            else:
-                future = executor.submit(
-                    analyze_batch_multi, network, regions, labels, domain,
-                    deadline,
+                regions = [item.region for _, _, item in entries]
+                labels = [state.job.prop.label for state, _, _ in entries]
+                deadline = self._group_deadline(call_states)
+                if checkpointed:
+                    future = self._submit_checkpointed(
+                        executor, network, regions, labels, domain, deadline
+                    )
+                else:
+                    future = executor.submit(
+                        analyze_batch_multi, network, regions, labels,
+                        domain, deadline,
+                    )
+                analyze_submissions.append(
+                    (entries, call_states, future, checkpointed)
                 )
-            analyze_submissions.append(
-                (entries, group_states, future, checkpointed)
-            )
 
-        for entries, group_states, future, checkpointed in analyze_submissions:
+        for entries, call_states, future, checkpointed in analyze_submissions:
             with span(
                 "sched.analyze_group", cat="sched",
-                jobs=len(group_states), rows=len(entries),
+                jobs=len(call_states), rows=len(entries),
             ):
                 try:
                     analyses = future.result()
                 except TimeoutError:
-                    # The group deadline is the latest of its members, so
-                    # every member is over budget.  They must retire *now*:
-                    # their chunks never completed analysis, so an empty
-                    # frontier here means "aborted", not "verified".
-                    for state in group_states:
+                    # The call's deadline is the latest of its jobs', so
+                    # every one of them is over budget.  They must retire
+                    # *now*: their chunks never completed analysis, so an
+                    # empty frontier here means "aborted", not "verified".
+                    for state in call_states:
                         if state.outcome is None:
                             state.finish(Timeout("wall clock", state.stats))
                     continue

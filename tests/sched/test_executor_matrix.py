@@ -189,6 +189,34 @@ class TestBatchedEngineMatrix:
         assert_reports_bitwise_equal(serial_reports["dfs"], report)
 
 
+class TestSplitAnalyzeGroups:
+    """Each round's (network, domain) Analyze group holds more regions than
+    one call may carry, so the scheduler sends it as several calls; the
+    split depends only on the round, so process runs make the serial
+    run's calls."""
+
+    @pytest.fixture(scope="class")
+    def serial_powerset(self, powerset_jobs):
+        report = Scheduler(powerset_jobs, executor=SerialExecutor()).run()
+        # One network and one domain make one group per round, so more
+        # Analyze calls than rounds means groups were split.
+        assert (
+            report.metrics["kernel.analyze_batches"]
+            > report.metrics["sched.rounds"]
+        )
+        return report
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_process_matches_serial_on_split_groups(
+        self, workers, powerset_jobs, serial_powerset, process_executors
+    ):
+        report = Scheduler(
+            powerset_jobs, executor=process_executors(workers)
+        ).run()
+        assert report.workers == workers
+        assert_reports_bitwise_equal(serial_powerset, report)
+
+
 class TestMetricsAggregation:
     """A Process run's merged registry delta equals the Serial run's."""
 

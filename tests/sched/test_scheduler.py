@@ -3,20 +3,21 @@
 The reproducibility contract (DESIGN.md §6): N properties through one
 ``Scheduler`` produce identical outcomes, witnesses, and statistics to N
 independent ``BatchedVerifier`` runs under fixed seeds — for every
-frontier policy, every batch-width controller, and every job mix.  These
-tests pin that contract on mixed-label multi-network job sets, plus the
-scheduling machinery itself (policies, controller, report).
+frontier policy, every round width, every Analyze call cap, and every job
+mix.  These tests pin that contract on mixed-label multi-network job sets,
+plus the scheduling machinery itself (policies, round width, call cap,
+report).
 """
 
 import numpy as np
 import pytest
 
+import repro.sched.scheduler as sched_mod
 from repro.core.config import VerifierConfig
 from repro.core.property import RobustnessProperty, linf_property
 from repro.core.verifier import BatchedVerifier
 from repro.nn.builders import mlp, xor_network
 from repro.sched import (
-    AdaptiveBatchController,
     FixedBatchController,
     JobQueue,
     Scheduler,
@@ -107,14 +108,19 @@ class TestEquivalence:
         for result, solo in zip(report.results, solo_outcomes):
             assert_job_equivalent(result, solo)
 
-    def test_batch_target_invariance(self, job_mix, solo_outcomes):
-        """Fused sweep width is a pure performance knob."""
-        for target in (1, 4, 64):
-            report = Scheduler(
-                job_mix, controller=FixedBatchController(target)
-            ).run()
-            for result, solo in zip(report.results, solo_outcomes):
-                assert_job_equivalent(result, solo)
+    def test_batch_target_invariance(
+        self, job_mix, solo_outcomes, monkeypatch
+    ):
+        """Fused sweep width and the Analyze call cap are pure
+        performance knobs."""
+        for cap in (1, 3, 8):
+            monkeypatch.setattr(sched_mod, "ANALYZE_CALL_REGIONS", cap)
+            for target in (1, 4, 64):
+                report = Scheduler(
+                    job_mix, controller=FixedBatchController(target)
+                ).run()
+                for result, solo in zip(report.results, solo_outcomes):
+                    assert_job_equivalent(result, solo)
 
     def test_job_mix_invariance(self, job_mix, solo_outcomes):
         """Co-scheduled strangers never change a job's result."""
@@ -221,54 +227,57 @@ class TestQueueAndPolicies:
         assert [s.index for s in make_frontier("priority").order(states)] == [2, 1, 0]
 
 
-class TestAdaptiveController:
-    def test_widens_while_throughput_scales(self):
-        controller = AdaptiveBatchController(
-            start=8, max_target=64, samples_per_level=1
-        )
-        controller.record(8, 8 / 100.0)    # 100 items/s at width 8
-        assert controller.target == 16
-        controller.record(16, 16 / 150.0)  # 150/s: still scaling
-        assert controller.target == 32
-        controller.record(32, 32 / 300.0)
-        assert controller.target == 64
+#: Counters a run's shape decides.  No scheduling rule reads the clock,
+#: so two runs of one manifest must agree on them.
+SHAPE_COUNTERS = (
+    "sched.rounds",
+    "kernel.analyze_batches",
+    "kernel.pgd_batches",
+    "fused.calls",
+)
 
-    def test_backs_off_when_scaling_stops(self):
-        controller = AdaptiveBatchController(
-            start=8, max_target=256, samples_per_level=1
-        )
-        controller.record(8, 8 / 100.0)
-        controller.record(16, 16 / 160.0)
-        assert controller.target == 32
-        controller.record(32, 32 / 150.0)  # regressed: settle at 16
-        assert controller.target == 16
-        assert controller.settled
-        controller.record(16, 16 / 500.0)  # frozen: no more probing
-        assert controller.target == 16
 
-    def test_ignores_underfilled_sweeps(self):
-        controller = AdaptiveBatchController(start=8, samples_per_level=1)
-        controller.record(3, 0.001)  # frontier ran dry, not a measurement
-        assert controller.target == 8
+class TestRoundShape:
+    def test_default_round_width(self, job_mix):
+        assert Scheduler(job_mix).controller.target == sched_mod.ROUND_ITEMS
 
-    def test_caps_at_max_target(self):
-        controller = AdaptiveBatchController(
-            start=8, max_target=16, samples_per_level=1
-        )
-        controller.record(8, 8 / 100.0)
-        assert controller.target == 16
-        controller.record(16, 16 / 400.0)
-        assert controller.target == 16
-        assert controller.settled
-
-    def test_fixed_controller_never_moves(self):
-        controller = FixedBatchController(12)
-        controller.record(12, 0.001)
-        controller.record(12, 0.001)
-        assert controller.target == 12
+    def test_fixed_controller_never_moves(self, job_mix):
+        controller = FixedBatchController(4)
+        narrow = Scheduler(job_mix, controller=controller).run()
+        assert controller.target == 4
+        assert narrow.sweeps > Scheduler(job_mix).run().sweeps
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            AdaptiveBatchController(start=0)
-        with pytest.raises(ValueError):
-            AdaptiveBatchController(start=8, max_target=4)
+            FixedBatchController(0)
+
+    def test_two_runs_make_the_same_calls(self, powerset_jobs):
+        first, second = (Scheduler(powerset_jobs).run() for _ in range(2))
+        shape = [
+            {key: report.metrics.get(key, 0) for key in SHAPE_COUNTERS}
+            for report in (first, second)
+        ]
+        assert shape[0] == shape[1]
+        assert shape[0]["kernel.analyze_batches"] > shape[0]["sched.rounds"]
+
+    def test_analyze_calls_respect_the_cap(self, powerset_jobs, monkeypatch):
+        real = sched_mod.analyze_batch_multi
+        heights: list[int] = []
+
+        def recording(network, regions, *args):
+            heights.append(len(regions))
+            return real(network, regions, *args)
+
+        monkeypatch.setattr(sched_mod, "analyze_batch_multi", recording)
+        cap = sched_mod.ANALYZE_CALL_REGIONS
+        capped = Scheduler(powerset_jobs).run()
+        assert max(heights) == cap
+        # Without the cap the same manifest sends taller calls, so the
+        # cap is what split them.
+        capped_heights, heights[:] = list(heights), []
+        monkeypatch.setattr(sched_mod, "ANALYZE_CALL_REGIONS", 10**6)
+        uncapped = Scheduler(powerset_jobs).run()
+        assert max(heights) > cap
+        assert sum(heights) == sum(capped_heights)
+        for a, b in zip(capped.results, uncapped.results):
+            assert_job_equivalent(a, b.outcome)

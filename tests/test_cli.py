@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 
 from repro import backend
+from repro.attack.objective import MarginObjective
+from repro.attack.pgd import PGDConfig
+from repro.attack.search import find_counterexample
 from repro.cli import main
 from repro.core.config import VerifierConfig
-from repro.core.property import RobustnessProperty
-from repro.nn.builders import redundant_mlp, xor_network
+from repro.core.property import RobustnessProperty, linf_property
+from repro.nn.builders import mlp, redundant_mlp, xor_network
 from repro.nn.serialize import load_network, save_network
 from repro.obs.metrics import registry as metrics_registry
 from repro.sched import Scheduler, VerificationJob
@@ -164,6 +167,30 @@ class TestAttackCommand:
         out = capsys.readouterr().out
         assert "best margin found" in out
         assert code in (0, 1)
+
+    def test_timeout_bounds_the_search(self, xor_path, capsys):
+        argv = ["attack", xor_path, "--center", "0.2,0.8", "--epsilon", "0.2",
+                "--steps", "50", "--restarts", "3"]
+        network = load_network(xor_path)
+        prop = linf_property(network, np.array([0.2, 0.8]), 0.2)
+        centre = MarginObjective(network, prop.label).value(prop.region.center)
+        full = find_counterexample(
+            network, prop, PGDConfig(steps=50, restarts=3), rng=0
+        )
+        assert full.value < centre  # the search moves off the centre
+
+        def margin(timeout):
+            assert main(argv + ["--timeout", timeout]) == 0
+            (line,) = [
+                line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("best margin found:")
+            ]
+            return line.split(":")[1].strip()
+
+        # An expired deadline stops PGD before its first step, at the
+        # region centre.
+        assert margin("1e-9") == f"{centre:.6f}"
+        assert margin("10") == f"{full.value:.6f}"
 
 
 class TestInfoCommand:
@@ -796,6 +823,24 @@ def _one_line_exit(argv, capsys) -> str:
     return message
 
 
+class TestHugeFiniteWeights:
+    """Weights around 1e160 load fine; the learned policy's features then
+    overflow to inf, which its squash maps to a limit without a warning."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_policy_domain_verifies(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        net = mlp(4, [8, 8], 3, rng=0)
+        net.layers[0].weight[:] *= 1e160
+        save_network(net, tmp_path / "big.npz")
+        code = main(
+            ["verify", str(tmp_path / "big.npz"), "--center",
+             "0.5,0.5,0.5,0.5", "--epsilon", "0.01", "--domain", "policy"]
+        )
+        assert code == 0
+        assert "result: verified" in capsys.readouterr().out
+
+
 class TestUnloadableNetworks:
     """A missing archive or one with non-finite parameters exits with one
     line on every verb that loads networks."""
@@ -916,6 +961,8 @@ BAD_FLAG_VALUES = [
     (["attack", "{net}", "--epsilon", "nan"], "--epsilon"),
     (["attack", "{net}", "--steps", "0"], "--steps"),
     (["attack", "{net}", "--restarts", "0"], "--restarts"),
+    (["attack", "{net}", "--timeout", "0"], "--timeout"),
+    (["attack", "{net}", "--timeout", "nan"], "--timeout"),
     (["attack", "{net}", "--center", "missing.npy"], "--center"),
     (["train", "{suite}", "--iterations", "0"], "--iterations"),
 ]
