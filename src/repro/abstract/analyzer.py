@@ -31,10 +31,8 @@ from repro.utils.timing import Deadline
 
 #: Shared with :mod:`repro.attack.pgd` (same registry group): batched
 #: Analyze invocations and the rows they carried.  Incremented once per
-#: fused call on both the in-process path (:func:`analyze_batch_multi`)
-#: and the process-worker zonotope fast path (:func:`analyze_multi_entry`
-#: bypasses :func:`analyze_batch_multi`), so Serial and Process runs
-#: count the same work exactly once.
+#: batched call (:func:`_checked_batch`), on whichever process runs it,
+#: so Serial and Process runs count the same work exactly once.
 _KERNEL_COUNTERS = _metrics_registry().group(
     "kernel", ("pgd_batches", "pgd_rows", "analyze_batches", "analyze_rows")
 )
@@ -63,13 +61,17 @@ class AnalysisResult:
             ``min_{j≠K} (y_K - y_j)`` over the region; positive iff verified.
         output: the abstract element at the network output (for debugging
             and for tests that check containment of concrete runs).
-            ``None`` for results that crossed a process boundary — see
-            :func:`analyze_multi_entry`.
+            Pickling drops it, so ``None`` for results that crossed a
+            process boundary: no engine reads it, and a powerset's
+            ``(T, k, n)`` output stack would dwarf the call it rode in.
     """
 
     verified: bool
     margin_lower_bound: float
     output: AbstractElement | None
+
+    def __reduce__(self):
+        return AnalysisResult, (self.verified, self.margin_lower_bound, None)
 
 
 def _apply_op(element: AbstractElement, op) -> AbstractElement:
@@ -157,9 +159,7 @@ def batch_margins(element, labels: Sequence[int]) -> np.ndarray:
 
     Margin back-substitution scales with rows × batch, so each label
     group is bounded only on its own row subset instead of paying the
-    full batch once per distinct label.  Shared by the batched analyzer
-    and the zonotope process-pool entry point so their arithmetic can
-    never drift.
+    full batch once per distinct label.
     """
     label_arr = np.asarray(labels, dtype=np.int64)
     distinct = sorted(set(int(lab) for lab in label_arr))
@@ -172,68 +172,19 @@ def batch_margins(element, labels: Sequence[int]) -> np.ndarray:
     return margins
 
 
-def analyze_multi_entry(payload: dict) -> list[AnalysisResult]:
-    """Process-worker entry point for a marshalled fused Analyze call.
-
-    Rebuilds the regions and domain from plain payload operands, runs the
-    same batched propagation as :func:`analyze_batch_multi`, and returns
-    per-row results with ``output=None`` — no engine consumes the output
-    elements, and pickling a powerset's ``(T, k, n)`` stack back to the
-    parent would dwarf the kernel itself.  Zonotope-based domains route
-    through the dedicated
-    :func:`repro.abstract.zonotope_batch.zonotope_margins_call` kernel
-    (same lift/propagate/margin code, no per-row output views at all).
-    """
-    from repro.abstract.zonotope_batch import zonotope_margins_call
-    from repro.exec.calls import resolve_network
-
-    network = resolve_network(payload["network"])
-    base, disjuncts = payload["domain"]
-    domain = DomainSpec(base, disjuncts)
-    regions = [
-        Box(low, high) for low, high in zip(payload["lows"], payload["highs"])
-    ]
-    labels = [int(lab) for lab in payload["labels"]]
-    deadline = payload["deadline"]
-    if domain.base == "zonotope":
-        _KERNEL_COUNTERS["analyze_batches"] += 1
-        _KERNEL_COUNTERS["analyze_rows"] += len(regions)
-        _count_backend_work(1, len(regions))
-        margins = zonotope_margins_call(
-            network, regions, labels, domain.disjuncts, deadline
-        )
-        return [
-            AnalysisResult(
-                verified=bool(margin > 0.0),
-                margin_lower_bound=float(margin),
-                output=None,
-            )
-            for margin in margins
-        ]
-    results = analyze_batch_multi(network, regions, labels, domain, deadline)
+def _row_results(element, labels: Sequence[int]) -> list[AnalysisResult]:
+    """One result per row of a propagated batched element."""
+    margins = batch_margins(element, labels)
     return [
-        AnalysisResult(result.verified, result.margin_lower_bound, None)
-        for result in results
+        AnalysisResult(bool(margin > 0.0), float(margin), element.row(i))
+        for i, margin in enumerate(margins)
     ]
 
 
-def analyze_batch_multi(
-    network: Network,
-    regions: Sequence[Box],
-    labels: Sequence[int],
-    domain: DomainSpec,
-    deadline: Deadline | None = None,
-) -> list[AnalysisResult]:
-    """:func:`analyze_batch` with one target label per region.
-
-    This is the sweep kernel of the multi-property scheduler: sub-regions
-    of different properties of the same network share one batched
-    propagation (the label plays no role until the output margin check),
-    then the margin bound is evaluated per label group on the matching
-    row subset.  Region ``i``'s result is identical to
-    ``analyze(network, regions[i], labels[i], ...)`` up to the usual BLAS
-    kernel round-off of the batched domains.
-    """
+def _checked_batch(
+    network: Network, regions: Sequence[Box], labels: Sequence[int]
+) -> None:
+    """Validate one batched call's operands, then count it as kernel work."""
     if len(labels) != len(regions):
         raise ValueError(
             f"got {len(labels)} labels for {len(regions)} regions"
@@ -254,6 +205,26 @@ def analyze_batch_multi(
     _KERNEL_COUNTERS["analyze_batches"] += 1
     _KERNEL_COUNTERS["analyze_rows"] += len(regions)
     _count_backend_work(1, len(regions))
+
+
+def analyze_batch_multi(
+    network: Network,
+    regions: Sequence[Box],
+    labels: Sequence[int],
+    domain: DomainSpec,
+    deadline: Deadline | None = None,
+) -> list[AnalysisResult]:
+    """:func:`analyze_batch` with one target label per region.
+
+    This is the sweep kernel of the multi-property scheduler: sub-regions
+    of different properties of the same network share one batched
+    propagation (the label plays no role until the output margin check),
+    then the margin bound is evaluated per label group on the matching
+    row subset.  Region ``i``'s result is identical to
+    ``analyze(network, regions[i], labels[i], ...)`` up to the usual BLAS
+    kernel round-off of the batched domains.
+    """
+    _checked_batch(network, regions, labels)
     ops = network.ops_for(_active_backend().dtype)
     element = domain.lift_batch(list(regions))
     if element is None:
@@ -261,16 +232,7 @@ def analyze_batch_multi(
             analyze(network, region, lab, domain, deadline)
             for region, lab in zip(regions, labels)
         ]
-    element = propagate(ops, element, deadline)
-    margins = batch_margins(element, labels)
-    return [
-        AnalysisResult(
-            verified=bool(margins[i] > 0.0),
-            margin_lower_bound=float(margins[i]),
-            output=element.row(i),
-        )
-        for i in range(len(regions))
-    ]
+    return _row_results(propagate(ops, element, deadline), labels)
 
 
 # ----------------------------------------------------------------------
@@ -376,30 +338,11 @@ def analyze_batch_checkpointed(
         supports_checkpoint,
     )
 
-    if len(labels) != len(regions):
-        raise ValueError(
-            f"got {len(labels)} labels for {len(regions)} regions"
-        )
-    if not regions:
-        raise ValueError("analyze_batch needs at least one region")
     if not supports_checkpoint(domain):
         raise ValueError(
             f"domain {domain} does not support prefix checkpoints"
         )
-    for region in regions:
-        if region.ndim != network.input_size:
-            raise ValueError(
-                f"region has {region.ndim} dims, network expects "
-                f"{network.input_size}"
-            )
-    for lab in labels:
-        if not 0 <= lab < network.output_size:
-            raise ValueError(
-                f"label {lab} out of range for {network.output_size} outputs"
-            )
-    _KERNEL_COUNTERS["analyze_batches"] += 1
-    _KERNEL_COUNTERS["analyze_rows"] += len(regions)
-    _count_backend_work(1, len(regions))
+    _checked_batch(network, regions, labels)
     regions_digest = (
         resume.regions_digest
         if resume is not None
@@ -414,45 +357,4 @@ def analyze_batch_checkpointed(
         network, element, regions_digest, domain, deadline, resume,
         capture_boundaries,
     )
-    margins = batch_margins(element, labels)
-    results = [
-        AnalysisResult(
-            verified=bool(margins[i] > 0.0),
-            margin_lower_bound=float(margins[i]),
-            output=element.row(i),
-        )
-        for i in range(len(regions))
-    ]
-    return results, captured
-
-
-def analyze_checkpointed_entry(payload: dict):
-    """Process-worker entry point for a marshalled checkpointed call.
-
-    The resume record and the captured checkpoints cross the process
-    boundary whole.  Results return with ``output=None`` exactly like
-    :func:`analyze_multi_entry`.
-    """
-    from repro.exec.calls import resolve_network
-
-    network = resolve_network(payload["network"])
-    base, disjuncts = payload["domain"]
-    domain = DomainSpec(base, disjuncts)
-    regions = [
-        Box(low, high) for low, high in zip(payload["lows"], payload["highs"])
-    ]
-    labels = [int(lab) for lab in payload["labels"]]
-    results, captured = analyze_batch_checkpointed(
-        network,
-        regions,
-        labels,
-        domain,
-        payload["deadline"],
-        payload["resume"],
-        tuple(payload["capture_boundaries"]),
-    )
-    results = [
-        AnalysisResult(result.verified, result.margin_lower_bound, None)
-        for result in results
-    ]
-    return results, captured
+    return _row_results(element, labels), captured

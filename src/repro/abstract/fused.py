@@ -87,8 +87,8 @@ FUSED_COUNTERS = _metrics_registry().group(
 def set_compaction(enabled: bool) -> bool:
     """Set the compaction switch; returns the previous value.
 
-    The switch is process-global, and kernel-call descriptors do not
-    carry it to process-executor workers: it exists so tests can run the
+    The switch is process-global, and a ``KernelCall`` does not carry
+    it to process-executor workers: it exists so tests can run the
     uncompacted reference path in-process and compare it with the
     compacted default.
     """

@@ -793,41 +793,3 @@ class PowersetBatch(BatchedElement):
         counts = [len(region) for region in state]
         offsets = np.concatenate([[0], np.cumsum(counts)])
         return PowersetBatch(out_c, out_g, out_e, offsets, self.max_disjuncts)
-
-
-def zonotope_margins_call(
-    network,
-    regions: list[Box],
-    labels,
-    disjuncts: int = 1,
-    deadline=None,
-) -> np.ndarray:
-    """Module-level zonotope/powerset margin kernel (process-pool entry).
-
-    Lifts the regions into :class:`ZonotopeBatch` (``disjuncts == 1``) or
-    :class:`PowersetBatch`, propagates through the network, and returns
-    the per-row margin lower bounds under each row's label.  Exactly the
-    arithmetic of ``analyze_batch_multi`` with a zonotope-based domain —
-    the lift, :func:`~repro.abstract.analyzer.propagate`, and
-    :func:`~repro.abstract.analyzer.batch_margins` calls are the same
-    functions — minus the per-row output views, which a process worker
-    must not materialize (pickling a powerset's ``(T, k, n)`` output
-    stack back to the parent would dwarf the kernel itself).  This is the
-    hottest path the process pool exists for: the split+join contraction
-    is Python-loop-heavy and serializes under threads.
-    """
-    from repro.abstract.analyzer import batch_margins, propagate
-
-    if not regions:
-        raise ValueError("zonotope_margins_call needs at least one region")
-    if len(labels) != len(regions):
-        raise ValueError(
-            f"got {len(labels)} labels for {len(regions)} regions"
-        )
-    if disjuncts == 1:
-        element = ZonotopeBatch.from_boxes(list(regions))
-    else:
-        element = PowersetBatch.from_boxes(list(regions), disjuncts)
-    ops = network.ops_for(_active_backend().dtype)
-    element = propagate(ops, element, deadline)
-    return np.asarray(batch_margins(element, labels), dtype=np.float64)

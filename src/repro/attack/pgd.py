@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.attack.objective import MarginObjective, MultiLabelMarginObjective
+from repro.attack.objective import MarginObjective
 from repro.obs.metrics import registry as _metrics_registry
 from repro.utils.boxes import Box
 from repro.utils.rng import as_generator, spawn
@@ -185,35 +185,6 @@ def pgd_minimize_batch(
     if active.any():
         _fold_best(objective.value_batch(x))
     return best_x, best_f
-
-
-def pgd_minimize_entry(payload: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Process-worker entry point for a marshalled fused Minimize call.
-
-    Rebuilds the margin objective from the network handle plus the label
-    vector, the regions from their stacked bound arrays, and runs
-    :func:`pgd_minimize_batch` — identical arithmetic to the in-process
-    call (pickle and ``.npz`` round-trips preserve float64 bit patterns,
-    and the per-region generators arrive with their exact state).  See
-    :mod:`repro.exec.calls` for the payload contract.
-    """
-    from repro.exec.calls import resolve_network
-
-    network = resolve_network(payload["network"])
-    if payload["multi"]:
-        objective = MultiLabelMarginObjective(network, payload["labels"])
-    else:
-        objective = MarginObjective(network, int(payload["labels"]))
-    regions = [
-        Box(low, high) for low, high in zip(payload["lows"], payload["highs"])
-    ]
-    return pgd_minimize_batch(
-        objective,
-        regions,
-        payload["config"],
-        payload["rngs"],
-        payload["deadline"],
-    )
 
 
 def pgd_minimize(

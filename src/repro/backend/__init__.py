@@ -30,7 +30,7 @@ The active backend is a module-level default (``numpy64``) with a
 thread-local override stack for scoped switches (:func:`use_backend`).
 Nothing reads the environment: a run names its backend in its
 ``RunOptions``, and kernel calls crossing the process boundary carry
-their backend tag in the call descriptor and re-enter it on the worker
+their backend tag in the ``KernelCall`` and re-enter it on the worker
 (see ``repro.exec.calls``).
 """
 

@@ -1,8 +1,9 @@
 """Kernel execution layer: serial and process-pooled execution of
 independent kernel calls (§6's "different threads"), shared by the
 scheduler and scheduled policy training; the worker count picks one.
-Process submissions cross as picklable descriptors (:mod:`repro.exec.calls`)
-that ship each network once per worker; operands travel by pickle."""
+Every process submission crosses one way (:mod:`repro.exec.calls`): the
+function's name plus its pickled arguments, with each network sent as a
+handle that a worker loads once."""
 
 from repro.exec.executor import (
     EXECUTOR_KINDS,

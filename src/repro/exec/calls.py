@@ -1,46 +1,45 @@
-"""Picklable kernel-call descriptors: how kernel calls cross processes.
+"""How a call crosses into a process worker: its name plus pickled arguments.
 
-A :class:`~repro.exec.executor.ProcessExecutor` cannot ship closures, and
-naively pickling a kernel call would serialize the whole network — hundreds
-of kilobytes of weights — into every submission.  This module is the
-boundary layer that makes process execution cheap and faithful:
+A :class:`~repro.exec.executor.ProcessExecutor` sends every call the same
+way.  :func:`marshal_call` turns ``fn(*args, **kwargs)`` into a
+:class:`KernelCall`: the function's ``module:qualname`` (a worker imports
+it by that name, so a ``functools.wraps`` wrapper resolves to the
+function it wraps) plus ``(args, kwargs)`` pickled on the submitting
+thread.  The pickler's dispatch table rewrites two kinds of operand:
 
-- **Descriptors.**  :func:`marshal_call` recognizes the kernel calls the
-  scheduler actually submits (fused PGD, fused multi-label Analyze, and
-  its prefix-checkpointed twin) and rewrites each
-  into a :class:`KernelCall`: the name of a module-level entry point plus
-  a payload of plain arrays, config dicts, and small picklable objects,
-  which crosses to the worker by pickle.
-  Unknown calls return ``None`` and the executor falls back to plain
-  pickling, so any module-level function with picklable arguments still
-  works.
+- **Networks cross as handles.**  A network would otherwise pickle its
+  weights — hundreds of kilobytes — into every call.  Wherever a
+  :class:`~repro.nn.network.Network` sits in the arguments (a kernel's
+  first argument, or inside a PGD objective), it is written as
+  ``resolve_network(handle)``: the parent-side :class:`NetworkStore`
+  writes each distinct network to a spill file at most once (named by its
+  :func:`~repro.nn.serialize.network_digest` content address), and
+  :func:`resolve_network` keeps a per-worker deserialization cache keyed
+  on the digest, so each worker pays one ``load_network`` per distinct
+  network per lifetime.
+- **Region lists cross as two arrays.**  Each top-level argument that is
+  a list of boxes of one dimension is written as its stacked lower and
+  upper bounds, which pickle far faster than one ``Box`` at a time.
 
-- **Ship the network once per worker.**  The parent-side
-  :class:`NetworkStore` writes each distinct network to a spill file at
-  most once (named by its :func:`~repro.nn.serialize.network_digest`
-  content address) and descriptors carry only the tiny
-  :class:`NetworkHandle`.  Worker-side, :func:`resolve_network` keeps a
-  per-process deserialization cache keyed on the digest, so each worker
-  pays one ``load_network`` per distinct network per lifetime — not one
-  per call.
-
-- **Entry points return caller-visible values.**  A descriptor's entry
-  point produces exactly what the original function would have returned
-  (bitwise — ``.npz`` round-trips and pickle both preserve float64 bit
-  patterns), with one deliberate exception: analyze entries drop the
-  per-row abstract output elements (``AnalysisResult.output is None``),
-  because no engine consumes them and a powerset output is a ``(T, k, n)``
-  stack whose pickling would dwarf the kernel it rode in on.
+Pickle and ``.npz`` round-trips keep float64 bit patterns, so a worker
+computes exactly what the caller would have.  Results come back by plain
+pickle; :class:`~repro.abstract.analyzer.AnalysisResult` drops its output
+element when pickled, which keeps abstract output elements (a powerset's
+is a ``(T, k, n)`` stack) off the wire for every caller.
 """
 
 from __future__ import annotations
 
 import atexit
+import copyreg
 import importlib
+import inspect
+import io
+import pickle
 import shutil
 import tempfile
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -48,8 +47,10 @@ import numpy as np
 
 from repro.backend import active as _active_backend
 from repro.backend import use_backend as _use_backend
+from repro.nn.network import Network
 from repro.nn.serialize import load_network, network_digest, save_network
 from repro.obs.metrics import registry
+from repro.utils.boxes import Box
 
 
 @dataclass(frozen=True)
@@ -110,7 +111,8 @@ def resolve_network(handle: NetworkHandle):
 
 @dataclass(frozen=True)
 class KernelCall:
-    """One marshalled kernel call: entry-point name plus plain payload.
+    """One call on its way to a worker: a function name plus its pickled
+    ``(args, kwargs)``.
 
     ``submitted_unix`` is the parent's wall-clock submit time
     (``time.time()`` — comparable across processes on one host, unlike
@@ -122,18 +124,18 @@ class KernelCall:
     ambient worker state.
     """
 
-    entry: str  # "module.path:function"
-    payload: dict
+    entry: str  # "module.path:qualname"
+    payload: bytes
     submitted_unix: float | None = None
     backend: str = "numpy64"
 
 
 @dataclass(frozen=True)
 class ObsEnvelope:
-    """A descriptor call's result plus its worker-side observability.
+    """A call's result plus its worker-side observability.
 
-    ``counters`` is the worker registry's counter delta across the entry
-    point (kernel batches, fused-kernel work — everything a worker
+    ``counters`` is the worker registry's counter delta across the call
+    (kernel batches, fused-kernel work — everything a worker
     accumulates); the parent's
     :class:`~repro.exec.executor._EnvelopeFuture` merges it on
     completion, which is what makes a Process run's merged totals equal
@@ -160,25 +162,34 @@ def clear_worker_caches() -> None:
     _ENTRY_CACHE.clear()
 
 
+def _resolve(entry: str) -> Callable:
+    """The function ``module:qualname`` names, imported once per process."""
+    fn = _ENTRY_CACHE.get(entry)
+    if fn is None:
+        module_name, _, qualname = entry.partition(":")
+        fn = importlib.import_module(module_name)
+        for attr in qualname.split("."):
+            fn = getattr(fn, attr)
+        _ENTRY_CACHE[entry] = fn
+    return fn
+
+
 def run_kernel_call(call: KernelCall) -> ObsEnvelope:
-    """Worker-side dispatcher: resolve the entry point and run it.
+    """Worker-side dispatcher: unpickle the arguments and run the call.
 
     The result rides back inside an :class:`ObsEnvelope` carrying the
     worker's counter delta across the call; the executor unwraps it
     before callers see the future's value.
     """
-    fn = _ENTRY_CACHE.get(call.entry)
-    if fn is None:
-        module_name, _, attr = call.entry.partition(":")
-        fn = getattr(importlib.import_module(module_name), attr)
-        _ENTRY_CACHE[call.entry] = fn
+    fn = _resolve(call.entry)
     wait_s = None
     if call.submitted_unix is not None:
         wait_s = max(0.0, time.time() - call.submitted_unix)
     obs = registry()
     before = obs.counters_snapshot()
     with _use_backend(call.backend):
-        value = fn(call.payload)
+        args, kwargs = pickle.loads(call.payload)
+        value = fn(*args, **kwargs)
     return ObsEnvelope(value, obs.counters_since(before), wait_s)
 
 
@@ -187,129 +198,63 @@ def run_kernel_call(call: KernelCall) -> ObsEnvelope:
 # ----------------------------------------------------------------------
 
 
-def _stack_boxes(regions) -> tuple[np.ndarray, np.ndarray]:
-    """Region boxes as two dense ``(R, n)`` arrays (the plain-array form)."""
-    return (
-        np.stack([region.low for region in regions]),
-        np.stack([region.high for region in regions]),
+class _Boxes(list):
+    """A top-level argument that is a list of boxes of one dimension."""
+
+
+def _stacked_boxes(boxes: _Boxes):
+    return _unstack_boxes, (
+        np.stack([box.low for box in boxes]),
+        np.stack([box.high for box in boxes]),
     )
 
 
-def _marshal_pgd(args, kwargs, store: NetworkStore) -> KernelCall | None:
-    """``pgd_minimize_batch(objective, regions, config, rngs, deadline)``."""
-    from repro.attack.objective import (
-        MarginObjective,
-        MultiLabelMarginObjective,
-    )
-
-    if kwargs or len(args) != 5:
-        return None
-    objective, regions, config, rngs, deadline = args
-    if isinstance(objective, MultiLabelMarginObjective):
-        labels, multi = np.asarray(objective.labels), True
-    elif isinstance(objective, MarginObjective):
-        labels, multi = int(objective.label), False
-    else:
-        return None
-    if not isinstance(rngs, (list, tuple)):
-        return None  # shared-generator spawning must happen caller-side
-    lows, highs = _stack_boxes(regions)
-    return KernelCall(
-        "repro.attack.pgd:pgd_minimize_entry",
-        {
-            "network": store.handle(objective.network),
-            "labels": labels,
-            "multi": multi,
-            "lows": lows,
-            "highs": highs,
-            # The whole frozen dataclass, not a field-by-field copy: a
-            # future PGDConfig knob must never silently reset to its
-            # default on the process path only.
-            "config": config,
-            "rngs": list(rngs),
-            "deadline": deadline,
-        },
-    )
+def _unstack_boxes(lows: np.ndarray, highs: np.ndarray) -> list[Box]:
+    return [Box(low, high) for low, high in zip(lows, highs)]
 
 
-def _marshal_analyze_multi(args, kwargs, store: NetworkStore) -> KernelCall | None:
-    """``analyze_batch_multi(network, regions, labels, domain, deadline)``."""
-    if kwargs or len(args) not in (4, 5):
-        return None
-    network, regions, labels, domain = args[:4]
-    deadline = args[4] if len(args) == 5 else None
-    lows, highs = _stack_boxes(regions)
-    return KernelCall(
-        "repro.abstract.analyzer:analyze_multi_entry",
-        {
-            "network": store.handle(network),
-            "lows": lows,
-            "highs": highs,
-            "labels": np.asarray(labels, dtype=np.int64),
-            "domain": (domain.base, domain.disjuncts),
-            "deadline": deadline,
-        },
-    )
-
-
-def _marshal_analyze_checkpointed(
-    args, kwargs, store: NetworkStore
-) -> KernelCall | None:
-    """``analyze_batch_checkpointed(network, regions, labels, domain,
-    deadline, resume, capture_boundaries)``.
-
-    The resume record (a :class:`~repro.abstract.checkpoint.PrefixBounds`
-    dataclass of arrays, or ``None``) rides in the payload whole; pickle
-    keeps its array bits exactly.
-    """
-    if kwargs or len(args) != 7:
-        return None
-    network, regions, labels, domain, deadline, resume, boundaries = args
-    lows, highs = _stack_boxes(regions)
-    return KernelCall(
-        "repro.abstract.analyzer:analyze_checkpointed_entry",
-        {
-            "network": store.handle(network),
-            "lows": lows,
-            "highs": highs,
-            "labels": np.asarray(labels, dtype=np.int64),
-            "domain": (domain.base, domain.disjuncts),
-            "deadline": deadline,
-            "resume": resume,
-            "capture_boundaries": list(boundaries),
-        },
-    )
-
-
-#: Known kernel calls, keyed by (module, qualname) so registration never
-#: imports the heavy engine modules (workers import only what they run).
-_MARSHALLERS: dict[tuple[str, str], Callable] = {
-    ("repro.attack.pgd", "pgd_minimize_batch"): _marshal_pgd,
-    ("repro.abstract.analyzer", "analyze_batch_multi"): _marshal_analyze_multi,
-    (
-        "repro.abstract.analyzer",
-        "analyze_batch_checkpointed",
-    ): _marshal_analyze_checkpointed,
-}
+def _top_level(arg):
+    """``arg``, marked as :class:`_Boxes` when it is such a list."""
+    if (
+        isinstance(arg, list)
+        and arg
+        and all(type(box) is Box for box in arg)
+        and len({box.ndim for box in arg}) == 1
+    ):
+        return _Boxes(arg)
+    return arg
 
 
 def marshal_call(
     fn: Callable, args: tuple, kwargs: dict, store: NetworkStore
-) -> KernelCall | None:
-    """Rewrite a known kernel call into a :class:`KernelCall` descriptor.
+) -> KernelCall:
+    """``fn(*args, **kwargs)`` as a :class:`KernelCall` for a worker.
 
-    Returns ``None`` for calls this layer does not recognize (including
-    known functions invoked with an unexpected shape); the executor then
-    falls back to plain pickling.
+    ``fn`` must be importable by its ``module:qualname`` (a module-level
+    function, or a ``functools.wraps`` wrapper of one); anything else
+    raises ``TypeError``.  The call is stamped with the submitting
+    thread's active backend, so the worker runs it at the precision the
+    caller chose, not its own default.
     """
-    key = (getattr(fn, "__module__", ""), getattr(fn, "__qualname__", ""))
-    marshaller = _MARSHALLERS.get(key)
-    if marshaller is None:
-        return None
-    call = marshaller(args, kwargs, store)
-    if call is None:
-        return None
-    # Stamp the marshalling thread's active backend so the worker runs
-    # the call at the precision the caller chose, not its own default.
-    name = _active_backend().name
-    return call if call.backend == name else replace(call, backend=name)
+    entry = f"{getattr(fn, '__module__', '')}:{getattr(fn, '__qualname__', '')}"
+    try:
+        named = _resolve(entry)
+    except (ImportError, AttributeError, ValueError):
+        named = None
+    if named is not inspect.unwrap(fn):
+        raise TypeError(f"a process worker cannot import {fn!r} by name")
+    buffer = io.BytesIO()
+    pickler = pickle.Pickler(buffer, pickle.HIGHEST_PROTOCOL)
+    # A pickler's own table replaces copyreg's, so it starts from it.
+    pickler.dispatch_table = {
+        **copyreg.dispatch_table,
+        Network: lambda net: (resolve_network, (store.handle(net),)),
+        _Boxes: _stacked_boxes,
+    }
+    pickler.dump((
+        tuple(_top_level(arg) for arg in args),
+        {name: _top_level(arg) for name, arg in kwargs.items()},
+    ))
+    return KernelCall(
+        entry, buffer.getvalue(), time.time(), _active_backend().name
+    )

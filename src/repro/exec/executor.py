@@ -3,7 +3,8 @@
 The paper's §6 observes that "different calls to the abstract interpreter
 can be run on different threads".  The scheduler reduces every round to
 *independent kernel calls* — a fused PGD sweep here, a batched Analyze
-group there — that share no arrays and may therefore run on any core.  This module is the one place that decides *where* such calls run:
+group there — that share no arrays and may therefore run on any core.
+This module is the one place that decides *where* such calls run:
 
 - :class:`SerialExecutor` runs each call inline at submission, on the
   caller's thread.  Submission order is execution order, making it the
@@ -11,12 +12,12 @@ group there — that share no arrays and may therefore run on any core.  This mo
 - :class:`ProcessExecutor` hands calls to a process pool whose workers
   are forked where that is safe and spawned elsewhere.
   Processes sidestep the GIL, which serializes the Python-loop-heavy
-  zonotope/powerset split+join contraction under threads.  Known kernel
-  calls cross the boundary as picklable descriptors
-  (:mod:`repro.exec.calls`): the network ships once per worker via its
-  content digest, operands travel as plain arrays and config dicts, and
-  each worker pins its BLAS pools to one thread so pooled runs neither
-  oversubscribe the host nor perturb GEMM rounding.
+  zonotope/powerset split+join contraction under threads.  Every call
+  crosses the boundary the same way (:mod:`repro.exec.calls`): the
+  function's name plus its pickled arguments, with each network sent as
+  a handle that a worker loads once.  Each worker pins its BLAS pools to
+  one thread so pooled runs neither oversubscribe the host nor perturb
+  GEMM rounding.
 
 The worker count alone picks between them (:func:`make_executor`): one
 worker runs serially, more run on a process pool.
@@ -40,7 +41,6 @@ import threading
 import time
 from abc import ABC, abstractmethod
 from concurrent.futures import Future, ProcessPoolExecutor
-from dataclasses import replace
 from typing import Callable
 
 from repro.obs.metrics import registry
@@ -316,9 +316,9 @@ class _EnvelopeFuture(Future):
     """A real Future chained onto a process-pool future, unwrapping
     :class:`~repro.exec.calls.ObsEnvelope` results.
 
-    Descriptor calls return an envelope — the entry point's value plus
-    the worker-side counter delta — and the parent must (a) merge the
-    delta into its registry and (b) hand callers the bare value.
+    Every worker call returns an envelope — the call's value plus the
+    worker-side counter delta — and the parent must (a) merge the delta
+    into its registry and (b) hand callers the bare value.
     Callers use it wherever a pool future would go (``result()``,
     ``add_done_callback``, ``cancel()``), so the unwrapper *is* a Future.
     Chaining via ``add_done_callback`` keeps every transition synchronous
@@ -350,19 +350,13 @@ class _EnvelopeFuture(Future):
         if exc is not None:
             self.set_exception(exc)
             return
-        value = inner.result()
-        from repro.exec.calls import ObsEnvelope
-
-        if isinstance(value, ObsEnvelope):
-            obs = registry()
-            if value.counters:
-                obs.merge_counters(value.counters)
-            if value.wait_s is not None:
-                obs.observe(
-                    f"exec.{self._executor_name}.wait_s", value.wait_s
-                )
-            value = value.value
-        self.set_result(value)
+        envelope = inner.result()
+        obs = registry()
+        if envelope.counters:
+            obs.merge_counters(envelope.counters)
+        if envelope.wait_s is not None:
+            obs.observe(f"exec.{self._executor_name}.wait_s", envelope.wait_s)
+        self.set_result(envelope.value)
 
 
 class ProcessExecutor(KernelExecutor):
@@ -380,13 +374,12 @@ class ProcessExecutor(KernelExecutor):
       imports — and each forked worker resets what it inherited to the
       state a spawned worker starts in.  Anywhere else it spawns.
       :attr:`start_method` records the choice once the pool exists.
-    - **Descriptor marshalling** (:mod:`repro.exec.calls`): known kernel
-      calls are rewritten into picklable descriptors — the network is
-      replaced by its content digest and shipped to each worker at most
-      once (a per-worker deserialization cache rebuilds it), operands
-      travel by pickle as plain arrays and config dicts.  Unknown calls fall back
-      to plain pickling, so any module-level function with picklable
-      arguments still works.
+    - **One transport** (:mod:`repro.exec.calls`): every call crosses
+      as its function's ``module:qualname`` plus its arguments, pickled
+      in :meth:`submit`.  Each network in them is replaced by a handle
+      to a spill file written once per pool and loaded once per worker;
+      each top-level list of regions crosses as two stacked arrays.  So
+      any module-level function with picklable arguments runs here.
     - **BLAS pinning**: the parent exports ``OMP_NUM_THREADS=1`` (and
       friends) for the pool's lifetime, which spawned workers read when
       numpy loads and forked workers inherit; a forked worker also sets
@@ -395,9 +388,9 @@ class ProcessExecutor(KernelExecutor):
       GEMM reduction order matches a serial run bitwise.
 
     The pool is created lazily on first submit and torn down by
-    :meth:`shutdown`; submits after shutdown raise.  A worker that dies mid-call (OOM-killed, crashed
-    extension) surfaces as ``BrokenProcessPool`` on its futures rather
-    than hanging the run.
+    :meth:`shutdown`; submits after shutdown raise.  A worker that dies
+    mid-call (OOM-killed, crashed extension) surfaces as
+    ``BrokenProcessPool`` on its futures rather than hanging the run.
     """
 
     name = "process"
@@ -453,21 +446,12 @@ class ProcessExecutor(KernelExecutor):
                 )
             pool = self._ensure_pool()
             call = marshal_call(fn, args, kwargs, self._store)
-        if call is not None:
-            # Stamp the submission wall-clock time into the descriptor:
-            # perf_counter is not comparable across processes, but
-            # time.time() is (same host), so the worker can report how
-            # long the call waited before starting.
-            call = replace(call, submitted_unix=time.time())
-            inner = pool.submit(run_kernel_call, call)
-            # Callers get the unwrapping future: the worker's counter
-            # delta merges into the parent registry on completion, and
-            # result() yields the entry point's bare value.
-            return self._observe_submit(
-                _EnvelopeFuture(inner, self.name), call.entry
-            )
+        # Callers get the unwrapping future: the worker's counter delta
+        # merges into the parent registry on completion, and result()
+        # yields the call's bare value.
         return self._observe_submit(
-            pool.submit(fn, *args, **kwargs), _call_label(fn)
+            _EnvelopeFuture(pool.submit(run_kernel_call, call), self.name),
+            call.entry,
         )
 
     def shutdown(self, cancel_pending: bool = False) -> None:

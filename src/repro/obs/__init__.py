@@ -9,9 +9,9 @@
 - :mod:`repro.obs.stats` — summarize/diff/validate those dumps
   (``repro stats``).
 
-Worker-process counters merge back into the parent registry through the
-executor descriptor layer (:mod:`repro.exec.calls`), so process-executor
-runs report the same totals as serial ones.
+Worker-process counters merge back into the parent registry with each
+call's result (:mod:`repro.exec.calls`), so process-executor runs report
+the same totals as serial ones.
 """
 
 from repro.obs.metrics import Histogram, MetricsRegistry, registry

@@ -213,7 +213,7 @@ class MetricsRegistry:
 
 #: The process-local registry.  One per process: parent and workers each
 #: get their own at import, and worker deltas merge back explicitly
-#: through the descriptor layer.
+#: with each call's result (:mod:`repro.exec.calls`).
 _REGISTRY = MetricsRegistry()
 
 

@@ -18,7 +18,7 @@ engine suite's wall clock.
 
 **Per-process.**  Spans are recorded in the process that executes the
 code; worker processes do not ship spans back (only counter deltas ride
-the descriptor envelopes — see :mod:`repro.obs.metrics`).  A traced
+back, in each call's envelope — see :mod:`repro.obs.metrics`).  A traced
 process-executor run therefore shows the parent's view: submit→done
 extents of every kernel call, which is what scheduling analysis needs.
 """

@@ -11,7 +11,7 @@ pool has several independent calls to run at once.
 
 - :mod:`repro.sched.job` — :class:`VerificationJob` / :class:`JobQueue`.
 - :mod:`repro.sched.frontier` — FIFO / DFS / hardest-first frontier
-  policies plus the fixed fused-sweep width tests pass in.
+  policies.
 - :mod:`repro.sched.cache` — the persistent content-addressed result
   cache (network/property/config digests, certified-radius queries).
 - :mod:`repro.sched.options` — :class:`RunOptions`, the one record that
@@ -43,7 +43,6 @@ from repro.sched.frontier import (
     FRONTIER_POLICIES,
     DfsFrontier,
     FifoFrontier,
-    FixedBatchController,
     FrontierPolicy,
     PriorityFrontier,
     make_frontier,
@@ -70,7 +69,6 @@ __all__ = [
     "PriorityFrontier",
     "FRONTIER_POLICIES",
     "make_frontier",
-    "FixedBatchController",
     "PruneResult",
     "ResultCache",
     "CacheRecord",

@@ -1,4 +1,4 @@
-"""Frontier policies and the fused-sweep width.
+"""Frontier policies: which jobs enter the next fused sweep.
 
 The scheduler's shared frontier is the union of every active job's
 refinement frontier.  A :class:`FrontierPolicy` decides *which jobs'
@@ -18,12 +18,6 @@ Policies:
   margin a job saw in its last sweep: jobs closest to falsification get
   attention first, so falsifiable jobs terminate (and free their slots)
   early.
-
-A :class:`FixedBatchController` caps how many frontier items one fused
-sweep takes.  The width is a pure performance knob: it decides which
-jobs share a round, never a job's own chunks, and the scheduler splits
-each round's Analyze groups into calls of a fixed height whatever the
-width (DESIGN.md §6).
 """
 
 from __future__ import annotations
@@ -99,12 +93,3 @@ def make_frontier(policy: str | FrontierPolicy) -> FrontierPolicy:
         )
     return FRONTIER_POLICIES[policy]()
 
-
-class FixedBatchController:
-    """A fixed fused-sweep width: each round takes active jobs' next
-    chunks, in frontier-policy order, until they hold ``target`` items."""
-
-    def __init__(self, target: int) -> None:
-        if target < 1:
-            raise ValueError("target must be >= 1")
-        self.target = target

@@ -38,9 +38,10 @@ submission, results are consumed in submission order after).  The
 scheduler therefore submits each round's calls through a
 :class:`~repro.exec.KernelExecutor`: one worker runs them inline on a
 :class:`~repro.exec.SerialExecutor`, more hand them to a
-:class:`~repro.exec.ProcessExecutor`, where they cross into worker
-processes as picklable descriptors (:mod:`repro.exec.calls` — the
-GIL-free path for Python-loop-heavy zonotope/powerset sweeps).  The
+:class:`~repro.exec.ProcessExecutor`, where each crosses into a worker
+process as its function's name plus its pickled arguments, the network
+sent as a handle (:mod:`repro.exec.calls` — the GIL-free path for
+Python-loop-heavy zonotope/powerset sweeps).  The
 reproducibility contract survives untouched because the calls a round
 makes do not depend on the executor — only *which core* runs each one
 (process workers pin BLAS to one thread so even GEMM rounding matches;
@@ -90,14 +91,15 @@ from repro.nn.serialize import layer_digests, network_digest
 from repro.obs.metrics import registry as metrics_registry
 from repro.obs.trace import span
 from repro.sched.cache import CacheRecord, ResultCache, cacheable, job_key
-from repro.sched.frontier import FixedBatchController, make_frontier
+from repro.sched.frontier import make_frontier
 from repro.sched.job import JobQueue, VerificationJob
 from repro.sched.options import RunOptions
 from repro.utils.rng import as_generator
 from repro.utils.timing import Deadline, Stopwatch
 
-#: Items one round takes by default: every active job's next chunk, in
-#: frontier-policy order, until the round holds this many.
+#: Items one round takes: every active job's next chunk, in
+#: frontier-policy order, until the round holds this many.  Read at run
+#: time, so a test may narrow it.
 ROUND_ITEMS = 512
 
 #: Most regions one Analyze call carries.  A (network, domain) group
@@ -250,8 +252,6 @@ class Scheduler:
             recorded, and later runs with identical keys are served
             without spawning any verification work.  Incremental runs
             also read and write prefix checkpoints here.
-        controller: the round width; defaults to
-            ``FixedBatchController(ROUND_ITEMS)``.
         executor: a ready :class:`~repro.exec.KernelExecutor` to use
             instead of building one from ``options.workers`` (the caller
             keeps ownership of its lifecycle).  Mutually exclusive with
@@ -266,7 +266,6 @@ class Scheduler:
         self,
         jobs: JobQueue | list[VerificationJob] | None = None,
         cache: ResultCache | None = None,
-        controller: FixedBatchController | None = None,
         executor: KernelExecutor | None = None,
         options: RunOptions | None = None,
         **fields,
@@ -288,7 +287,6 @@ class Scheduler:
         self.options = options
         self.policy = make_frontier(options.frontier)
         self.cache = cache
-        self.controller = controller or FixedBatchController(ROUND_ITEMS)
         self.executor = executor
         self.backend = options.backend or _active_backend().name
 
@@ -725,7 +723,7 @@ class Scheduler:
             plan: list[tuple[_JobState, list[WorkItem]]] = []
             total = 0
             for state in self.policy.order(active):
-                if total >= self.controller.target and plan:
+                if total >= ROUND_ITEMS and plan:
                     break
                 chunk = state.pop_chunk()
                 state.last_round = round_no

@@ -167,5 +167,5 @@ class TestCallDescriptors:
             store.close()
 
     def test_default_backend_field(self):
-        call = KernelCall("m:f", {})
+        call = KernelCall("m:f", b"")
         assert call.backend == "numpy64"

@@ -2,19 +2,22 @@
 
 Covers the :class:`~repro.exec.ProcessExecutor` contract the scheduler
 relies on — ordered results, a clear error (not a hang) when a worker is
-killed mid-call — plus the descriptor layer
-(:mod:`repro.exec.calls`): known kernel calls must come back bitwise
-identical to their in-process results, with the network shipped once per
-worker, and workers must run with pinned single-threaded BLAS.  The
-start-method tests pin when a pool forks its workers rather than
-spawning them, and that a forked worker starts as a spawned one does.
+killed mid-call — plus the one transport (:mod:`repro.exec.calls`):
+every call crosses as its function's name plus its pickled arguments,
+kernel calls come back bitwise identical to their in-process results,
+each network crosses as a handle and ships once per worker, and workers
+run with pinned single-threaded BLAS.  The start-method tests pin when a
+pool forks its workers rather than spawning them, and that a forked
+worker starts as a spawned one does.
 
 Helpers are module-level on purpose: spawned workers import this module
 to unpickle them.  ``test_executor_process_spawn.py`` runs these tests
 again with every pool forced to spawn.
 """
 
+import functools
 import os
+import pickle
 import sys
 import threading
 import warnings
@@ -32,6 +35,8 @@ from repro.exec import executor as executor_module
 from repro.exec.calls import NetworkStore, marshal_call, run_kernel_call
 from repro.exec.executor import _blas_thread_api
 from repro.nn.builders import mlp
+from repro.nn.serialize import network_digest
+from repro.obs.metrics import registry
 from repro.utils.boxes import Box
 
 
@@ -158,8 +163,8 @@ class TestStartMethod:
         store = NetworkStore()
         try:
             # Fill every piece of parent state a fork would copy: both
-            # worker caches (an in-process descriptor call), the
-            # tracer, and this thread's scratch arena.
+            # worker caches (an in-process worker call), the tracer, and
+            # this thread's scratch arena.
             call = marshal_call(
                 analyze_batch_multi,
                 (network, regions, labels, DomainSpec("zonotope", 2), None),
@@ -175,9 +180,12 @@ class TestStartMethod:
                 state = executor.submit(_worker_state, None).result()
                 assert executor.start_method == "fork"
             del state["blas_threads"]  # pinned by its own test
+            # The probe's own call is the one entry the worker resolved.
             assert state == {
                 "networks": [],
-                "entries": [],
+                "entries": [
+                    f"{_worker_state.__module__}:{_worker_state.__qualname__}"
+                ],
                 "tracing": False,
                 "events": 0,
                 "arena": False,
@@ -348,42 +356,94 @@ class TestKernelDescriptors:
 
     def test_network_ships_once_per_worker(self, kernel_case):
         network, regions, labels = kernel_case
+        objective = MultiLabelMarginObjective(network, labels)
         domain = DomainSpec("interval", 1)
         with ProcessExecutor(1) as solo:
+            # PGD carries the network inside its objective: it still
+            # crosses as a handle, so the worker's cache holds it.
+            for seed in range(3):
+                rngs = [
+                    np.random.default_rng(seed + i) for i in range(len(regions))
+                ]
+                solo.submit(
+                    pgd_minimize_batch, objective, regions,
+                    PGDConfig(steps=2), rngs, None,
+                ).result()
+            after_pgd = solo.submit(_network_cache_digests, None).result()
             for _ in range(3):
                 solo.submit(
                     analyze_batch_multi, network, regions, labels, domain, None
                 ).result()
             digests = solo.submit(_network_cache_digests, None).result()
-        # Three calls, one cached deserialization.
-        assert len(digests) == 1
+        # Six calls, one cached deserialization.
+        assert after_pgd == digests == [network_digest(network)]
 
-    def test_marshaller_recognizes_known_kernels(self, kernel_case):
-        network, regions, labels = kernel_case
+    def test_keyword_call_crosses_like_a_positional_one(self, executor):
+        network = mlp(64, [200] * 3, 10, rng=0)
+        regions = [Box.from_center_radius(np.full(64, 0.5), 0.01)] * 2
+        labels = [int(network.classify(regions[0].center))] * 2
+        domain = DomainSpec("zonotope", 1)
         store = NetworkStore()
         try:
-            objective = MultiLabelMarginObjective(network, labels)
-            rngs = [np.random.default_rng(i) for i in range(len(regions))]
             call = marshal_call(
-                pgd_minimize_batch,
-                (objective, regions, PGDConfig(steps=3), rngs, None),
-                {},
-                store,
+                analyze_batch_multi, (network, regions, labels, domain),
+                {"deadline": None}, store,
             )
-            assert call is not None and "pgd_minimize_entry" in call.entry
-            # Descriptors round-trip through the worker-side dispatcher
-            # even in-process (entry points are plain functions).  The
-            # dispatcher wraps the value in an ObsEnvelope carrying the
-            # run's counter delta; the executor unwraps it for callers.
-            envelope = run_kernel_call(call)
-            x_stars, f_stars = envelope.value
-            assert envelope.counters.get("kernel.pgd_rows", 0) == len(regions)
-            assert x_stars.shape == (len(regions), 4)
-            assert f_stars.shape == (len(regions),)
-            # Unknown calls fall back to plain pickling.
-            assert marshal_call(pow, (2, 3), {}, store) is None
         finally:
             store.close()
+        # The network crossed as a handle, not as its weights.
+        assert 50 * len(call.payload) < len(pickle.dumps(network))
+        before = registry().counters_snapshot()
+        results = executor.submit(
+            analyze_batch_multi, network, regions, labels, domain,
+            deadline=None,
+        ).result()
+        delta = registry().counters_since(before)
+        assert delta["kernel.analyze_batches"] == 1
+        assert delta["kernel.analyze_rows"] == 2
+        assert [result.output for result in results] == [None, None]
+
+    def test_every_call_crosses_as_its_name(self, executor, kernel_case):
+        network, regions, labels = kernel_case
+        objective = MultiLabelMarginObjective(network, labels)
+        config = PGDConfig(steps=3)
+        store = NetworkStore()
+        try:
+            rngs = [np.random.default_rng(i) for i in range(len(regions))]
+            call = marshal_call(
+                pgd_minimize_batch, (objective, regions, config, rngs, None),
+                {}, store,
+            )
+            assert call.entry == "repro.attack.pgd:pgd_minimize_batch"
+            # Any module-level function crosses the same way; a function
+            # a worker cannot import by name is refused at submission.
+            assert marshal_call(pow, (2, 3), {}, store).entry == "builtins:pow"
+            with pytest.raises(TypeError, match="by name"):
+                marshal_call(lambda: 0, (), {}, store)
+        finally:
+            store.close()
+        # A functools.wraps wrapper (perfbench's traced run wraps the
+        # scheduler's kernels) crosses as the function it wraps.
+        parent_calls = []
+
+        @functools.wraps(pgd_minimize_batch)
+        def traced(*args, **kwargs):
+            parent_calls.append(args)
+            return pgd_minimize_batch(*args, **kwargs)
+
+        def rngs():
+            return [np.random.default_rng(i) for i in range(len(regions))]
+
+        reference = pgd_minimize_batch(objective, regions, config, rngs())
+        before = registry().counters_snapshot()
+        got = executor.submit(
+            traced, objective, regions, config, rngs=rngs()
+        ).result()
+        delta = registry().counters_since(before)
+        assert not parent_calls
+        assert delta["kernel.pgd_rows"] == len(regions)
+        for got_part, ref_part in zip(got, reference):
+            np.testing.assert_array_equal(got_part, ref_part)
 
     def test_network_store_writes_each_digest_once(self, kernel_case):
         network, _, _ = kernel_case

@@ -1,9 +1,9 @@
 """Executor-equivalence matrix: execution placement is a pure knob.
 
 The tentpole contract of the execution layer (DESIGN.md §8–§9):
-marshalling a scheduler round's independent fused groups across a
-process boundary changes *which core* runs a group, never what it
-computes: group composition, within-group row order, and
+sending a scheduler round's independent fused groups across a process
+boundary changes *which core* runs a group, never what it computes:
+group composition, within-group row order, and
 result-consumption order are all fixed on the scheduler thread, and
 process workers pin their BLAS pools to one thread so GEMM rounding
 matches the serial run.  These tests pin bitwise-identical per-job
@@ -20,7 +20,7 @@ from repro.core.config import VerifierConfig
 from repro.core.policy import BisectionPolicy
 from repro.core.property import RobustnessProperty, linf_property
 from repro.exec import ProcessExecutor, SerialExecutor
-from repro.nn.builders import mlp, xor_network
+from repro.nn.builders import mlp, redundant_mlp, xor_network
 from repro.obs.trace import tracer
 from repro.sched import Scheduler, VerificationJob
 from repro.utils.boxes import Box
@@ -170,8 +170,8 @@ class TestBatchedEngineMatrix:
         self, frontier, workers, manifest, serial_reports, process_executors
     ):
         # The hard row of the matrix: every fused group crosses a process
-        # boundary as a picklable descriptor, runs under pinned BLAS, and
-        # must still reproduce the serial run bit for bit.
+        # boundary as its kernel's name plus pickled arguments, runs under
+        # pinned BLAS, and must still reproduce the serial run bit for bit.
         report = Scheduler(
             manifest, frontier=frontier, executor=process_executors(workers)
         ).run()
@@ -217,15 +217,57 @@ class TestSplitAnalyzeGroups:
         assert_reports_bitwise_equal(serial_powerset, report)
 
 
+class TestAbstractNetworks:
+    """Network abstraction sends abstract networks (``ErrorPad`` layers,
+    their own digests) through the workers, under the float32 screen and
+    its float64 escalation."""
+
+    @pytest.fixture(scope="class")
+    def redundant_jobs(self):
+        config = VerifierConfig(timeout=30.0, batch_size=8, max_depth=3)
+        rng = np.random.default_rng(5)
+        jobs = []
+        for net_seed in range(2):
+            net = redundant_mlp(4, [8, 8], 3, dup=3, noise=1e-3, rng=net_seed)
+            for i, eps in enumerate((0.005, 0.02, 0.05, 0.1, 0.2, 0.4)):
+                prop = linf_property(
+                    net, rng.uniform(0.3, 0.7, 4), eps, name=f"r{net_seed}-{i}"
+                )
+                jobs.append(
+                    VerificationJob(
+                        net, prop, config=config, seed=i, name=prop.name
+                    )
+                )
+        return jobs
+
+    def test_process_matches_serial_with_abstraction_and_escalation(
+        self, redundant_jobs, process_executors
+    ):
+        options = dict(
+            abstraction="syntactic", precision_escalation=True,
+            netabs_max_rounds=1,
+        )
+        serial = Scheduler(
+            redundant_jobs, executor=SerialExecutor(), **options
+        ).run()
+        # Guard against a vacuous match: some jobs are decided on the
+        # abstract network and some are escalated to float64.
+        assert serial.netabs_accepted > 0 and serial.escalated > 0
+        process = Scheduler(
+            redundant_jobs, executor=process_executors(2), **options
+        ).run()
+        assert process.netabs_accepted == serial.netabs_accepted
+        assert process.escalated == serial.escalated
+        assert_reports_bitwise_equal(serial, process)
+
+
 class TestMetricsAggregation:
     """A Process run's merged registry delta equals the Serial run's."""
 
     @pytest.fixture(scope="class")
     def zono_jobs(self):
-        # Pinned zonotope powerset: Analyze crosses the process boundary
-        # through the dedicated zonotope fast path (the one that bypasses
-        # analyze_batch_multi), so this pins exactly-once counting on
-        # both worker entry points.
+        # Pinned zonotope powerset: the worker counts each Analyze call
+        # once, and the parent merges the worker's count exactly once.
         config = VerifierConfig(timeout=30.0, batch_size=4)
         policy = BisectionPolicy(domain=DomainSpec("zonotope", 2))
         rng = np.random.default_rng(3)

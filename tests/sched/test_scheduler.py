@@ -18,7 +18,6 @@ from repro.core.property import RobustnessProperty, linf_property
 from repro.core.verifier import BatchedVerifier
 from repro.nn.builders import mlp, xor_network
 from repro.sched import (
-    FixedBatchController,
     JobQueue,
     Scheduler,
     VerificationJob,
@@ -116,9 +115,8 @@ class TestEquivalence:
         for cap in (1, 3, 8):
             monkeypatch.setattr(sched_mod, "ANALYZE_CALL_REGIONS", cap)
             for target in (1, 4, 64):
-                report = Scheduler(
-                    job_mix, controller=FixedBatchController(target)
-                ).run()
+                monkeypatch.setattr(sched_mod, "ROUND_ITEMS", target)
+                report = Scheduler(job_mix).run()
                 for result, solo in zip(report.results, solo_outcomes):
                     assert_job_equivalent(result, solo)
 
@@ -238,18 +236,14 @@ SHAPE_COUNTERS = (
 
 
 class TestRoundShape:
-    def test_default_round_width(self, job_mix):
-        assert Scheduler(job_mix).controller.target == sched_mod.ROUND_ITEMS
-
-    def test_fixed_controller_never_moves(self, job_mix):
-        controller = FixedBatchController(4)
-        narrow = Scheduler(job_mix, controller=controller).run()
-        assert controller.target == 4
-        assert narrow.sweeps > Scheduler(job_mix).run().sweeps
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FixedBatchController(0)
+    def test_round_width_is_read_at_run_time(self, job_mix, monkeypatch):
+        wide = Scheduler(job_mix).run()
+        scheduler = Scheduler(job_mix)
+        monkeypatch.setattr(sched_mod, "ROUND_ITEMS", 4)
+        narrow = scheduler.run()
+        assert narrow.sweeps > wide.sweeps
+        for a, b in zip(narrow.results, wide.results):
+            assert_job_equivalent(a, b.outcome)
 
     def test_two_runs_make_the_same_calls(self, powerset_jobs):
         first, second = (Scheduler(powerset_jobs).run() for _ in range(2))

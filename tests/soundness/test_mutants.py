@@ -10,6 +10,11 @@ implementation — must pass on the real code and fail under the mutant.
   longer rests on leaves that cover the region.  Check: a VERIFIED job's
   region holds no misclassified point of a dense float64 grid, on
   Example 2.2's falsifiable property (region [-1, 2], label 1).
+- **M5** — the scheduler's falsification test (``first_falsified``)
+  accepts a PGD minimum up to δ + 0.05, so FALSIFIED no longer rests on
+  a δ-counterexample.  Check: each FALSIFIED witness, re-run in float64,
+  lies in its region with margin ≤ δ, on Example 2.2's robust property
+  over [1.1, 1.32], label 1, whose least margin is 0.04 (at x = 1.32).
 - **M7** — DeepPoly's one-sided ReLU pass (DESIGN §4) gives no unit its
   second side.  A crossing unit then keeps the one bound it got as both,
   so it is zeroed (``l < 0`` predicted active) or passed through as the
@@ -60,6 +65,41 @@ def _verified_but_misclassified() -> int:
     return violations
 
 
+def _m5_loose_falsified(monkeypatch):
+    falsified = scheduler.first_falsified
+
+    def loose(f_stars, delta):
+        return falsified(f_stars, delta + 0.05)
+
+    monkeypatch.setattr(scheduler, "first_falsified", loose)
+
+
+def _falsified_but_no_counterexample() -> int:
+    """FALSIFIED jobs whose witness, re-run in float64, leaves its region
+    or has a margin above δ, on Example 2.2's property over
+    [1.1, 1.32]."""
+    network = example_2_2_network()
+    prop = RobustnessProperty(Box(np.array([1.1]), np.array([1.32])), 1)
+    job = VerificationJob(
+        network, prop, config=VerifierConfig(timeout=10.0), seed=0
+    )
+    report = Scheduler([job]).run()
+    assert report.results[0].outcome.kind in ("verified", "falsified")
+    violations = 0
+    for result in report.results:
+        if result.outcome.kind != "falsified":
+            continue
+        witness = np.asarray(result.outcome.counterexample, dtype=np.float64)
+        scores = network.forward(witness.reshape(1, -1))[0]
+        label = result.job.prop.label
+        margin = scores[label] - np.delete(scores, label).max()
+        violations += int(
+            not result.job.prop.region.contains(witness)
+            or margin > result.job.config.delta
+        )
+    return violations
+
+
 def _m7_no_second_pass(monkeypatch):
     monkeypatch.setattr(
         deeppoly, "_unsettled", lambda known, plus: np.zeros_like(plus)
@@ -91,6 +131,10 @@ MUTANTS = [
     pytest.param(
         _m4_left_child_twice, _verified_but_misclassified,
         id="M4-refine-left-child-twice",
+    ),
+    pytest.param(
+        _m5_loose_falsified, _falsified_but_no_counterexample,
+        id="M5-falsified-above-delta",
     ),
     pytest.param(
         _m7_no_second_pass, _deeppoly_output_escapes,
