@@ -1,13 +1,14 @@
-"""Batched engine vs sequential Algorithm 1 on the fig06 MLP workload.
+"""The engine vs sequential Algorithm 1 on the fig06 MLP workload.
 
 Not a paper figure: this bench pins the performance contract of the
 batched verification engine (this repo's first perf deliverable;
 end-to-end timings of the fixed suites come from ``perfbench/``).  Shape
 checked here:
 
-- the engines agree on every problem both decide;
-- the batched engine's work-item throughput (PGD + analyze calls per
-  second) beats the sequential engine's on the same budget — the honest
+- ``verify`` (a one-job scheduler run) and ``sequential_reference`` (the
+  paper's stack loop) agree on every problem both decide;
+- the engine's work-item throughput (PGD + analyze calls per second)
+  beats the reference's on the same budget — the honest
   ratio on budget-bounded runs, since timed-out problems burn identical
   wall-clock in both engines by construction;
 - the fixed-workload batched kernels beat their per-region loops outright;
@@ -36,21 +37,22 @@ from repro.attack.objective import MarginObjective
 from repro.attack.pgd import PGDConfig, pgd_minimize, pgd_minimize_batch
 from repro.core.config import VerifierConfig
 from repro.core.policy import BisectionPolicy
-from repro.core.verifier import BatchedVerifier, Verifier
+from repro.core.verifier import sequential_reference, verify
 from repro.nn.builders import mlp
 from repro.utils.boxes import Box
 
 NETWORKS = ("mnist_3x100", "mnist_6x100")
 
 
-def _run_engine(engine_cls, problems, networks, policy, config):
+def _run_engine(decide, problems, networks, policy, config):
     outcomes = []
     calls = 0
     start = time.perf_counter()
     for problem in problems:
-        outcome = engine_cls(
-            networks[problem.network_name], policy, config, rng=0
-        ).verify(problem.prop)
+        outcome = decide(
+            networks[problem.network_name], problem.prop, policy, config,
+            rng=0,
+        )
         outcomes.append(outcome.kind)
         calls += outcome.stats.pgd_calls + outcome.stats.analyze_calls
     return outcomes, calls, time.perf_counter() - start
@@ -62,8 +64,10 @@ def test_batched_engine_throughput(benchmark):
     config = VerifierConfig(timeout=TIMEOUT)
 
     def run():
-        seq = _run_engine(Verifier, problems, networks, policy, config)
-        bat = _run_engine(BatchedVerifier, problems, networks, policy, config)
+        seq = _run_engine(
+            sequential_reference, problems, networks, policy, config
+        )
+        bat = _run_engine(verify, problems, networks, policy, config)
         return seq, bat
 
     (seq_kinds, seq_calls, seq_s), (bat_kinds, bat_calls, bat_s) = one_shot(

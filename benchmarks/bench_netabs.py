@@ -9,7 +9,8 @@ must
 - reach **identical job outcomes** to the concrete run (any accepted
   FALSIFIED carries a float64-validated witness by construction — the
   scheduler only accepts falsifications after
-  :func:`repro.abstract.netabs.witness_margin` confirms them);
+  :meth:`~repro.core.property.RobustnessProperty.margin_at`, a float64
+  forward pass on the concrete network, confirms them);
 - finish the suite at least **1.5x faster** end-to-end;
 - spend a measurably smaller fraction of full-network kernel work,
   reported via ``kernel.analyze_rows`` weighted by network width (an

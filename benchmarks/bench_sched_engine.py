@@ -5,12 +5,12 @@ cross-property scheduler (``repro.sched``; end-to-end timings of the
 fixed suites come from ``perfbench/``).  Shape checked here:
 
 - every job's outcome and witness is identical between per-property
-  one-job runs (``Scheduler([job]).run()`` per job, what
-  ``BatchedVerifier`` runs) and one fused scheduler run (the
-  reproducibility contract);
+  one-job runs (``Scheduler([job]).run()`` per job, what ``Verifier``
+  runs) and one fused scheduler run (the reproducibility contract);
 - cross-property scheduling beats the per-property loop by >= 1.5x work
-  throughput at equal ``batch_size`` — the fused sweeps keep GEMM batch
-  slots full where solo frontiers run half-empty;
+  throughput at equal ``batch_size``, in the median of three alternating
+  (per-property, fused) pairs — the fused sweeps keep GEMM batch slots
+  full where solo frontiers run half-empty;
 - a warm persistent cache serves every decided job without spawning any
   PGD/Analyze work (zero fused sweeps, zero fresh kernel calls).
 
@@ -23,6 +23,7 @@ each network's slice of it behaves like this bench).
 """
 
 import os
+from statistics import median
 
 import numpy as np
 from conftest import load_problems, one_shot
@@ -34,6 +35,11 @@ from repro.exec import ProcessExecutor
 from repro.sched import ResultCache, Scheduler, VerificationJob
 
 NETWORKS = ("mnist_3x100",)
+
+#: Alternating (per-property, fused) timing pairs behind the throughput
+#: contract: each side runs for a few tenths of a second, so one noisy
+#: sample must not decide it.
+PAIRS = 3
 
 
 def _build_jobs(config):
@@ -64,42 +70,44 @@ def test_cross_property_scheduling_throughput(benchmark):
     # Warm caches (lazy network op lowering, BLAS threads) outside the
     # measured comparison so neither side pays them.
     _per_property(jobs[:4])
-    Scheduler(jobs[:4], frontier="priority").run()
+    Scheduler(jobs[:4]).run()
 
     def run():
-        seq = _per_property(jobs)
-        bat = Scheduler(jobs, frontier="priority").run()
-        return seq, bat
+        return [
+            (_per_property(jobs), Scheduler(jobs).run()) for _ in range(PAIRS)
+        ]
 
-    seq, bat = one_shot(benchmark, run)
-    seq_wall = sum(report.wall_clock for report in seq)
-    seq_throughput = sum(report.fresh_calls() for report in seq) / seq_wall
-
-    # Identical outcomes, witnesses, and counters per job.
-    for solo, fused in zip(
-        (report.results[0] for report in seq), bat.results
-    ):
-        assert solo.outcome.kind == fused.outcome.kind
-        if solo.outcome.kind == "falsified":
-            np.testing.assert_array_equal(
-                solo.outcome.counterexample, fused.outcome.counterexample
-            )
-        assert solo.outcome.stats.pgd_calls == fused.outcome.stats.pgd_calls
-        assert (
-            solo.outcome.stats.analyze_calls
-            == fused.outcome.stats.analyze_calls
-        )
-
-    ratio = bat.throughput() / seq_throughput
+    ratios = []
     print()
-    print(
-        f"throughput: per-property {seq_throughput:.0f}/s "
-        f"({seq_wall:.2f}s), cross-property {bat.throughput():.0f}/s "
-        f"({bat.wall_clock:.2f}s) -> {ratio:.2f}x"
-    )
+    for seq, bat in one_shot(benchmark, run):
+        # Identical outcomes, witnesses, and counters per job.
+        for solo, fused in zip(
+            (report.results[0] for report in seq), bat.results
+        ):
+            assert solo.outcome.kind == fused.outcome.kind
+            if solo.outcome.kind == "falsified":
+                np.testing.assert_array_equal(
+                    solo.outcome.counterexample, fused.outcome.counterexample
+                )
+            assert (
+                solo.outcome.stats.pgd_calls == fused.outcome.stats.pgd_calls
+            )
+            assert (
+                solo.outcome.stats.analyze_calls
+                == fused.outcome.stats.analyze_calls
+            )
+        seq_wall = sum(report.wall_clock for report in seq)
+        seq_throughput = sum(report.fresh_calls() for report in seq) / seq_wall
+        ratios.append(bat.throughput() / seq_throughput)
+        print(
+            f"throughput: per-property {seq_throughput:.0f}/s "
+            f"({seq_wall:.2f}s), cross-property {bat.throughput():.0f}/s "
+            f"({bat.wall_clock:.2f}s) -> {ratios[-1]:.2f}x"
+        )
+    print(f"median of {len(ratios)} pairs: {median(ratios):.2f}x")
     # The contract: fused cross-property sweeps must beat per-property
     # loops at equal batch_size (full baseline shows ~1.7-1.9x).
-    assert ratio >= 1.5
+    assert median(ratios) >= 1.5
 
 
 def test_cache_hits_spawn_no_work(benchmark, tmp_path):

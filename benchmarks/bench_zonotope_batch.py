@@ -7,8 +7,9 @@ paper's headline domain made a first-class batched engine (see
 
 - the batched kernels are **bitwise identical** to the per-region
   sequential elements on a fixed frontier workload, and strictly faster;
-- the batched engine beats the sequential engine's work-item throughput
-  by >= 1.5x on the fig06 powerset workload (the learned policy, which
+- the engine (``verify``, a one-job scheduler run) beats
+  ``sequential_reference``'s work-item throughput by >= 1.5x on the
+  fig06 powerset workload (the learned policy, which
   mostly selects bounded zonotope powersets — the ROADMAP's "part 2"
   gap this PR closes);
 - the fused sign-split dense rewrite in `DeepPolyBatch` (one
@@ -34,7 +35,7 @@ from repro.abstract.deeppoly import DeepPolyBatch, _DiagBounds, _split_signs
 from repro.abstract.domains import DEEPPOLY, ZONOTOPE, bounded_zonotopes
 from repro.bench.fusedref import prefused_stacked_relu, promotion_stack
 from repro.core.config import VerifierConfig
-from repro.core.verifier import BatchedVerifier, Verifier
+from repro.core.verifier import sequential_reference, verify
 from repro.learn.pretrained import pretrained_policy
 from repro.nn.builders import lenet_conv
 from repro.utils.boxes import Box
@@ -49,20 +50,22 @@ def test_powerset_workload_throughput(benchmark):
     policy = pretrained_policy()
     config = VerifierConfig(timeout=TIMEOUT)
 
-    def run_engine(engine_cls):
+    def run_engine(decide):
         kinds = []
         calls = 0
         start = time.perf_counter()
         for problem in problems:
-            outcome = engine_cls(
-                networks[problem.network_name], policy, config, rng=0
-            ).verify(problem.prop)
+            outcome = decide(
+                networks[problem.network_name], problem.prop, policy, config,
+                rng=0,
+            )
             kinds.append(outcome.kind)
             calls += outcome.stats.pgd_calls + outcome.stats.analyze_calls
         return kinds, calls, time.perf_counter() - start
 
     (seq_kinds, seq_calls, seq_s), (bat_kinds, bat_calls, bat_s) = one_shot(
-        benchmark, lambda: (run_engine(Verifier), run_engine(BatchedVerifier))
+        benchmark,
+        lambda: (run_engine(sequential_reference), run_engine(verify)),
     )
 
     decided = [

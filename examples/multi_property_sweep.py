@@ -53,8 +53,8 @@ def main() -> None:
     print(f"  wall clock {solo_wall:.2f}s, "
           f"{solo_throughput:.0f} work items/s")
 
-    print("\n--- one shared frontier (hardest-first) ---")
-    fused = Scheduler(jobs, frontier="priority").run()
+    print("\n--- one shared frontier ---")
+    fused = Scheduler(jobs).run()
     for result, ref in zip(fused.results, solo_results):
         marker = "==" if result.outcome.kind == ref.outcome.kind else "!!"
         print(f"  {result.job.name:<16} {result.outcome.kind} {marker}")

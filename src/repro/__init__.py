@@ -36,7 +36,7 @@ from repro.core.policy import (
     VerificationPolicy,
     default_policy,
 )
-from repro.core.verifier import BatchedVerifier, Verifier, verify, verify_batched
+from repro.core.verifier import Verifier, verify
 from repro.abstract.domains import DomainSpec, INTERVAL, ZONOTOPE
 from repro.abstract.analyzer import analyze, analyze_batch
 
@@ -57,8 +57,6 @@ __all__ = [
     "default_policy",
     "Verifier",
     "verify",
-    "BatchedVerifier",
-    "verify_batched",
     "DomainSpec",
     "INTERVAL",
     "ZONOTOPE",

@@ -35,8 +35,8 @@ from repro.abstract.domains import (
     ZONOTOPE,
 )
 from repro.abstract.analyzer import AnalysisResult, analyze, analyze_batch, propagate
-from repro.abstract.deeppoly import DeepPolyBatch, DeepPolyState, deeppoly_analyze
-from repro.abstract.symbolic_interval import SymbolicInterval, symbolic_analyze
+from repro.abstract.deeppoly import DeepPolyBatch, DeepPolyState
+from repro.abstract.symbolic_interval import SymbolicInterval
 
 __all__ = [
     "AbstractElement",
@@ -58,7 +58,5 @@ __all__ = [
     "propagate",
     "DeepPolyState",
     "DeepPolyBatch",
-    "deeppoly_analyze",
     "SymbolicInterval",
-    "symbolic_analyze",
 ]

@@ -41,9 +41,7 @@ from repro.abstract.batched import BatchedElement
 from repro.backend import active as _active_backend
 from repro.backend import outward_cast as _outward_cast
 from repro.backend import slack_for as _slack_for
-from repro.nn.network import AffineOp, MaxPoolOp, Network, PadOp, ReluOp
 from repro.utils.boxes import Box
-from repro.utils.timing import Deadline
 
 
 @dataclass(frozen=True)
@@ -1019,31 +1017,3 @@ class DeepPolyBatch(BatchedElement):
         )
         return margins.min(axis=1)
 
-
-def deeppoly_analyze(
-    network: Network,
-    region: Box,
-    label: int,
-    deadline: Deadline | None = None,
-) -> tuple[bool, float]:
-    """Verify ``(region, label)`` with the DeepPoly-style domain.
-
-    Returns ``(verified, margin_lower_bound)``.  Supports affine, ReLU, and
-    max-pooling ops (i.e. all architectures in the benchmark suite).
-    """
-    state = DeepPolyState.identity(region)
-    for op in network.ops_for(_active_backend().dtype):
-        if deadline is not None:
-            deadline.check()
-        if isinstance(op, AffineOp):
-            state = state.affine(op.weight, op.bias)
-        elif isinstance(op, ReluOp):
-            state = state.relu()
-        elif isinstance(op, MaxPoolOp):
-            state = state.maxpool(op.windows)
-        elif isinstance(op, PadOp):
-            state = state.pad(op.radii)
-        else:
-            raise TypeError(f"unknown op type {type(op).__name__}")
-    margin = state.min_margin(label)
-    return margin > 0.0, margin

@@ -291,17 +291,6 @@ def _semantic_signatures(
     return sigs
 
 
-def witness_margin(network: Network, label: int, x: np.ndarray) -> float:
-    """Concrete float64 robustness margin of a candidate counterexample.
-
-    ``margin <= delta`` means the point really misclassifies on the
-    *concrete* network — the CEGAR acceptance test for an abstract
-    ``FALSIFIED`` witness.
-    """
-    logits = network.forward(np.asarray(x, dtype=np.float64))
-    return float(logits[label] - np.delete(logits, label).max())
-
-
 class NetworkAbstraction:
     """Clustering state, abstract-network builder, and refinement driver.
 

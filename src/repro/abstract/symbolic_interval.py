@@ -19,9 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.nn.network import AffineOp, MaxPoolOp, Network, PadOp, ReluOp
 from repro.utils.boxes import Box
-from repro.utils.timing import Deadline
 
 
 def _affine_bounds_over_box(
@@ -147,34 +145,3 @@ class SymbolicInterval:
             self.lower_margin(label, j) for j in range(self.size) if j != label
         )
 
-
-def symbolic_analyze(
-    network: Network,
-    region: Box,
-    label: int,
-    deadline: Deadline | None = None,
-) -> tuple[bool, float]:
-    """Symbolic-interval verification attempt.
-
-    Returns ``(verified, margin_lower_bound)``.  Raises ``TypeError`` on
-    networks with max pooling (unsupported, as in the original ReluVal).
-    """
-    element = SymbolicInterval.identity(region)
-    for op in network.ops():
-        if deadline is not None:
-            deadline.check()
-        if isinstance(op, AffineOp):
-            element = element.affine(op.weight, op.bias)
-        elif isinstance(op, ReluOp):
-            element = element.relu()
-        elif isinstance(op, MaxPoolOp):
-            raise TypeError(
-                "symbolic intervals do not support max pooling "
-                "(ReluVal excludes convolutional networks)"
-            )
-        elif isinstance(op, PadOp):
-            element = element.pad(op.radii)
-        else:
-            raise TypeError(f"unknown op type {type(op).__name__}")
-    margin = element.min_margin(label)
-    return margin > 0.0, margin

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.abstract.symbolic_interval import symbolic_analyze
+from repro.abstract.analyzer import analyze
+from repro.abstract.domains import SYMBOLIC
 from repro.core.property import RobustnessProperty
 from repro.core.results import Falsified, Timeout, Verified, VerificationStats
 from repro.nn.network import Network
@@ -87,10 +88,9 @@ class ReluVal:
 
                 stats.analyze_calls += 1
                 stats.record_domain("symbolic")
-                verified, _ = symbolic_analyze(
-                    network, region, prop.label, deadline
-                )
-                if verified:
+                if analyze(
+                    network, region, prop.label, SYMBOLIC, deadline
+                ).verified:
                     continue
 
                 if depth >= config.max_depth:

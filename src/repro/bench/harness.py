@@ -9,8 +9,10 @@ Multi-property suites have two execution routes: :func:`run_suite` runs
 every (tool, problem) pair one at a time — the paper's setup — while
 :func:`run_suite_scheduled` routes the whole problem list through the
 multi-property scheduler (:mod:`repro.sched`) in one run, fusing kernel
-batches across properties; outcomes per problem match the per-problem
-``BatchedVerifier`` route by the scheduler's reproducibility contract.
+batches across properties.  Both run the same engine — the Charon
+adapter's :class:`~repro.core.verifier.Verifier` is a one-job scheduler
+run — so outcomes per problem match by the scheduler's reproducibility
+contract.
 """
 
 from __future__ import annotations
@@ -134,7 +136,6 @@ def run_suite_scheduled(
     networks: dict[str, Network],
     timeout: float,
     policy: VerificationPolicy | None = None,
-    frontier: str = "dfs",
     cache=None,
     batch_size: int = 16,
     rng_seed: int = 0,
@@ -166,7 +167,7 @@ def run_suite_scheduled(
         )
         for problem in problems
     ]
-    report = Scheduler(jobs, frontier=frontier, cache=cache).run()
+    report = Scheduler(jobs, cache=cache).run()
     table = ResultTable(problems=list(problems))
     for result in report.results:
         table.add(

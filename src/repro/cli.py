@@ -109,7 +109,6 @@ from repro.obs.stats import (
 )
 from repro.obs.trace import tracer
 from repro.sched import (
-    FRONTIER_POLICIES,
     ResultCache,
     RunOptionError,
     RunOptions,
@@ -444,8 +443,7 @@ def _print_schedule_report(report, jobs, cache) -> int:
         f"falsified: {counts['falsified']}  timeout: {counts['timeout']}"
     )
     print(
-        f"run: {report.frontier} frontier, "
-        f"{report.executor} executor x{report.workers}, "
+        f"run: {report.executor} executor x{report.workers}, "
         f"{report.sweeps} fused sweeps, {report.swept_items} work items, "
         f"{report.wall_clock:.2f}s wall clock"
     )
@@ -843,11 +841,6 @@ _FLAGS: dict[str, dict] = {
         default=None,
         help="total-size budget for the cache directory, same LRU pruning",
     ),
-    "--frontier": dict(
-        choices=sorted(FRONTIER_POLICIES),
-        default="dfs",
-        help="which jobs' chunks fill each fused sweep",
-    ),
     "--workers": dict(
         type=int,
         default=1,
@@ -959,7 +952,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a manifest of jobs through the multi-property scheduler",
     )
     _add_flags(
-        schedule_parser, "manifest", "--frontier", "--cache",
+        schedule_parser, "manifest", "--cache",
         *_CACHE_BUDGET_FLAGS, *_JOB_FLAGS, "--workers", *_POLICY_FLAGS,
         *_ABSTRACTION_FLAGS, *_BACKEND_FLAGS, "--trace",
     )
@@ -987,7 +980,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_flags(
         diff_parser, "manifest", "--cache", *_CACHE_BUDGET_FLAGS,
-        "--frontier", *_JOB_FLAGS, "--workers", *_POLICY_FLAGS,
+        *_JOB_FLAGS, "--workers", *_POLICY_FLAGS,
         *_BACKEND_FLAGS, "--trace",
         required=("--cache",),
     )

@@ -22,13 +22,7 @@ from repro.core.policy import (
     VerificationPolicy,
     default_policy,
 )
-from repro.core.verifier import (
-    BatchedVerifier,
-    Verifier,
-    WorkItem,
-    verify,
-    verify_batched,
-)
+from repro.core.verifier import Verifier, WorkItem, verify
 from repro.core.radius import RadiusResult, certified_accuracy, certified_radius
 
 __all__ = [
@@ -53,7 +47,5 @@ __all__ = [
     "default_policy",
     "Verifier",
     "verify",
-    "BatchedVerifier",
-    "verify_batched",
     "WorkItem",
 ]

@@ -29,8 +29,7 @@ class VerifierConfig:
         batch_size: how many frontier sub-regions a job contributes to
             each sweep of the frontier engine
             (:class:`~repro.sched.scheduler.Scheduler`, and
-            :class:`~repro.core.verifier.BatchedVerifier` on top of it).
-            The sequential :class:`Verifier` ignores it.
+            :class:`~repro.core.verifier.Verifier` on top of it).
     """
 
     delta: float = 1e-6

@@ -23,12 +23,11 @@ its PGD call and its two split halves.  A sub-region's random stream is
 therefore a pure function of its path from the root, which is what lets the
 frontier engine (:class:`~repro.sched.scheduler.Scheduler`) process items
 in any order — or many at once, across many properties — and still
-reproduce this reference's per-region results.
+reproduce the stack loop's per-region results.
 
-:class:`Verifier` is the paper-faithful sequential reference.
-:class:`BatchedVerifier` is the GEMM-shaped route: a one-job
-:class:`~repro.sched.scheduler.Scheduler` run, whose frontier pops up to
-``config.batch_size`` items per sweep and runs one batched Minimize and
+:class:`Verifier` (and :func:`verify`) is a one-job
+:class:`~repro.sched.scheduler.Scheduler` run: the job's frontier pops up
+to ``config.batch_size`` items per sweep and runs one batched Minimize and
 one batched Analyze per domain group over all of them (§6's "independent
 sub-region analyses").  Every domain the policy menu commonly selects —
 intervals, DeepPoly, zonotopes, and bounded zonotope powersets — has a
@@ -38,9 +37,13 @@ stays GEMM-shaped regardless of the domain policy's choices.  The three
 per-chunk steps live here as hooks
 (:func:`first_falsified`, :func:`choose_domains`,
 :func:`refine_unverified`) so the scheduler's fused sweeps cannot drift
-from Algorithm 1's per-chunk semantics.  Soundness, δ-completeness,
-budgets, and statistics semantics are identical to :class:`Verifier`;
-differences are traversal order and BLAS round-off.
+from Algorithm 1's per-chunk semantics.
+
+:func:`sequential_reference` is the paper-faithful stack loop, one item
+at a time.  No entry point runs it: it is what the engine-equivalence
+tests and the engine-throughput contracts compare :class:`Verifier`
+against.  Soundness, δ-completeness, budgets, and statistics semantics
+are identical; differences are traversal order and BLAS round-off.
 """
 
 from __future__ import annotations
@@ -95,9 +98,9 @@ def root_item(
 def first_falsified(f_stars, delta: float) -> int | None:
     """Index of the first item whose PGD minimum is a δ-counterexample.
 
-    "First" is frontier order — ``items[0]`` is what the sequential engine
-    would pop next — which is what makes the batched engines' witness
-    deterministic for a fixed chunking.
+    "First" is frontier order — ``items[0]`` is what the stack loop would
+    pop next — which is what makes the engine's witness deterministic for
+    a fixed chunking.
     """
     for idx, f_star in enumerate(f_stars):
         if f_star <= delta:
@@ -202,7 +205,29 @@ def minimize_pgd_config(config: VerifierConfig) -> PGDConfig:
 
 
 class Verifier:
-    """A reusable Charon instance bound to a network and a policy."""
+    """A reusable Charon instance bound to a network and a policy.
+
+    Each :meth:`verify` is a one-job
+    :class:`~repro.sched.scheduler.Scheduler` run with default run
+    options: the job's frontier pops up to ``config.batch_size`` items per
+    sweep, runs **one** batched PGD minimization and **one** batched
+    abstract interpretation per domain group over all of them, then
+    pushes every resulting split.  Children are pushed so the frontier
+    keeps the stack loop's depth-first orientation (the first popped
+    item's left child ends on top), making the traversal a DFS with a
+    ``batch_size``-wide lookahead.
+
+    Because work-item randomness is path-keyed (see :class:`WorkItem`),
+    each sub-region's PGD search matches :func:`sequential_reference`'s
+    per-region arithmetic; outcomes and witnesses agree up to BLAS kernel
+    round-off.  Terminal sweeps may have minimized a few frontier
+    companions the stack loop would never have reached — order-only,
+    speculative work that the statistics count honestly.
+
+    The run hands the job this instance's generator as its seed, so a
+    reused instance draws successive root seeds exactly like the
+    reference does from a shared generator.
+    """
 
     def __init__(
         self,
@@ -216,106 +241,8 @@ class Verifier:
         self.config = config or VerifierConfig()
         self._rng = as_generator(rng)
 
-    def _pgd_config(self) -> PGDConfig:
-        return minimize_pgd_config(self.config)
-
     def verify(self, prop: RobustnessProperty):
         """Decide the robustness property; see the module docstring."""
-        config = self.config
-        stats = VerificationStats()
-        deadline = Deadline(config.timeout)
-        watch = Stopwatch().start()
-        objective = MarginObjective(self.network, prop.label)
-        pgd_config = self._pgd_config()
-
-        stack: list[WorkItem] = [root_item(prop.region, self._rng)]
-        try:
-            while stack:
-                if deadline.expired():
-                    stats.time_seconds = watch.stop()
-                    return Timeout("wall clock", stats)
-                item = stack.pop()
-                region, depth = item.region, item.depth
-                stats.max_depth_reached = max(stats.max_depth_reached, depth)
-                sub_prop = prop.with_region(region)
-                pgd_rng, left_seq, right_seq = item.derive_seeds()
-
-                # --- 1. Minimize -----------------------------------------
-                x_star, f_star = pgd_minimize(
-                    objective, region, pgd_config, pgd_rng, deadline
-                )
-                stats.pgd_calls += 1
-                if f_star <= config.delta:
-                    stats.time_seconds = watch.stop()
-                    return Falsified(x_star, f_star, stats)
-
-                # --- 2. Analyze ------------------------------------------
-                domain = self.policy.choose_domain(
-                    self.network, sub_prop, x_star, f_star
-                )
-                if region.is_degenerate():
-                    # A point region: the interval domain is exact on it, so
-                    # this branch always resolves (F(x*) > δ implies the
-                    # margin at the point is positive).
-                    domain = INTERVAL
-                stats.analyze_calls += 1
-                stats.record_domain(domain.short_name)
-                result = analyze(
-                    self.network, region, prop.label, domain, deadline
-                )
-                if result.verified:
-                    continue
-
-                # --- 3. Refine -------------------------------------------
-                if depth >= config.max_depth:
-                    stats.time_seconds = watch.stop()
-                    return Timeout("split depth", stats)
-                choice = self.policy.choose_split(
-                    self.network, sub_prop, x_star, f_star
-                )
-                try:
-                    left, right = region.split_interior(
-                        choice.dim, choice.value, config.min_split_fraction
-                    )
-                except ValueError:
-                    # Region width is below float resolution yet analysis
-                    # still fails: no further refinement is possible.
-                    stats.time_seconds = watch.stop()
-                    return Timeout("degenerate region", stats)
-                stats.splits += 1
-                stack.append(WorkItem(right, depth + 1, right_seq))
-                stack.append(WorkItem(left, depth + 1, left_seq))
-        except TimeoutError:
-            stats.time_seconds = watch.stop()
-            return Timeout("wall clock", stats)
-
-        stats.time_seconds = watch.stop()
-        return Verified(stats)
-
-
-class BatchedVerifier(Verifier):
-    """Algorithm 1 over a frontier of sub-regions, batched per sweep.
-
-    A one-job :class:`~repro.sched.scheduler.Scheduler` run: the frontier
-    pops up to ``config.batch_size`` items per sweep, runs **one** batched
-    PGD minimization and **one** batched abstract interpretation per
-    domain group over all of them, then pushes every resulting split.
-    Children are pushed so the frontier preserves the sequential engine's
-    depth-first orientation (the first popped item's left child ends on
-    top), making the traversal a DFS with a ``batch_size``-wide lookahead.
-
-    Because work-item randomness is path-keyed (see :class:`WorkItem`),
-    each sub-region's PGD search matches the sequential engine's per-region
-    arithmetic; outcomes and witnesses agree up to BLAS kernel round-off.
-    Terminal sweeps may have minimized a few frontier companions the
-    sequential engine would never have reached — order-only, speculative
-    work that the statistics count honestly.
-
-    The run hands the job this instance's generator, so a reused
-    instance draws successive root seeds exactly like :class:`Verifier`.
-    """
-
-    def verify(self, prop: RobustnessProperty):
         # Imported here: the scheduler builds on this module's hooks.
         from repro.sched.job import VerificationJob
         from repro.sched.scheduler import Scheduler
@@ -327,8 +254,7 @@ class BatchedVerifier(Verifier):
             policy=self.policy,
             seed=self._rng,
         )
-        report = Scheduler([job]).run()
-        return report.results[0].outcome
+        return Scheduler([job]).run().results[0].outcome
 
 
 def verify(
@@ -342,12 +268,82 @@ def verify(
     return Verifier(network, policy, config, rng).verify(prop)
 
 
-def verify_batched(
+def sequential_reference(
     network: Network,
     prop: RobustnessProperty,
     policy: VerificationPolicy | None = None,
     config: VerifierConfig | None = None,
     rng: int | np.random.Generator | None = None,
 ):
-    """One-shot convenience wrapper around :class:`BatchedVerifier`."""
-    return BatchedVerifier(network, policy, config, rng).verify(prop)
+    """Algorithm 1 as the paper's stack loop, one work item at a time.
+
+    The reference the engine-equivalence tests compare :class:`Verifier`
+    against; no entry point runs it.  ``config.batch_size`` plays no part
+    here.  Passing one generator to successive calls draws successive
+    root seeds, like a reused :class:`Verifier`.
+    """
+    policy = policy or default_policy()
+    config = config or VerifierConfig()
+    stats = VerificationStats()
+    deadline = Deadline(config.timeout)
+    watch = Stopwatch().start()
+    objective = MarginObjective(network, prop.label)
+    pgd_config = minimize_pgd_config(config)
+
+    stack: list[WorkItem] = [root_item(prop.region, as_generator(rng))]
+    try:
+        while stack:
+            if deadline.expired():
+                stats.time_seconds = watch.stop()
+                return Timeout("wall clock", stats)
+            item = stack.pop()
+            region, depth = item.region, item.depth
+            stats.max_depth_reached = max(stats.max_depth_reached, depth)
+            sub_prop = prop.with_region(region)
+            pgd_rng, left_seq, right_seq = item.derive_seeds()
+
+            # --- 1. Minimize ---------------------------------------------
+            x_star, f_star = pgd_minimize(
+                objective, region, pgd_config, pgd_rng, deadline
+            )
+            stats.pgd_calls += 1
+            if f_star <= config.delta:
+                stats.time_seconds = watch.stop()
+                return Falsified(x_star, f_star, stats)
+
+            # --- 2. Analyze ----------------------------------------------
+            domain = policy.choose_domain(network, sub_prop, x_star, f_star)
+            if region.is_degenerate():
+                # A point region: the interval domain is exact on it, so
+                # this branch always resolves (F(x*) > δ implies the
+                # margin at the point is positive).
+                domain = INTERVAL
+            stats.analyze_calls += 1
+            stats.record_domain(domain.short_name)
+            result = analyze(network, region, prop.label, domain, deadline)
+            if result.verified:
+                continue
+
+            # --- 3. Refine -----------------------------------------------
+            if depth >= config.max_depth:
+                stats.time_seconds = watch.stop()
+                return Timeout("split depth", stats)
+            choice = policy.choose_split(network, sub_prop, x_star, f_star)
+            try:
+                left, right = region.split_interior(
+                    choice.dim, choice.value, config.min_split_fraction
+                )
+            except ValueError:
+                # Region width is below float resolution yet analysis
+                # still fails: no further refinement is possible.
+                stats.time_seconds = watch.stop()
+                return Timeout("degenerate region", stats)
+            stats.splits += 1
+            stack.append(WorkItem(right, depth + 1, right_seq))
+            stack.append(WorkItem(left, depth + 1, left_seq))
+    except TimeoutError:
+        stats.time_seconds = watch.stop()
+        return Timeout("wall clock", stats)
+
+    stats.time_seconds = watch.stop()
+    return Verified(stats)

@@ -1,17 +1,15 @@
 """Multi-property verification scheduling (the §6 parallelism, cross-property).
 
-The paper treats every sub-region as an independent work item; PR 1's
-batched engine exploited that *within* one property.  This package widens
-the scope to whole job manifests: many (network, property) pairs drive one
-shared frontier so fused PGD/Analyze sweeps mix sub-regions from different
+The paper treats every sub-region as an independent work item; a one-job
+run batches them *within* one property.  This package widens the scope to
+whole job manifests: many (network, property) pairs drive one shared
+frontier so fused PGD/Analyze sweeps mix sub-regions from different
 properties of the same network and keep every ``batch_size`` slot full.
-Each round takes every active job's next chunk (up to 512 items) and
-sends its Analyze groups as calls of at most 8 regions, so a process
-pool has several independent calls to run at once.
+Each round takes every active job's next chunk, deepest frontier first,
+up to 512 items, and sends its Analyze groups as calls of at most 8
+regions, so a process pool has several independent calls to run at once.
 
-- :mod:`repro.sched.job` — :class:`VerificationJob` / :class:`JobQueue`.
-- :mod:`repro.sched.frontier` — FIFO / DFS / hardest-first frontier
-  policies.
+- :mod:`repro.sched.job` — :class:`VerificationJob`.
 - :mod:`repro.sched.cache` — the persistent content-addressed result
   cache (network/property/config digests, certified-radius queries).
 - :mod:`repro.sched.options` — :class:`RunOptions`, the one record that
@@ -19,7 +17,8 @@ pool has several independent calls to run at once.
   to the scheduler.
 - :mod:`repro.sched.scheduler` — the :class:`Scheduler` engine and its
   :class:`ScheduleReport`.  It is the only frontier engine: a one-job run
-  is the single-property case (``BatchedVerifier``, ``repro verify``).
+  is the single-property case (:class:`~repro.core.Verifier`,
+  ``repro verify``).
 
 Per-job results are independent of scheduling — identical to the job's
 one-job run up to the BLAS-kernel round-off budget of the batched kernels
@@ -39,15 +38,7 @@ from repro.sched.cache import (
     policy_digest,
     property_digest,
 )
-from repro.sched.frontier import (
-    FRONTIER_POLICIES,
-    DfsFrontier,
-    FifoFrontier,
-    FrontierPolicy,
-    PriorityFrontier,
-    make_frontier,
-)
-from repro.sched.job import JobQueue, VerificationJob
+from repro.sched.job import VerificationJob
 from repro.sched.options import RunOptionError, RunOptions
 from repro.sched.scheduler import (
     JobResult,
@@ -57,18 +48,11 @@ from repro.sched.scheduler import (
 
 __all__ = [
     "VerificationJob",
-    "JobQueue",
     "Scheduler",
     "RunOptions",
     "RunOptionError",
     "ScheduleReport",
     "JobResult",
-    "FrontierPolicy",
-    "FifoFrontier",
-    "DfsFrontier",
-    "PriorityFrontier",
-    "FRONTIER_POLICIES",
-    "make_frontier",
     "PruneResult",
     "ResultCache",
     "CacheRecord",

@@ -248,9 +248,9 @@ def job_key(
 
     The key identifies the *decision procedure instance* — network,
     property, knobs, policy, seed, array backend.  It deliberately
-    carries no engine tag: every scheduler engine implements
-    ``BatchedVerifier`` semantics per job (the reproducibility
-    contract), so their results are interchangeable and may serve each
+    carries no run-option tag: a job's result does not depend on its
+    batch mates, the round width or the executor (the reproducibility
+    contract), so a one-job run and a many-job run may serve each
     other.  The **backend** is keyed because it changes the decision
     procedure itself — a float32 run takes different splits and may
     decide differently than the float64 reference — so mixed-precision

@@ -3,20 +3,17 @@
 A :class:`VerificationJob` is one ``(network, property)`` pair plus the
 knobs of one Algorithm-1 run — config, policy, and a seed.  The seed
 matters: each job derives its own ``SeedSequence`` root from it exactly
-the way the sequential :class:`~repro.core.verifier.Verifier` does, so a
+the way :func:`~repro.core.verifier.sequential_reference` does, so a
 job's refinement tree, witnesses, and statistics are a pure function of
 the job itself, never of which other jobs share the scheduler run or how
-the frontier interleaves them (the reproducibility contract, DESIGN.md
-§6).
-
-:class:`JobQueue` is the ordered intake: manifests and programmatic callers
-submit jobs, the :class:`~repro.sched.scheduler.Scheduler` drains them.
+rounds interleave them (the reproducibility contract, DESIGN.md §6).
+A :class:`~repro.sched.scheduler.Scheduler` takes its jobs as a list;
+list order is the report's order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -38,9 +35,9 @@ class VerificationJob:
         policy: domain/partition policy; ``None`` selects the default.
         seed: root of the job's ``SeedSequence`` tree (the verifiers'
             ``rng`` argument).  An integer, or a ``numpy`` Generator the
-            root seed is drawn from — what ``BatchedVerifier`` passes so
-            a reused instance keeps its rng stream.  Cached runs need an
-            integer: it is part of the cache key.
+            root seed is drawn from — what :class:`~repro.core.Verifier`
+            passes so a reused instance keeps its rng stream.  Cached runs
+            need an integer: it is part of the cache key.
         name: identifier used in reports and manifests.
         metadata: free-form caller data carried into cache records — e.g.
             ``{"epsilon": 0.05, "center_digest": ...}`` for L∞ jobs, which
@@ -54,35 +51,3 @@ class VerificationJob:
     seed: int | np.random.Generator = 0
     name: str = ""
     metadata: dict = field(default_factory=dict)
-
-
-class JobQueue:
-    """Ordered job intake for the scheduler.
-
-    Submission order is the FIFO frontier policy's notion of "first" and
-    the tiebreaker for every other policy, so it is part of the scheduling
-    contract (though never of any job's *outcome* — see the module
-    docstring).
-    """
-
-    def __init__(self, jobs: list[VerificationJob] | None = None) -> None:
-        self._jobs: list[VerificationJob] = []
-        for job in jobs or []:
-            self.submit(job)
-
-    def submit(self, job: VerificationJob) -> int:
-        """Append a job; returns its queue index (stable for the report)."""
-        if not isinstance(job, VerificationJob):
-            raise TypeError(f"expected VerificationJob, got {type(job).__name__}")
-        self._jobs.append(job)
-        return len(self._jobs) - 1
-
-    def jobs(self) -> list[VerificationJob]:
-        """The submitted jobs in submission order."""
-        return list(self._jobs)
-
-    def __len__(self) -> int:
-        return len(self._jobs)
-
-    def __iter__(self) -> Iterator[VerificationJob]:
-        return iter(self._jobs)

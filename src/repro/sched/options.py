@@ -4,10 +4,13 @@ Every entry point that runs Algorithm 1 — ``repro verify``, ``schedule``,
 ``diff-verify`` and ``train``, :class:`~repro.learn.PolicyTrainer`,
 :class:`~repro.learn.PolicyCostObjective` and a direct
 :class:`~repro.sched.Scheduler` call — hands the scheduler one frozen
-:class:`RunOptions`.  Nothing else sets a run option: no environment
+:class:`RunOptions`; :class:`~repro.core.Verifier` runs with the
+default record.  Nothing else sets a run option: no environment
 variable is read, and no process-wide switch is flipped, so a run's
 options are exactly the record's fields and each option is checked in
-one place, :meth:`RunOptions.__post_init__`.
+one place, :meth:`RunOptions.__post_init__`.  The order in which a
+round takes jobs is not an option: it is fixed (deepest frontier
+first).
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from repro.abstract.netabs import (
 )
 from repro.backend import available as available_backends
 from repro.exec import EXECUTOR_KINDS, validate_executor_spec
-from repro.sched.frontier import FRONTIER_POLICIES, FrontierPolicy
 
 
 class RunOptionError(ValueError):
@@ -38,8 +40,6 @@ class RunOptions:
     """How a scheduler run executes its jobs (the jobs carry what to verify).
 
     Attributes:
-        frontier: a :class:`~repro.sched.frontier.FrontierPolicy` or its
-            name (``"fifo"`` / ``"dfs"`` / ``"priority"``).
         workers: cores for independent kernel groups; ``1`` runs
             everything inline on a :class:`~repro.exec.SerialExecutor`,
             more run them on a :class:`~repro.exec.ProcessExecutor`.
@@ -73,7 +73,6 @@ class RunOptions:
             checkpoint support.
     """
 
-    frontier: str | FrontierPolicy = "dfs"
     workers: int = 1
     executor_kind: str | None = None
     backend: str | None = None
@@ -92,13 +91,6 @@ class RunOptions:
             field = "workers" if known else "executor_kind"
             raise RunOptionError(field, str(exc)) from None
         checks = (
-            (
-                "frontier",
-                isinstance(self.frontier, FrontierPolicy)
-                or self.frontier in FRONTIER_POLICIES,
-                f"unknown frontier policy {self.frontier!r}; "
-                f"choose from {sorted(FRONTIER_POLICIES)}",
-            ),
             (
                 "backend",
                 self.backend is None or self.backend in available_backends(),

@@ -1,15 +1,15 @@
 """The verification scheduler: Algorithm 1's one frontier engine.
 
-Every verify path runs here — a one-property ``BatchedVerifier`` call and
-``repro verify`` are one-job runs, ``repro schedule`` and policy training
-are many-job runs.  A *single* property's frontier keeps GEMM batches
-full only while it is at least ``batch_size`` wide — which it rarely is
-near the root and near the leaves — so the :class:`Scheduler` accepts a
-whole manifest of (network, property) jobs and drives them through fused
-sweeps: each round takes every active job's next chunk of its own DFS
-frontier, in frontier-policy order, until the round holds
-:data:`ROUND_ITEMS` items; the union of chunks goes through **one**
-batched PGD call per (network, PGD-config) group, and each (network,
+Every verify path runs here — :class:`~repro.core.verifier.Verifier`,
+``repro.verify`` and ``repro verify`` are one-job runs, ``repro schedule``
+and policy training are many-job runs.  A *single* property's frontier
+keeps GEMM batches full only while it is at least ``batch_size`` wide —
+which it rarely is near the root and near the leaves — so the
+:class:`Scheduler` accepts a whole manifest of (network, property) jobs
+and drives them through fused sweeps: each round takes every active job's
+next chunk of its own DFS frontier, deepest frontier first, until the
+round holds :data:`ROUND_ITEMS` items; the union of chunks goes through
+**one** batched PGD call per (network, PGD-config) group, and each (network,
 domain) Analyze group goes out as contiguous calls of at most
 :data:`ANALYZE_CALL_REGIONS` regions.  Properties disagree on the target
 class, so the fused kernels use the per-region-label variants
@@ -23,9 +23,9 @@ not depend on its batch mates, and each chunk's falsified/refine logic
 is Algorithm 1's own code (:func:`~repro.core.verifier.first_falsified` /
 :func:`~repro.core.verifier.choose_domains` /
 :func:`~repro.core.verifier.refine_unverified`).  A job therefore produces
-the same outcome, witness, and statistics under every frontier policy,
-every round width, every Analyze call cap, and every co-scheduled job
-mix as its one-job run (``BatchedVerifier(network, policy, config,
+the same outcome, witness, and statistics under every round width, every
+Analyze call cap, every submission order, and every co-scheduled job mix
+as its one-job run (``Verifier(network, policy, config,
 rng=seed).verify(prop)``), up to the §4 BLAS round-off caveat (fused
 batches have different operand shapes) — pinned exact on the stock numpy
 build by ``tests/sched/test_scheduler.py``.
@@ -66,7 +66,7 @@ from repro.abstract.checkpoint import (
     region_batch_digest,
     supports_checkpoint,
 )
-from repro.abstract.netabs import abstraction_for, witness_margin
+from repro.abstract.netabs import abstraction_for
 from repro.backend import active as _active_backend
 from repro.backend import use_backend as _use_backend
 from repro.attack.objective import MultiLabelMarginObjective
@@ -91,15 +91,14 @@ from repro.nn.serialize import layer_digests, network_digest
 from repro.obs.metrics import registry as metrics_registry
 from repro.obs.trace import span
 from repro.sched.cache import CacheRecord, ResultCache, cacheable, job_key
-from repro.sched.frontier import make_frontier
-from repro.sched.job import JobQueue, VerificationJob
+from repro.sched.job import VerificationJob
 from repro.sched.options import RunOptions
 from repro.utils.rng import as_generator
 from repro.utils.timing import Deadline, Stopwatch
 
-#: Items one round takes: every active job's next chunk, in
-#: frontier-policy order, until the round holds this many.  Read at run
-#: time, so a test may narrow it.
+#: Items one round takes: every active job's next chunk, deepest
+#: frontier first, until the round holds this many.  Read at run time, so
+#: a test may narrow it.
 ROUND_ITEMS = 512
 
 #: Most regions one Analyze call carries.  A (network, domain) group
@@ -115,7 +114,7 @@ class _JobState:
 
     __slots__ = (
         "index", "job", "policy", "config", "pgd_config", "frontier",
-        "stats", "deadline", "watch", "outcome", "last_margin", "last_round",
+        "stats", "deadline", "watch", "outcome", "last_margin",
     )
 
     def __init__(self, index: int, job: VerificationJob) -> None:
@@ -137,11 +136,10 @@ class _JobState:
         self.watch = Stopwatch().start()
         self.outcome = None
         self.last_margin = float("-inf")
-        self.last_round = -1
 
     @property
     def depth(self) -> int:
-        """Depth of the frontier top (the DFS policy's sort key)."""
+        """Depth of the frontier top (the round order's sort key)."""
         return self.frontier[-1].depth if self.frontier else 0
 
     def expired(self) -> bool:
@@ -204,7 +202,6 @@ class ScheduleReport:
     swept_items: int = 0
     cache_hits: int = 0
     cache_errors: int = 0
-    frontier: str = ""
     executor: str = ""
     workers: int = 1
     backend: str = "numpy64"
@@ -246,8 +243,7 @@ class Scheduler:
     """Runs a manifest of verification jobs through one shared frontier.
 
     Args:
-        jobs: a :class:`JobQueue`, a list of jobs, or ``None`` (submit
-            later via :meth:`submit`).
+        jobs: the jobs to run; list order is the report's order.
         cache: optional persistent :class:`ResultCache`; decided jobs are
             recorded, and later runs with identical keys are served
             without spawning any verification work.  Incremental runs
@@ -264,7 +260,7 @@ class Scheduler:
 
     def __init__(
         self,
-        jobs: JobQueue | list[VerificationJob] | None = None,
+        jobs: list[VerificationJob],
         cache: ResultCache | None = None,
         executor: KernelExecutor | None = None,
         options: RunOptions | None = None,
@@ -280,19 +276,16 @@ class Scheduler:
         if executor is not None:
             # A ready executor and an executor kind contradict each other.
             validate_executor_spec(executor, kind=options.executor_kind)
-        if isinstance(jobs, JobQueue):
-            self.queue = jobs
-        else:
-            self.queue = JobQueue(list(jobs) if jobs else None)
+        self.jobs = list(jobs)
+        for job in self.jobs:
+            if not isinstance(job, VerificationJob):
+                raise TypeError(
+                    f"expected VerificationJob, got {type(job).__name__}"
+                )
         self.options = options
-        self.policy = make_frontier(options.frontier)
         self.cache = cache
         self.executor = executor
         self.backend = options.backend or _active_backend().name
-
-    def submit(self, job: VerificationJob) -> int:
-        """Queue one more job; returns its index in the report."""
-        return self.queue.submit(job)
 
     # ------------------------------------------------------------------
     # Cache plumbing
@@ -416,8 +409,8 @@ class Scheduler:
     # ------------------------------------------------------------------
 
     def run(self) -> ScheduleReport:
-        """Drive every queued job to an outcome; returns the report."""
-        jobs = self.queue.jobs()
+        """Drive every job to an outcome; returns the report."""
+        jobs = self.jobs
         if not jobs:
             raise ValueError("no jobs submitted")
         watch = Stopwatch().start()
@@ -434,7 +427,6 @@ class Scheduler:
             screen = "numpy32" if self.backend == "numpy64" else self.backend
         report = ScheduleReport(
             results=[None] * len(jobs),
-            frontier=self.policy.name,
             executor=executor.name,
             workers=executor.workers,
             backend=self.backend,
@@ -599,8 +591,8 @@ class Scheduler:
                         obs.inc("sched.netabs.verified")
                         accept = True
                     elif outcome.kind == "falsified":
-                        margin = witness_margin(
-                            job.network, job.prop.label, outcome.counterexample
+                        margin = job.prop.margin_at(
+                            job.network, outcome.counterexample
                         )
                         if margin <= job.config.delta:
                             obs.inc("sched.netabs.falsified")
@@ -671,9 +663,7 @@ class Scheduler:
             outcome = report.results[index].outcome
             if (
                 outcome.kind == "falsified"
-                and witness_margin(
-                    job.network, job.prop.label, outcome.counterexample
-                )
+                and job.prop.margin_at(job.network, outcome.counterexample)
                 <= job.config.delta
             ):
                 continue
@@ -718,15 +708,15 @@ class Scheduler:
             if not active:
                 break
 
-            # The frontier policy picks which jobs' next chunks fill the
-            # fused sweep up to the round width.
+            # Deepest frontier top first, submission order breaking ties,
+            # until the round is full: drilling one job down before
+            # spreading keeps the peak frontier smallest.
             plan: list[tuple[_JobState, list[WorkItem]]] = []
             total = 0
-            for state in self.policy.order(active):
+            for state in sorted(active, key=lambda s: (-s.depth, s.index)):
                 if total >= ROUND_ITEMS and plan:
                     break
                 chunk = state.pop_chunk()
-                state.last_round = round_no
                 plan.append((state, chunk))
                 total += len(chunk)
             round_no += 1

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.abstract.analyzer import analyze
-from repro.abstract.deeppoly import DeepPolyState, deeppoly_analyze
-from repro.abstract.domains import DEEPPOLY, DomainSpec
+from repro.abstract.deeppoly import DeepPolyState
+from repro.abstract.domains import DEEPPOLY, SYMBOLIC, DomainSpec
 from repro.nn.builders import example_2_3_network, lenet_conv, mlp, xor_network
 from repro.utils.boxes import Box
 
@@ -95,9 +95,9 @@ class TestAnalyze:
     def test_verifies_xor_region(self):
         net = xor_network()
         box = Box(np.array([0.35, 0.35]), np.array([0.65, 0.65]))
-        verified, margin = deeppoly_analyze(net, box, 1)
-        assert verified
-        assert margin > 0
+        result = analyze(net, box, 1, DEEPPOLY)
+        assert result.verified
+        assert result.margin_lower_bound > 0
 
     def test_supports_conv_networks(self):
         # Unlike symbolic intervals, DeepPoly handles max pooling.
@@ -105,8 +105,9 @@ class TestAnalyze:
         rng = np.random.default_rng(1)
         x = rng.uniform(0.4, 0.6, 16)
         box = Box.linf_ball(x, 0.005, clip_low=0.0, clip_high=1.0)
-        verified, margin = deeppoly_analyze(net, box, net.classify(x))
-        assert isinstance(verified, bool)
+        result = analyze(net, box, net.classify(x), DEEPPOLY)
+        assert isinstance(result.verified, bool)
+        margin = result.margin_lower_bound
         # Soundness of the margin bound against sampling.
         label = net.classify(x)
         ys = net.forward(box.sample(rng, 100))
@@ -128,15 +129,13 @@ class TestAnalyze:
     def test_at_least_as_precise_as_symbolic_on_deep_nets(self):
         # Back-substitution composes relaxations; eager concretization
         # (symbolic intervals) cannot be tighter on the margin.
-        from repro.abstract.symbolic_interval import symbolic_analyze
-
         rng = np.random.default_rng(2)
         wins, ties = 0, 0
         for seed in range(8):
             net = mlp(4, [12, 12, 12], 3, rng=seed)
             box = Box.from_center_radius(rng.uniform(-0.3, 0.3, 4), 0.15)
-            _, deep_margin = deeppoly_analyze(net, box, 0)
-            _, sym_margin = symbolic_analyze(net, box, 0)
+            deep_margin = analyze(net, box, 0, DEEPPOLY).margin_lower_bound
+            sym_margin = analyze(net, box, 0, SYMBOLIC).margin_lower_bound
             if deep_margin > sym_margin + 1e-9:
                 wins += 1
             elif deep_margin >= sym_margin - 1e-9:
@@ -148,7 +147,7 @@ class TestAnalyze:
         # (bound <= 0.1, the true minimum margin).
         net = example_2_3_network()
         box = Box(np.zeros(2), np.ones(2))
-        _, margin = deeppoly_analyze(net, box, 1)
+        margin = analyze(net, box, 1, DEEPPOLY).margin_lower_bound
         assert margin <= 0.1 + 1e-9
 
 

@@ -24,7 +24,6 @@ from repro.abstract.netabs import (
     _farthest_pair,
     _gram_bound,
     abstraction_for,
-    witness_margin,
 )
 from repro.backend import active, set_active, use_backend
 from repro.core.config import VerifierConfig
@@ -158,7 +157,7 @@ def test_cegar_spurious_counterexample_refines_then_falls_back(monkeypatch):
     prop = linf_property(net, center, 0.01)
     # The center itself classifies as prop.label, so it is spurious as a
     # counterexample by construction.
-    assert witness_margin(net, prop.label, center) > 0.0
+    assert prop.margin_at(net, center) > 0.0
     job = VerificationJob(net, prop, config=VerifierConfig(timeout=10.0))
     concrete = Scheduler([job]).run().results[0].outcome
 
@@ -606,8 +605,8 @@ def test_scheduler_outcomes_match_concrete(mode):
     for result in merged.results:
         assert result.job is jobs[result.index]
         if result.outcome.kind == "falsified":
-            margin = witness_margin(
-                net, result.job.prop.label, result.outcome.counterexample
+            margin = result.job.prop.margin_at(
+                net, result.outcome.counterexample
             )
             assert margin <= result.job.config.delta
 

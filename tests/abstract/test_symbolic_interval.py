@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.abstract.symbolic_interval import SymbolicInterval, symbolic_analyze
+from repro.abstract.analyzer import analyze
+from repro.abstract.domains import INTERVAL, SYMBOLIC
+from repro.abstract.symbolic_interval import SymbolicInterval
 from repro.nn.builders import lenet_conv, mlp
 from repro.utils.boxes import Box
 
@@ -95,9 +97,9 @@ class TestAnalyze:
             center = rng.uniform(-0.5, 0.5, 3)
             box = Box.from_center_radius(center, 0.1)
             label = net.classify(center)
-            verified, margin = symbolic_analyze(net, box, label)
-            assert verified == (margin > 0)
-            if verified:
+            result = analyze(net, box, label, SYMBOLIC)
+            assert result.verified == (result.margin_lower_bound > 0)
+            if result.verified:
                 preds = net.classify_batch(box.sample(rng, 200))
                 assert np.all(preds == label)
 
@@ -106,22 +108,19 @@ class TestAnalyze:
         for seed in range(8):
             net = mlp(4, [10], 3, rng=50 + seed)
             box = Box.from_center_radius(rng.uniform(-1, 1, 4), 0.3)
-            _, margin_lb = symbolic_analyze(net, box, 0)
+            margin_lb = analyze(net, box, 0, SYMBOLIC).margin_lower_bound
             ys = net.forward(box.sample(rng, 150))
             margins = ys[:, 0] - np.max(np.delete(ys, 0, axis=1), axis=1)
             assert margin_lb <= margins.min() + 1e-9
 
     def test_tighter_than_plain_intervals(self):
         # Symbolic intervals dominate plain intervals on deep affine chains.
-        from repro.abstract.analyzer import analyze
-        from repro.abstract.domains import INTERVAL
-
         count_better = 0
         rng = np.random.default_rng(2)
         for seed in range(10):
             net = mlp(4, [12, 12], 3, rng=200 + seed)
             box = Box.from_center_radius(rng.uniform(-0.5, 0.5, 4), 0.2)
-            _, sym_margin = symbolic_analyze(net, box, 0)
+            sym_margin = analyze(net, box, 0, SYMBOLIC).margin_lower_bound
             interval_margin = analyze(net, box, 0, INTERVAL).margin_lower_bound
             assert sym_margin >= interval_margin - 1e-9
             if sym_margin > interval_margin + 1e-9:
@@ -131,7 +130,7 @@ class TestAnalyze:
     def test_maxpool_unsupported(self):
         net = lenet_conv(input_shape=(1, 4, 4), num_classes=3, rng=0)
         with pytest.raises(TypeError, match="max pooling"):
-            symbolic_analyze(net, Box.unit(16), 0)
+            analyze(net, Box.unit(16), 0, SYMBOLIC)
 
 
 class TestSoundnessFuzz:

@@ -78,14 +78,6 @@ def reference(suite):
     return Scheduler(suite).run()
 
 
-def _witness_margin_f64(job, outcome) -> float:
-    logits = job.network.forward(
-        np.asarray(outcome.counterexample, dtype=np.float64)
-    )
-    label = job.prop.label
-    return float(logits[label] - np.delete(logits, label).max())
-
-
 @pytest.mark.parametrize("backend_name", BACKENDS)
 def test_outcome_matrix(suite, reference, backend_name):
     report = Scheduler(suite, backend=backend_name).run()
@@ -94,10 +86,11 @@ def test_outcome_matrix(suite, reference, backend_name):
     assert kinds == [r.outcome.kind for r in reference.results]
     for result in report.results:
         if result.outcome.kind == "falsified":
-            assert (
-                _witness_margin_f64(result.job, result.outcome)
-                <= result.job.config.delta
+            job = result.job
+            margin = job.prop.margin_at(
+                job.network, result.outcome.counterexample
             )
+            assert margin <= job.config.delta
 
 
 def test_escalation_matches_reference(suite, reference):

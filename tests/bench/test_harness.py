@@ -116,12 +116,11 @@ class TestScheduledSuite:
         assert records[0].kind == "verified"
         assert records[1].kind == "falsified"
 
-    def test_frontier_and_name_knobs(self):
+    def test_name_knob(self):
         problems = xor_problems()
         networks = {"xor": xor_network()}
         table = run_suite_scheduled(
-            problems, networks, timeout=10.0, frontier="priority",
-            tool_name="Sched",
+            problems, networks, timeout=10.0, tool_name="Sched"
         )
         assert table.tools() == ["Sched"]
 

@@ -1,23 +1,25 @@
-"""Batched-engine equivalence: frontier sweeps must match Algorithm 1.
+"""Engine equivalence: ``Verifier``'s frontier sweeps must match Algorithm 1.
 
+``Verifier`` (and ``verify``) is a one-job scheduler run;
+``sequential_reference`` is the paper's stack loop, one item at a time.
 Work-item randomness is path-keyed (each sub-region's seed is a pure
-function of its path from the root), so the batched engine reproduces the
-sequential engine's per-region PGD searches no matter how the frontier is
+function of its path from the root), so the engine reproduces the
+reference's per-region PGD searches no matter how the frontier is
 chunked.  These tests pin that contract on the xor network and on the
 synthetic ACAS advisory networks: identical outcomes, identical witnesses
 under a fixed rng, and identical statistics on verified runs (where both
-engines explore exactly the same refinement tree).
+explore exactly the same refinement tree).
 """
 
 import numpy as np
 import pytest
 
-from repro.abstract.domains import DomainSpec, ZONOTOPE
+from repro.abstract.domains import INTERVAL, ZONOTOPE, DomainSpec
 from repro.core.config import VerifierConfig
 from repro.core.policy import BisectionPolicy
 from repro.core.property import RobustnessProperty, linf_property
 from repro.core.results import Falsified, Verified
-from repro.core.verifier import BatchedVerifier, Verifier, verify, verify_batched
+from repro.core.verifier import Verifier, sequential_reference, verify
 from repro.data.acas import acas_network, acas_training_properties
 from repro.nn.builders import example_2_2_network, mlp, xor_network
 from repro.utils.boxes import Box
@@ -37,9 +39,11 @@ def _quick(**kwargs):
     return VerifierConfig(**defaults)
 
 
-def _assert_equivalent(net, prop, config, rng=0, check_stats=True):
-    seq = verify(net, prop, config=config, rng=rng)
-    bat = verify_batched(net, prop, config=config, rng=rng)
+def _assert_equivalent(
+    net, prop, config, rng=0, check_stats=True, policy=None
+):
+    seq = sequential_reference(net, prop, policy, config, rng=rng)
+    bat = verify(net, prop, policy, config, rng=rng)
     assert seq.kind == bat.kind, f"{seq.kind} vs {bat.kind}"
     if isinstance(seq, Falsified):
         np.testing.assert_allclose(
@@ -67,19 +71,24 @@ class TestXorEquivalence:
         seq, _ = _assert_equivalent(net, prop, _quick())
         assert seq.kind == "verified"
 
-    def test_verified_with_splits(self):
-        # Plain zonotopes force real refinement (the paper's Example 3.1
-        # trace), exercising multi-item frontier sweeps.
+    @pytest.mark.parametrize(
+        "domain",
+        [INTERVAL, ZONOTOPE, DomainSpec("interval", 2)],
+        ids=lambda domain: domain.short_name,
+    )
+    def test_verified_with_splits(self, domain):
+        # Domains too weak for the whole region force real refinement
+        # (plain zonotopes: the paper's Example 3.1 trace), exercising
+        # multi-item frontier sweeps on batched kernels and on the
+        # per-region fallback (interval powersets).
         net = xor_network()
         prop = RobustnessProperty(
             Box(np.array([0.3, 0.3]), np.array([0.7, 0.7])), 1
         )
-        config = _quick()
-        policy = BisectionPolicy(domain=ZONOTOPE)
-        seq = Verifier(net, policy, config, rng=0).verify(prop)
-        bat = BatchedVerifier(net, policy, config, rng=0).verify(prop)
-        assert seq.kind == bat.kind == "verified"
-        assert bat.stats.splits == seq.stats.splits >= 1
+        policy = BisectionPolicy(domain=domain)
+        seq, bat = _assert_equivalent(net, prop, _quick(), policy=policy)
+        assert seq.kind == "verified"
+        assert bat.stats.splits >= 1
 
     def test_falsified_region(self):
         net = xor_network()
@@ -90,8 +99,8 @@ class TestXorEquivalence:
     def test_example_2_2_witness_identical(self):
         net = example_2_2_network()
         prop = RobustnessProperty(Box(np.array([-1.0]), np.array([2.0])), 1)
-        seq = verify(net, prop, config=_quick(), rng=0)
-        bat = verify_batched(net, prop, config=_quick(), rng=0)
+        seq = sequential_reference(net, prop, config=_quick(), rng=0)
+        bat = verify(net, prop, config=_quick(), rng=0)
         assert seq.kind == bat.kind == "falsified"
         np.testing.assert_array_equal(seq.counterexample, bat.counterexample)
 
@@ -112,7 +121,7 @@ class TestAcasEquivalence:
         network, props = acas_suite
         prop = props[0]
         outcomes = [
-            verify_batched(
+            verify(
                 network, prop, config=_quick(timeout=10.0, batch_size=bs),
                 rng=0,
             )
@@ -134,16 +143,16 @@ class TestBudgetsAndSemantics:
         prop = RobustnessProperty(
             Box(np.array([0.45, 0.45]), np.array([0.55, 0.55])), 1
         )
-        strict = verify_batched(net, prop, config=_quick(delta=1e-9), rng=0)
+        strict = verify(net, prop, config=_quick(delta=1e-9), rng=0)
         assert strict.kind == "verified"
-        loose = verify_batched(net, prop, config=_quick(delta=10.0), rng=0)
+        loose = verify(net, prop, config=_quick(delta=10.0), rng=0)
         assert loose.kind == "falsified"
         assert loose.margin <= 10.0
 
     def test_timeout_budget(self):
         net = mlp(8, [24, 24, 24], 5, rng=3)
         prop = linf_property(net, np.full(8, 0.5), 0.5)
-        outcome = verify_batched(
+        outcome = verify(
             net, prop, config=VerifierConfig(timeout=0.05), rng=0
         )
         assert outcome.kind in ("timeout", "falsified")
@@ -151,7 +160,7 @@ class TestBudgetsAndSemantics:
     def test_depth_cap(self):
         net = mlp(4, [16, 16], 3, rng=4)
         prop = linf_property(net, np.full(4, 0.5), 0.6)
-        outcome = verify_batched(
+        outcome = verify(
             net, prop, config=VerifierConfig(timeout=20, max_depth=1), rng=0
         )
         assert outcome.kind in ("timeout", "falsified", "verified")
@@ -164,7 +173,7 @@ class TestBudgetsAndSemantics:
             center = rng.uniform(-0.5, 0.5, 3)
             prop = linf_property(net, center, 0.8, clip_low=None, clip_high=None)
             config = _quick(timeout=5)
-            outcome = verify_batched(net, prop, config=config, rng=0)
+            outcome = verify(net, prop, config=config, rng=0)
             if isinstance(outcome, Falsified):
                 falsified += 1
                 assert prop.region.contains(outcome.counterexample)
@@ -175,30 +184,31 @@ class TestBudgetsAndSemantics:
     def test_deterministic_across_runs(self):
         net = mlp(4, [12], 3, rng=5)
         prop = linf_property(net, np.full(4, 0.5), 0.3)
-        a = verify_batched(net, prop, config=_quick(timeout=5), rng=42)
-        b = verify_batched(net, prop, config=_quick(timeout=5), rng=42)
+        a = verify(net, prop, config=_quick(timeout=5), rng=42)
+        b = verify(net, prop, config=_quick(timeout=5), rng=42)
         assert a.kind == b.kind
         if isinstance(a, Falsified):
             np.testing.assert_array_equal(a.counterexample, b.counterexample)
 
 
 class TestOneJobSchedulerRoute:
-    """``BatchedVerifier`` is a one-job scheduler run; these pin the two
-    things that run must carry over from a verifier instance."""
+    """``Verifier`` is a one-job scheduler run; these pin the two things
+    that run must carry over from a verifier instance."""
 
     def test_reused_instance_keeps_its_rng_stream(self):
         # Each verify() draws the next root seed from the instance's
-        # generator, exactly as the sequential reference does.
+        # generator, exactly as the reference does from a shared one.
         net = xor_network()
         props = [
             RobustnessProperty(Box(np.zeros(2), np.ones(2)), 0),
             RobustnessProperty(Box(np.array([0.0, 0.4]), np.ones(2)), 0),
         ]
         config = _quick(batch_size=1)
-        seq = Verifier(net, config=config, rng=7)
-        bat = BatchedVerifier(net, config=config, rng=7)
+        stream = np.random.default_rng(7)
+        bat = Verifier(net, config=config, rng=7)
         for prop in props + props:
-            a, b = seq.verify(prop), bat.verify(prop)
+            a = sequential_reference(net, prop, config=config, rng=stream)
+            b = bat.verify(prop)
             assert a.kind == b.kind == "falsified"
             np.testing.assert_array_equal(a.counterexample, b.counterexample)
 
@@ -211,7 +221,7 @@ class TestOneJobSchedulerRoute:
             Box(np.array([0.3, 0.3]), np.array([0.7, 0.7])), 1
         )
         before = registry().counters_snapshot()
-        outcome = verify_batched(net, prop, config=_quick(), rng=0)
+        outcome = verify(net, prop, config=_quick(), rng=0)
         work = registry().counters_since(before)
         assert outcome.kind == "verified"
         assert work.get("sched.escalated", 0) == 0

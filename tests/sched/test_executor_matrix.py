@@ -9,7 +9,8 @@ process workers pin their BLAS pools to one thread so GEMM rounding
 matches the serial run.  These tests pin bitwise-identical per-job
 outcomes, witnesses, and statistics for whole manifests under
 ``SerialExecutor`` vs ``ProcessExecutor`` with workers ∈ {1, 2, 4},
-across every frontier policy.
+at round widths narrow enough that the scheduler's fixed job order
+decides which jobs share a round, and at the default width.
 """
 
 import numpy as np
@@ -23,10 +24,16 @@ from repro.exec import ProcessExecutor, SerialExecutor
 from repro.nn.builders import mlp, redundant_mlp, xor_network
 from repro.obs.trace import tracer
 from repro.sched import Scheduler, VerificationJob
+from repro.sched import scheduler as sched_mod
 from repro.utils.boxes import Box
 
-POLICIES = ("fifo", "dfs", "priority")
 WORKER_COUNTS = (1, 2, 4)
+
+#: Items per scheduler round: one job's chunk, a few jobs' chunks taken
+#: deepest frontier first, and the default, where every active job joins
+#: every round.
+DEFAULT_WIDTH = sched_mod.ROUND_ITEMS
+ROUND_WIDTHS = (1, 4, DEFAULT_WIDTH)
 
 #: Counters that must be executor-invariant: semantic work quantities a
 #: run performs, independent of where kernels execute.  Excludes the
@@ -110,13 +117,19 @@ def manifest():
 
 @pytest.fixture(scope="module")
 def serial_reports(manifest):
-    """Reference runs on the SerialExecutor, one per frontier policy."""
-    return {
-        policy: Scheduler(
-            manifest, frontier=policy, executor=SerialExecutor()
-        ).run()
-        for policy in POLICIES
-    }
+    """Reference runs on the SerialExecutor, one per round width."""
+    reports = {}
+    for width in ROUND_WIDTHS:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sched_mod, "ROUND_ITEMS", width)
+            reports[width] = Scheduler(
+                manifest, executor=SerialExecutor()
+            ).run()
+    # Each narrower width must give the manifest more rounds, or the
+    # width axis would run one schedule several times.
+    rounds = [reports[width].metrics["sched.rounds"] for width in ROUND_WIDTHS]
+    assert rounds == sorted(set(rounds), reverse=True)
+    return reports
 
 
 @pytest.fixture(scope="module")
@@ -125,7 +138,7 @@ def process_executors():
 
     Spawned workers each import numpy + repro once; reusing the pools
     keeps the process rows' cost at one spawn per width instead of one
-    per (policy, width) cell.
+    per test.
     """
     executors = {}
     try:
@@ -162,22 +175,32 @@ class TestBatchedEngineMatrix:
     def test_workers_argument_builds_the_pool(self, manifest, serial_reports):
         report = Scheduler(manifest, workers=2).run()
         assert report.executor == "process" and report.workers == 2
-        assert_reports_bitwise_equal(serial_reports["dfs"], report)
+        assert_reports_bitwise_equal(serial_reports[DEFAULT_WIDTH], report)
 
-    @pytest.mark.parametrize("frontier", POLICIES)
+    @pytest.mark.parametrize(
+        "round_items", ROUND_WIDTHS, ids=lambda width: f"width{width}"
+    )
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_process_matches_serial(
-        self, frontier, workers, manifest, serial_reports, process_executors
+        self,
+        round_items,
+        workers,
+        manifest,
+        serial_reports,
+        process_executors,
+        monkeypatch,
     ):
         # The hard row of the matrix: every fused group crosses a process
         # boundary as its kernel's name plus pickled arguments, runs under
-        # pinned BLAS, and must still reproduce the serial run bit for bit.
+        # pinned BLAS, and must still reproduce the serial run bit for bit,
+        # whichever jobs the round width lets share a round.
+        monkeypatch.setattr(sched_mod, "ROUND_ITEMS", round_items)
         report = Scheduler(
-            manifest, frontier=frontier, executor=process_executors(workers)
+            manifest, executor=process_executors(workers)
         ).run()
         assert report.executor == "process"
         assert report.workers == workers
-        assert_reports_bitwise_equal(serial_reports[frontier], report)
+        assert_reports_bitwise_equal(serial_reports[round_items], report)
 
     def test_executor_kind_argument_builds_the_process_pool(
         self, manifest, serial_reports
@@ -186,7 +209,7 @@ class TestBatchedEngineMatrix:
             manifest, workers=2, executor_kind="process"
         ).run()
         assert report.executor == "process" and report.workers == 2
-        assert_reports_bitwise_equal(serial_reports["dfs"], report)
+        assert_reports_bitwise_equal(serial_reports[DEFAULT_WIDTH], report)
 
 
 class TestSplitAnalyzeGroups:

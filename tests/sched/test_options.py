@@ -31,7 +31,6 @@ def jobs():
 
 class TestValidation:
     @pytest.mark.parametrize("fields, field", [
-        ({"frontier": "lifo"}, "frontier"),
         ({"workers": 0}, "workers"),
         ({"executor_kind": "gpu", "workers": 2}, "executor_kind"),
         ({"executor_kind": "serial", "workers": 2}, "workers"),

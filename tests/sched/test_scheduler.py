@@ -2,30 +2,25 @@
 
 The reproducibility contract (DESIGN.md §6): N properties through one
 ``Scheduler`` produce identical outcomes, witnesses, and statistics to N
-independent ``BatchedVerifier`` runs under fixed seeds — for every
-frontier policy, every round width, every Analyze call cap, and every job
-mix.  These tests pin that contract on mixed-label multi-network job sets,
-plus the scheduling machinery itself (policies, round width, call cap,
-report).
+independent ``Verifier`` runs (one-job runs) under fixed seeds — for every
+round width, every Analyze call cap, every submission order, and every
+job mix.  These tests pin that contract on mixed-label multi-network job
+sets, plus the scheduling machinery itself (round order, round width,
+call cap, intake, report).
 """
 
 import numpy as np
 import pytest
 
 import repro.sched.scheduler as sched_mod
+from repro.abstract.domains import ZONOTOPE
 from repro.core.config import VerifierConfig
+from repro.core.policy import BisectionPolicy
 from repro.core.property import RobustnessProperty, linf_property
-from repro.core.verifier import BatchedVerifier
+from repro.core.verifier import Verifier
 from repro.nn.builders import mlp, xor_network
-from repro.sched import (
-    JobQueue,
-    Scheduler,
-    VerificationJob,
-    make_frontier,
-)
+from repro.sched import Scheduler, VerificationJob
 from repro.utils.boxes import Box
-
-POLICIES = ("fifo", "dfs", "priority")
 
 
 def _quick(**kwargs):
@@ -74,15 +69,15 @@ def job_mix():
 @pytest.fixture(scope="module")
 def solo_outcomes(job_mix):
     return [
-        BatchedVerifier(
-            job.network, job.policy, job.config, rng=job.seed
-        ).verify(job.prop)
+        Verifier(job.network, job.policy, job.config, rng=job.seed).verify(
+            job.prop
+        )
         for job in job_mix
     ]
 
 
 def assert_job_equivalent(result, solo):
-    """One scheduled job must match its solo ``BatchedVerifier`` run."""
+    """One scheduled job must match its solo ``Verifier`` run."""
     assert result.outcome.kind == solo.kind, result.job.name
     if solo.kind == "falsified":
         np.testing.assert_array_equal(
@@ -98,11 +93,8 @@ def assert_job_equivalent(result, solo):
 
 
 class TestEquivalence:
-    @pytest.mark.parametrize("frontier", POLICIES)
-    def test_matches_solo_batched_verifier(
-        self, frontier, job_mix, solo_outcomes
-    ):
-        report = Scheduler(job_mix, frontier=frontier).run()
+    def test_matches_solo_batched_verifier(self, job_mix, solo_outcomes):
+        report = Scheduler(job_mix).run()
         assert len(report.results) == len(job_mix)
         for result, solo in zip(report.results, solo_outcomes):
             assert_job_equivalent(result, solo)
@@ -123,13 +115,13 @@ class TestEquivalence:
     def test_job_mix_invariance(self, job_mix, solo_outcomes):
         """Co-scheduled strangers never change a job's result."""
         subset = [job_mix[0], job_mix[-1]]
-        report = Scheduler(subset, frontier="priority").run()
+        report = Scheduler(subset).run()
         assert_job_equivalent(report.results[0], solo_outcomes[0])
         assert_job_equivalent(report.results[1], solo_outcomes[-1])
 
     def test_submission_order_invariance(self, job_mix, solo_outcomes):
         reversed_jobs = list(reversed(job_mix))
-        report = Scheduler(reversed_jobs, frontier="fifo").run()
+        report = Scheduler(reversed_jobs).run()
         for result, solo in zip(report.results, reversed(solo_outcomes)):
             assert_job_equivalent(result, solo)
 
@@ -149,7 +141,6 @@ class TestReport:
         assert report.swept_items > 0
         assert report.fresh_calls() > 0
         assert report.throughput() > 0
-        assert report.frontier == "dfs"
 
     def test_elapsed_is_completion_latency(self, default_report):
         report = default_report
@@ -191,38 +182,61 @@ class TestReport:
         assert report.results[0].outcome.kind == "timeout"
 
 
-class TestQueueAndPolicies:
-    def test_queue_submit_returns_indices(self, job_mix):
-        queue = JobQueue()
-        assert queue.submit(job_mix[0]) == 0
-        assert queue.submit(job_mix[1]) == 1
-        assert len(queue) == 2
-        assert queue.jobs()[0] is job_mix[0]
+class TestIntakeAndOrder:
+    def test_queue_rejects_non_jobs(self, job_mix):
+        with pytest.raises(TypeError, match="VerificationJob"):
+            Scheduler([job_mix[0], "not a job"])
 
-    def test_queue_rejects_non_jobs(self):
-        with pytest.raises(TypeError):
-            JobQueue().submit("not a job")
-
-    def test_make_frontier_rejects_unknown(self):
-        with pytest.raises(ValueError, match="frontier"):
-            make_frontier("bogus")
-
-    def test_policy_orderings(self):
-        class Stub:
-            def __init__(self, index, last_round, depth, last_margin):
-                self.index = index
-                self.last_round = last_round
-                self.depth = depth
-                self.last_margin = last_margin
-
-        states = [
-            Stub(0, last_round=5, depth=1, last_margin=0.9),
-            Stub(1, last_round=2, depth=7, last_margin=0.2),
-            Stub(2, last_round=4, depth=3, last_margin=float("-inf")),
+    def test_round_order_is_deepest_frontier_first(self, monkeypatch):
+        # A round too narrow for every job takes, chunk by chunk, the
+        # waiting job whose frontier top is deepest, the earlier-submitted
+        # one on a tie.  One-item chunks of four refining XOR jobs, two per
+        # round: a job that backtracks gives way to a deeper later one.
+        config = _quick(batch_size=1)
+        policy = BisectionPolicy(domain=ZONOTOPE)
+        jobs = [
+            VerificationJob(
+                xor_network(),
+                RobustnessProperty(Box(np.full(2, low), np.full(2, high)), 1),
+                config=config,
+                policy=policy,
+                seed=seed,
+            )
+            for seed, (low, high) in enumerate(
+                [(0.3, 0.7), (0.35, 0.65), (0.32, 0.6), (0.4, 0.7)]
+            )
         ]
-        assert [s.index for s in make_frontier("fifo").order(states)] == [1, 2, 0]
-        assert [s.index for s in make_frontier("dfs").order(states)] == [1, 2, 0]
-        assert [s.index for s in make_frontier("priority").order(states)] == [2, 1, 0]
+        states, taken, picks = [], [], []
+        init = sched_mod._JobState.__init__
+        pop = sched_mod._JobState.pop_chunk
+        sweep = sched_mod.Scheduler._fused_sweep
+
+        def tracking_init(self, index, job):
+            init(self, index, job)
+            states.append(self)
+
+        def checking_pop(self):
+            waiting = [
+                s for s in states
+                if s.outcome is None and not any(s is t for t in taken)
+            ]
+            deepest = min(waiting, key=lambda s: (-s.depth, s.index))
+            picks.append(deepest is self)
+            taken.append(self)
+            return pop(self)
+
+        def next_round(self, plan, executor):
+            taken.clear()
+            return sweep(self, plan, executor)
+
+        monkeypatch.setattr(sched_mod, "ROUND_ITEMS", 2)
+        monkeypatch.setattr(sched_mod._JobState, "__init__", tracking_init)
+        monkeypatch.setattr(sched_mod._JobState, "pop_chunk", checking_pop)
+        monkeypatch.setattr(sched_mod.Scheduler, "_fused_sweep", next_round)
+        report = Scheduler(jobs).run()
+        assert report.outcome_counts()["verified"] == len(jobs)
+        assert len(picks) > 2 * len(jobs)
+        assert all(picks)
 
 
 #: Counters a run's shape decides.  No scheduling rule reads the clock,

@@ -5,6 +5,19 @@ a small fixed problem.  For each, a check that does not rest on the code
 under test — not a pinned digest, a pinned outcome or a twin
 implementation — must pass on the real code and fail under the mutant.
 
+- **M1** — DeepPoly's crossing-unit chord intercept ``bu`` is scaled by
+  0.9 in ``_relu_relaxation``, so a crossing unit's upper relation dips
+  below ReLU at its own upper bound.  Check: outputs on a dense float64
+  grid of Example 2.2's regions, endpoints included, stay inside the
+  DeepPoly output bounds.  Both hidden units grow with the one input and
+  the first output weighs both positively, so its upper bound is exact
+  at the region's upper end, where both chords meet ReLU, and the grid's
+  last point reaches it.
+- **M3** — ``backend.outward_cast`` casts to float32 to nearest, with no
+  one-ulp widening, patched where the interval and DeepPoly lifts look
+  it up.  Check: under ``numpy32`` the lifted interval and DeepPoly
+  batches contain every region they were lifted from, bound by bound in
+  float64.
 - **M4** — the scheduler's refinement step (``refine_unverified``) queues
   a split's left child twice and drops the right child, so VERIFIED no
   longer rests on leaves that cover the region.  Check: a VERIFIED job's
@@ -15,6 +28,10 @@ implementation — must pass on the real code and fail under the mutant.
   a δ-counterexample.  Check: each FALSIFIED witness, re-run in float64,
   lies in its region with margin ≤ δ, on Example 2.2's robust property
   over [1.1, 1.32], label 1, whose least margin is 0.04 (at x = 1.32).
+- **M6** — ``IntervalBatch.affine`` adds no float32 slack.  Check: on a
+  one-layer network, where interval bounds are exact, the float64
+  outputs at the box corners that attain each output's bounds lie
+  inside the ``numpy32`` interval output box.
 - **M7** — DeepPoly's one-sided ReLU pass (DESIGN §4) gives no unit its
   second side.  A crossing unit then keeps the one bound it got as both,
   so it is zeroed (``l < 0`` predicted active) or passed through as the
@@ -25,14 +42,78 @@ implementation — must pass on the real code and fail under the mutant.
 import numpy as np
 import pytest
 
-from repro.abstract import deeppoly
+from repro import backend
+from repro.abstract import deeppoly, interval
 from repro.abstract.analyzer import analyze_batch
-from repro.abstract.domains import DEEPPOLY
+from repro.abstract.domains import DEEPPOLY, INTERVAL
 from repro.core.config import VerifierConfig
 from repro.core.property import RobustnessProperty
 from repro.nn.builders import example_2_2_network, mlp
+from repro.nn.layers import Dense
+from repro.nn.network import Network
 from repro.sched import Scheduler, VerificationJob, scheduler
 from repro.utils.boxes import Box
+
+
+def _m1_low_chord_intercept(monkeypatch):
+    relaxation = deeppoly._relu_relaxation
+
+    def low_intercept(low, high):
+        dl, du, bu = relaxation(low, high)
+        return dl, du, 0.9 * bu
+
+    monkeypatch.setattr(deeppoly, "_relu_relaxation", low_intercept)
+
+
+def _deeppoly_grid_escapes() -> int:
+    """Grid outputs of Example 2.2's network outside the DeepPoly output
+    bounds of their region."""
+    network = example_2_2_network()
+    regions = [
+        Box(np.array([-1.0]), np.array([2.0])),
+        Box(np.array([-0.8]), np.array([1.5])),
+    ]
+    escapes = 0
+    for region, result in zip(
+        regions, analyze_batch(network, regions, 1, DEEPPOLY)
+    ):
+        low, high = result.output.bounds()
+        outputs = network.forward(np.linspace(region.low, region.high, 301))
+        outside = (outputs < low - 1e-9) | (outputs > high + 1e-9)
+        escapes += int(outside.any(axis=1).sum())
+    return escapes
+
+
+def _m3_nearest_cast(monkeypatch):
+    def nearest(low, high, dtype):
+        return np.asarray(low).astype(dtype), np.asarray(high).astype(dtype)
+
+    monkeypatch.setattr(backend, "outward_cast", nearest)
+    monkeypatch.setattr(interval, "_outward_cast", nearest)
+    monkeypatch.setattr(deeppoly, "_outward_cast", nearest)
+
+
+def _float32_lift_escapes() -> int:
+    """Region bounds that the ``numpy32`` interval or DeepPoly lift moves
+    inward."""
+    rng = np.random.default_rng(3)
+    regions = [
+        Box.from_center_radius(rng.uniform(-1.0, 1.0, 16), 0.1)
+        for _ in range(4)
+    ]
+    low = np.stack([region.low for region in regions])
+    high = np.stack([region.high for region in regions])
+    with backend.use_backend("numpy32"):
+        intervals = INTERVAL.lift_batch(regions)
+        polys = DEEPPOLY.lift_batch(regions)
+    escapes = 0
+    for lifted_low, lifted_high in (
+        (intervals.low, intervals.high),
+        (polys.box_low, polys.box_high),
+    ):
+        escapes += int((lifted_low.astype(np.float64) > low).sum())
+        escapes += int((lifted_high.astype(np.float64) < high).sum())
+    return escapes
 
 
 def _m4_left_child_twice(monkeypatch):
@@ -127,7 +208,53 @@ def _deeppoly_output_escapes() -> int:
     return escapes
 
 
+def _m6_no_interval_affine_slack(monkeypatch):
+    affine = interval.IntervalBatch.affine
+
+    def unpadded(self, weight, bias):
+        with monkeypatch.context() as patch:
+            patch.setattr(interval, "_slack_for", lambda dtype, terms: 0.0)
+            return affine(self, weight, bias)
+
+    monkeypatch.setattr(interval.IntervalBatch, "affine", unpadded)
+
+
+def _float32_interval_misses() -> int:
+    """Float64 outputs at the corners that attain each output's bounds on
+    a one-layer network, outside its ``numpy32`` interval output box."""
+    rng = np.random.default_rng(5)
+    weight = rng.normal(size=(32, 8))
+    bias = rng.normal(scale=100.0, size=32)
+    network = Network([Dense(weight, bias)], input_shape=(8,))
+    regions = [
+        Box.from_center_radius(rng.uniform(-1.0, 1.0, 8), 0.05)
+        for _ in range(4)
+    ]
+    with backend.use_backend("numpy32"):
+        results = analyze_batch(network, regions, 0, INTERVAL)
+    misses = 0
+    for region, result in zip(regions, results):
+        # Output k peaks at the corner taking high where row k's weight
+        # is positive, and bottoms out at the opposite corner.
+        rows = np.arange(len(weight))
+        top = network.forward(np.where(weight > 0, region.high, region.low))
+        bottom = network.forward(np.where(weight > 0, region.low, region.high))
+        box_low = result.output.low.astype(np.float64)
+        box_high = result.output.high.astype(np.float64)
+        misses += int((box_high < top[rows, rows]).sum())
+        misses += int((box_low > bottom[rows, rows]).sum())
+    return misses
+
+
 MUTANTS = [
+    pytest.param(
+        _m1_low_chord_intercept, _deeppoly_grid_escapes,
+        id="M1-deeppoly-chord-intercept-low",
+    ),
+    pytest.param(
+        _m3_nearest_cast, _float32_lift_escapes,
+        id="M3-outward-cast-to-nearest",
+    ),
     pytest.param(
         _m4_left_child_twice, _verified_but_misclassified,
         id="M4-refine-left-child-twice",
@@ -135,6 +262,10 @@ MUTANTS = [
     pytest.param(
         _m5_loose_falsified, _falsified_but_no_counterexample,
         id="M5-falsified-above-delta",
+    ),
+    pytest.param(
+        _m6_no_interval_affine_slack, _float32_interval_misses,
+        id="M6-interval-affine-no-float32-slack",
     ),
     pytest.param(
         _m7_no_second_pass, _deeppoly_output_escapes,

@@ -82,12 +82,28 @@ class TestScheduleCommand:
         return str(path)
 
     def test_runs_manifest_and_reports(self, manifest, capsys):
-        code = main(["schedule", manifest, "--frontier", "priority"])
+        code = main(["schedule", manifest])
         out = capsys.readouterr().out
         assert code == 1  # a falsified job exists
         assert "safe" in out and "unsafe" in out
         assert "verified" in out and "falsified" in out
         assert "fused sweeps" in out
+
+    @pytest.mark.parametrize("verb", ["schedule", "diff-verify"])
+    def test_job_order_is_not_a_flag(
+        self, verb, xor_path, manifest, tmp_path, capsys
+    ):
+        # One fixed round order: a --frontier flag is an argparse error.
+        args = {
+            "schedule": [manifest],
+            "diff-verify": [
+                xor_path, xor_path, manifest, "--cache", str(tmp_path),
+            ],
+        }[verb]
+        with pytest.raises(SystemExit) as exc:
+            main([verb, *args, "--frontier", "dfs"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --frontier" in capsys.readouterr().err
 
     def test_cache_serves_second_run(self, manifest, capsys, tmp_path):
         cache_dir = str(tmp_path / "cache")

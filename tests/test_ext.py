@@ -30,13 +30,17 @@ class TestSymbolicDomainSpec:
         assert result.verified
 
     def test_symbolic_matches_standalone_analyzer(self):
-        from repro.abstract.symbolic_interval import symbolic_analyze
+        from repro.abstract.analyzer import propagate
+        from repro.abstract.symbolic_interval import SymbolicInterval
 
         net = mlp(4, [10, 10], 3, rng=0)
         box = Box.from_center_radius(np.full(4, 0.2), 0.1)
         via_spec = analyze(net, box, 0, SYMBOLIC)
-        verified, margin = symbolic_analyze(net, box, 0)
-        assert via_spec.verified == verified
+        assert isinstance(via_spec.output, SymbolicInterval)
+        margin = propagate(
+            net.ops(), SymbolicInterval.identity(box)
+        ).min_margin(0)
+        assert via_spec.verified == (margin > 0.0)
         assert via_spec.margin_lower_bound == pytest.approx(margin)
 
     def test_symbolic_rejects_conv(self):

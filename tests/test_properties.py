@@ -11,8 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.abstract.analyzer import analyze
-from repro.abstract.deeppoly import deeppoly_analyze
-from repro.abstract.domains import DomainSpec, INTERVAL, ZONOTOPE
+from repro.abstract.domains import DEEPPOLY, DomainSpec, INTERVAL, ZONOTOPE
 from repro.core.config import VerifierConfig
 from repro.core.property import linf_property
 from repro.core.verifier import verify
@@ -92,7 +91,7 @@ class TestDomainPrecisionOrdering:
         rng = np.random.default_rng(seed)
         net = mlp(3, [8, 8], 3, rng=seed)
         box = Box.from_center_radius(rng.uniform(-0.3, 0.3, 3), 0.15)
-        _, margin = deeppoly_analyze(net, box, 0)
+        margin = analyze(net, box, 0, DEEPPOLY).margin_lower_bound
         ys = net.forward(box.sample(rng, 100))
         true_min = float(
             np.min(ys[:, 0] - np.max(np.delete(ys, 0, axis=1), axis=1))
