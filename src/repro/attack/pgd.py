@@ -70,9 +70,10 @@ def _normalize_rngs(
 ) -> list[np.random.Generator]:
     """One independent generator per region.
 
-    A sequence is used as-is (one entry per region); anything else is
-    normalized through :func:`as_generator` and — when several regions are
-    minimized together — spawned into per-region streams so that a region's
+    A list or tuple holds one entry per region (a generator, or a seed or
+    ``SeedSequence`` to build one from); anything else is normalized
+    through :func:`as_generator` and — when several regions are minimized
+    together — spawned into per-region streams so that a region's
     randomness never depends on its batch companions.
     """
     if isinstance(rngs, (list, tuple)):
@@ -191,7 +192,7 @@ def pgd_minimize(
     objective: MarginObjective,
     region: Box,
     config: PGDConfig | None = None,
-    rng: int | np.random.Generator | None = None,
+    rng: int | np.random.SeedSequence | np.random.Generator | None = None,
     deadline: Deadline | None = None,
 ) -> tuple[np.ndarray, float]:
     """Best point found and its objective value.

@@ -81,10 +81,16 @@ class WorkItem:
 
     def derive_seeds(
         self,
-    ) -> tuple[np.random.Generator, np.random.SeedSequence, np.random.SeedSequence]:
-        """``(pgd_rng, left_seed, right_seed)`` for this item."""
-        pgd_seq, left_seq, right_seq = self.seed.spawn(3)
-        return np.random.default_rng(pgd_seq), left_seq, right_seq
+    ) -> tuple[
+        np.random.SeedSequence, np.random.SeedSequence, np.random.SeedSequence
+    ]:
+        """``(pgd_seed, left_seed, right_seed)`` for this item.
+
+        PGD gets its sequence, not a generator: it builds
+        ``default_rng(pgd_seed)``, the same stream, where it runs, so a
+        process call pickles each region's seed state, not a generator.
+        """
+        return tuple(self.seed.spawn(3))
 
 
 def root_item(
@@ -222,7 +228,9 @@ class Verifier:
     per-region arithmetic; outcomes and witnesses agree up to BLAS kernel
     round-off.  Terminal sweeps may have minimized a few frontier
     companions the stack loop would never have reached — order-only,
-    speculative work that the statistics count honestly.
+    speculative work that the statistics count honestly.  Analyze skips
+    them at the depth cap: a chunk whose first item sits at
+    ``config.max_depth`` analyzes the rest only once that item verifies.
 
     The run hands the job this instance's generator as its seed, so a
     reused instance draws successive root seeds exactly like the
@@ -300,11 +308,11 @@ def sequential_reference(
             region, depth = item.region, item.depth
             stats.max_depth_reached = max(stats.max_depth_reached, depth)
             sub_prop = prop.with_region(region)
-            pgd_rng, left_seq, right_seq = item.derive_seeds()
+            pgd_seq, left_seq, right_seq = item.derive_seeds()
 
             # --- 1. Minimize ---------------------------------------------
             x_star, f_star = pgd_minimize(
-                objective, region, pgd_config, pgd_rng, deadline
+                objective, region, pgd_config, pgd_seq, deadline
             )
             stats.pgd_calls += 1
             if f_star <= config.delta:

@@ -769,13 +769,20 @@ class Scheduler:
 
         Algorithm 1's three steps chunk by chunk; only the kernel-call
         grouping spans jobs.  Each stage's calls are pairwise
-        independent — their operands (regions, labels, rngs) are built
-        here on the scheduler thread before submission, and their results
-        are consumed in submission order after — so the executor may run
-        them on any cores without touching the reproducibility contract
-        (only per-job deadline checks see the wall clock move).  How a
-        stage splits into calls depends only on the round's plan, never
-        on the executor.
+        independent — their operands (regions, labels, PGD seeds) are
+        built here on the scheduler thread before submission, and their
+        results are consumed in submission order after — so the executor
+        may run them on any cores without touching the reproducibility
+        contract (only per-job deadline checks see the wall clock move).
+        How a stage splits into calls depends only on the round's plan
+        and the results of earlier stages, never on the executor.
+
+        Analyze runs in up to two stages.  A chunk whose first item sits
+        at ``config.max_depth`` sends only that item to the first; if it
+        is unverified the job ends ``Timeout("split depth")``, exactly
+        what :func:`~repro.core.verifier.refine_unverified` would return,
+        and if it verifies the rest of the chunk goes to the second stage
+        before refine.  PGD runs on every item either way.
         """
         obs = metrics_registry()
 
@@ -799,7 +806,7 @@ class Scheduler:
                 MultiLabelMarginObjective(network, labels),
                 [item.region for item in items],
                 group[0][0].pgd_config,
-                [pgd_rng for pgd_rng, _, _ in seeds],
+                [pgd_seq for pgd_seq, _, _ in seeds],
                 self._group_deadline([state for state, _ in group]),
             )
             pgd_submissions.append((group, seeds, future))
@@ -833,25 +840,77 @@ class Scheduler:
         obs.add("phase.pgd_s", time.perf_counter() - stage_started)
 
         # --- 2. Fused Analyze per (network, domain) group ----------------
+        # The DFS frontier puts a chunk's deepest item first, so a chunk
+        # holds an item at the depth cap only if its first item is one.
+        # One unverified item there ends the job (refine_unverified stops
+        # at it), so the rest of such a chunk is analyzed only once the
+        # first item has verified.
         stage_started = time.perf_counter()
-        analyze_groups: dict[tuple, list[tuple[_JobState, int, WorkItem]]] = {}
         results_by_state: dict[int, list] = {}
+        first: list[tuple] = []
         for state, chunk, seeds, xs, fs in survivors:
+            results_by_state[state.index] = [None] * len(chunk)
+            capped = chunk[0].depth >= state.config.max_depth
+            head = 1 if capped else len(chunk)
+            first.append((state, chunk, xs, fs, slice(0, head)))
+        self._analyze_stage(first, results_by_state, executor)
+        rest: list[tuple] = []
+        for state, chunk, xs, fs, rows in first:
+            if rows.stop == len(chunk) or state.outcome is not None:
+                continue
+            if results_by_state[state.index][0].verified:
+                rest.append((state, chunk, xs, fs, slice(1, None)))
+            else:
+                # Exactly what refine_unverified returns for this chunk.
+                state.finish(Timeout("split depth", state.stats))
+        self._analyze_stage(rest, results_by_state, executor)
+        obs.add("phase.analyze_s", time.perf_counter() - stage_started)
+
+        # --- 3. Refine per chunk (Algorithm 1's step 3) ------------------
+        stage_started = time.perf_counter()
+        for state, chunk, seeds, xs, fs in survivors:
+            if state.outcome is not None:
+                continue
+            terminal, pairs = refine_unverified(
+                state.job.network, state.policy, state.config,
+                state.job.prop, chunk, seeds, xs, fs,
+                results_by_state[state.index], state.stats,
+            )
+            if terminal is not None:
+                state.finish(Timeout(terminal[1], state.stats))
+                continue
+            state.push_children(pairs)
+        obs.add("phase.split_join_s", time.perf_counter() - stage_started)
+
+    def _analyze_stage(
+        self,
+        work: list[tuple],
+        results_by_state: dict[int, list],
+        executor: KernelExecutor,
+    ) -> None:
+        """Choose domains for, submit and consume one Analyze stage.
+
+        ``work`` holds ``(state, chunk, xs, fs, rows)`` entries: the items
+        ``chunk[rows]`` are analyzed, and their results land at the same
+        positions of ``results_by_state[state.index]``.  Each (network,
+        domain) group goes out as contiguous calls of at most
+        :data:`ANALYZE_CALL_REGIONS` regions, every one submitted before
+        any is consumed: one large group never runs alone while the other
+        workers wait.
+        """
+        groups: dict[tuple, list[tuple[_JobState, int, WorkItem]]] = {}
+        for state, chunk, xs, fs, rows in work:
             domains = choose_domains(
                 state.job.network, state.policy, state.job.prop,
-                chunk, xs, fs, state.stats,
+                chunk[rows], xs[rows], fs[rows], state.stats,
             )
-            results_by_state[state.index] = [None] * len(chunk)
-            for pos, (item, domain) in enumerate(zip(chunk, domains)):
+            positions = range(len(chunk))[rows]
+            for pos, domain in zip(positions, domains):
                 key = (id(state.job.network), domain)
-                analyze_groups.setdefault(key, []).append((state, pos, item))
+                groups.setdefault(key, []).append((state, pos, chunk[pos]))
 
-        # Each group goes out as contiguous calls of at most
-        # ANALYZE_CALL_REGIONS regions, every one submitted before any is
-        # consumed: one large group no longer runs alone while the other
-        # workers wait.
-        analyze_submissions: list[tuple] = []
-        for (_, domain), group in analyze_groups.items():
+        submissions: list[tuple] = []
+        for (_, domain), group in groups.items():
             network = group[0][0].job.network
             # Incremental mode swaps the fused Analyze kernel for its
             # checkpoint-aware twin (cold behaviour bitwise-identical);
@@ -878,11 +937,11 @@ class Scheduler:
                         analyze_batch_multi, network, regions, labels,
                         domain, deadline,
                     )
-                analyze_submissions.append(
+                submissions.append(
                     (entries, call_states, future, checkpointed)
                 )
 
-        for entries, call_states, future, checkpointed in analyze_submissions:
+        for entries, call_states, future, checkpointed in submissions:
             with span(
                 "sched.analyze_group", cat="sched",
                 jobs=len(call_states), rows=len(entries),
@@ -903,20 +962,3 @@ class Scheduler:
                     self._store_prefixes(captured)
                 for (state, pos, _), analysis in zip(entries, analyses):
                     results_by_state[state.index][pos] = analysis
-        obs.add("phase.analyze_s", time.perf_counter() - stage_started)
-
-        # --- 3. Refine per chunk (Algorithm 1's step 3) ------------------
-        stage_started = time.perf_counter()
-        for state, chunk, seeds, xs, fs in survivors:
-            if state.outcome is not None:
-                continue
-            terminal, pairs = refine_unverified(
-                state.job.network, state.policy, state.config,
-                state.job.prop, chunk, seeds, xs, fs,
-                results_by_state[state.index], state.stats,
-            )
-            if terminal is not None:
-                state.finish(Timeout(terminal[1], state.stats))
-                continue
-            state.push_children(pairs)
-        obs.add("phase.split_join_s", time.perf_counter() - stage_started)

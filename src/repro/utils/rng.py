@@ -13,11 +13,14 @@ import numpy as np
 RngLike = "int | np.random.Generator | None"
 
 
-def as_generator(rng: int | np.random.Generator | None) -> np.random.Generator:
+def as_generator(
+    rng: int | np.random.SeedSequence | np.random.Generator | None,
+) -> np.random.Generator:
     """Normalize ``rng`` into a :class:`numpy.random.Generator`.
 
-    Integers become seeded generators, generators pass through unchanged,
-    and ``None`` produces a generator seeded from OS entropy.
+    Integers and seed sequences become seeded generators, generators pass
+    through unchanged, and ``None`` produces a generator seeded from OS
+    entropy.
     """
     if isinstance(rng, np.random.Generator):
         return rng

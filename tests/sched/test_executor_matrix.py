@@ -16,7 +16,7 @@ decides which jobs share a round, and at the default width.
 import numpy as np
 import pytest
 
-from repro.abstract.domains import DomainSpec
+from repro.abstract.domains import INTERVAL, DomainSpec
 from repro.core.config import VerifierConfig
 from repro.core.policy import BisectionPolicy
 from repro.core.property import RobustnessProperty, linf_property
@@ -238,6 +238,59 @@ class TestSplitAnalyzeGroups:
         ).run()
         assert report.workers == workers
         assert_reports_bitwise_equal(serial_powerset, report)
+
+
+class TestDepthCappedChunks:
+    """Chunks at the depth cap send their first item to Analyze alone and
+    the rest in a second stage only if it verifies; which chunks take the
+    second stage depends on results, so it must not depend on where the
+    calls ran."""
+
+    @pytest.fixture(scope="class")
+    def capped_jobs(self):
+        config = VerifierConfig(timeout=30.0, batch_size=8, max_depth=2)
+        policy = BisectionPolicy(domain=INTERVAL)
+        rng = np.random.default_rng(7)
+        jobs = []
+        for net_seed in range(3):
+            net = mlp(4, [10], 3, rng=net_seed)
+            for i, eps in enumerate((0.04, 0.08, 0.12, 0.16)):
+                prop = linf_property(
+                    net, rng.uniform(0.25, 0.75, 4), eps,
+                    name=f"cap{net_seed}-{i}",
+                )
+                jobs.append(
+                    VerificationJob(
+                        net, prop, config=config, policy=policy, seed=i,
+                        name=prop.name,
+                    )
+                )
+        return jobs
+
+    def test_process_matches_serial_on_capped_chunks(
+        self, capped_jobs, process_executors
+    ):
+        serial = Scheduler(capped_jobs, executor=SerialExecutor()).run()
+        capped = [
+            r.outcome for r in serial.results
+            if r.outcome.stats.max_depth_reached == 2
+        ]
+        # Guard against a vacuous match: a timeout that stopped at its
+        # capped chunk's first item, one that analyzed its whole capped
+        # chunk, and a job verified at the cap.
+        assert any(
+            o.kind == "timeout" and o.stats.analyze_calls < o.stats.pgd_calls
+            for o in capped
+        )
+        assert any(
+            o.kind == "timeout" and o.stats.analyze_calls == o.stats.pgd_calls
+            for o in capped
+        )
+        assert any(o.kind == "verified" for o in capped)
+        process = Scheduler(
+            capped_jobs, executor=process_executors(2)
+        ).run()
+        assert_reports_bitwise_equal(serial, process)
 
 
 class TestAbstractNetworks:

@@ -13,12 +13,14 @@ import numpy as np
 import pytest
 
 import repro.sched.scheduler as sched_mod
-from repro.abstract.domains import ZONOTOPE
+from repro.abstract.domains import INTERVAL, ZONOTOPE
 from repro.core.config import VerifierConfig
 from repro.core.policy import BisectionPolicy
 from repro.core.property import RobustnessProperty, linf_property
-from repro.core.verifier import Verifier
+from repro.core.verifier import Verifier, sequential_reference
 from repro.nn.builders import mlp, xor_network
+from repro.nn.layers import Dense, ReLU
+from repro.nn.network import Network
 from repro.sched import Scheduler, VerificationJob
 from repro.utils.boxes import Box
 
@@ -237,6 +239,78 @@ class TestIntakeAndOrder:
         assert report.outcome_counts()["verified"] == len(jobs)
         assert len(picks) > 2 * len(jobs)
         assert all(picks)
+
+
+def _cancelling_network() -> Network:
+    """Label 0's margin is ``relu(x) - relu(x) + 1 = 1`` everywhere, so no
+    job on it falsifies, while the interval domain bounds it below by
+    ``1 - (u - l)`` over the clipped input range ``[l, u]`` of a region:
+    a region verifies exactly when its positive part is narrower than
+    one."""
+    return Network(
+        [
+            Dense(np.array([[1.0], [1.0]]), np.zeros(2)),
+            ReLU(),
+            Dense(np.array([[1.0, -1.0], [0.0, 0.0]]), np.array([1.0, 0.0])),
+        ],
+        input_shape=(1,),
+    )
+
+
+class TestDepthCap:
+    """A chunk whose first item sits at ``max_depth`` sends only that item
+    to Analyze; the rest of the chunk follows only if it verifies."""
+
+    @staticmethod
+    def _run(low, high, max_depth):
+        prop = RobustnessProperty(Box(np.array([low]), np.array([high])), 0)
+        config = _quick(max_depth=max_depth)
+        policy = BisectionPolicy(domain=INTERVAL)
+        job = VerificationJob(
+            _cancelling_network(), prop, config=config, policy=policy, seed=0
+        )
+        report = Scheduler([job]).run()
+        reference = sequential_reference(
+            job.network, prop, policy, config, rng=0
+        )
+        return report, report.results[0].outcome, reference
+
+    def test_failing_first_item_ends_the_job_alone(self):
+        # [0, 4] fails at the root and in both halves; the capped chunk
+        # [0, 2], [2, 4] stops at its first item.
+        report, outcome, reference = self._run(0.0, 4.0, max_depth=1)
+        assert outcome.kind == "timeout" and outcome.reason == "split depth"
+        assert outcome.stats.pgd_calls == 3
+        # The root's row and the capped chunk's one row.
+        assert outcome.stats.analyze_calls == 2
+        assert report.metrics["kernel.analyze_rows"] == 2
+        assert report.metrics["kernel.analyze_batches"] == 2
+        assert outcome.stats.analyze_calls == reference.stats.analyze_calls
+
+    def test_failing_sibling_runs_both_stages(self):
+        # [-2, 0] verifies, [0, 2] does not: the second stage analyzes
+        # the sibling, and refine stops at it.
+        report, outcome, reference = self._run(-2.0, 2.0, max_depth=1)
+        assert outcome.kind == "timeout" and outcome.reason == "split depth"
+        assert outcome.stats.analyze_calls == 3
+        assert report.metrics["kernel.analyze_rows"] == 3
+        assert report.metrics["kernel.analyze_batches"] == 3
+        assert reference.kind == "timeout"
+        assert reference.reason == "split depth"
+        assert_job_equivalent(report.results[0], reference)
+
+    @pytest.mark.parametrize("high, max_depth", [(1.8, 1), (3.6, 2)])
+    def test_verified_capped_chunk_matches_the_reference(
+        self, high, max_depth
+    ):
+        # Every leaf at the cap is narrower than one: the chunk's first
+        # item verifies, so the rest of it is analyzed and verifies too.
+        report, outcome, reference = self._run(0.0, high, max_depth)
+        assert outcome.kind == "verified" and reference.kind == "verified"
+        assert outcome.stats.max_depth_reached == max_depth
+        rows = report.metrics["kernel.analyze_rows"]
+        assert rows == 2 ** (max_depth + 1) - 1
+        assert_job_equivalent(report.results[0], reference)
 
 
 #: Counters a run's shape decides.  No scheduling rule reads the clock,

@@ -37,6 +37,14 @@ implementation — must pass on the real code and fail under the mutant.
   so it is zeroed (``l < 0`` predicted active) or passed through as the
   identity (``u >= 0`` predicted inactive).  Check: concrete outputs
   sampled in each region stay inside its DeepPoly output bounds.
+- **M8** — a depth-capped chunk whose first item verifies is finished
+  without its second Analyze stage: the scheduler hands the first item's
+  result to the chunk's other items instead of analyzing them, so a
+  capped leaf that fails Analyze can end VERIFIED.  Check: M4's grid, on
+  Example 2.2's property over [-1, 1.6] with ``max_depth=1`` and a
+  one-step, one-restart PGD.  The root splits at 0.3 into a verified left
+  leaf and a right leaf whose misclassified points (x > 4/3) PGD misses, so
+  only Analyze guards that leaf.
 """
 
 import numpy as np
@@ -46,6 +54,7 @@ from repro import backend
 from repro.abstract import deeppoly, interval
 from repro.abstract.analyzer import analyze_batch
 from repro.abstract.domains import DEEPPOLY, INTERVAL
+from repro.attack.pgd import PGDConfig
 from repro.core.config import VerifierConfig
 from repro.core.property import RobustnessProperty
 from repro.nn.builders import example_2_2_network, mlp
@@ -126,14 +135,15 @@ def _m4_left_child_twice(monkeypatch):
     monkeypatch.setattr(scheduler, "refine_unverified", left_twice)
 
 
-def _verified_but_misclassified() -> int:
+def _verified_but_misclassified(
+    high: float = 2.0, config: VerifierConfig = VerifierConfig(timeout=10.0)
+) -> int:
     """VERIFIED jobs whose region holds a grid point the network
-    misclassifies, on Example 2.2's falsifiable property."""
+    misclassifies, on Example 2.2's property over [-1, ``high``], label 1
+    (falsifiable for ``high`` > 4/3)."""
     network = example_2_2_network()
-    prop = RobustnessProperty(Box(np.array([-1.0]), np.array([2.0])), 1)
-    job = VerificationJob(
-        network, prop, config=VerifierConfig(timeout=10.0), seed=0
-    )
+    prop = RobustnessProperty(Box(np.array([-1.0]), np.array([high])), 1)
+    job = VerificationJob(network, prop, config=config, seed=0)
     report = Scheduler([job]).run()
     violations = 0
     for result in report.results:
@@ -144,6 +154,33 @@ def _verified_but_misclassified() -> int:
         labels = network.forward(grid).argmax(axis=1)
         violations += int((labels != result.job.prop.label).any())
     return violations
+
+
+def _m8_capped_siblings_unanalyzed(monkeypatch):
+    stage = scheduler.Scheduler._analyze_stage
+
+    def first_result_for_siblings(self, work, results_by_state, executor):
+        # The second stage is the one whose rows skip each chunk's first
+        # item.
+        if work and work[0][4].start:
+            for state, _, _, _, rows in work:
+                results = results_by_state[state.index]
+                results[rows] = [results[0]] * len(results[rows])
+            return
+        stage(self, work, results_by_state, executor)
+
+    monkeypatch.setattr(
+        scheduler.Scheduler, "_analyze_stage", first_result_for_siblings
+    )
+
+
+def _capped_leaf_verified_but_misclassified() -> int:
+    """M4's grid check where the depth cap leaves Analyze as the only
+    guard of a leaf holding misclassified points."""
+    config = VerifierConfig(
+        timeout=10.0, max_depth=1, pgd=PGDConfig(steps=1, restarts=1)
+    )
+    return _verified_but_misclassified(1.6, config)
 
 
 def _m5_loose_falsified(monkeypatch):
@@ -270,6 +307,11 @@ MUTANTS = [
     pytest.param(
         _m7_no_second_pass, _deeppoly_output_escapes,
         id="M7-deeppoly-no-second-pass",
+    ),
+    pytest.param(
+        _m8_capped_siblings_unanalyzed,
+        _capped_leaf_verified_but_misclassified,
+        id="M8-capped-chunk-second-stage-skipped",
     ),
 ]
 
