@@ -32,7 +32,7 @@ from statistics import median
 import numpy as np
 from conftest import one_shot
 
-from repro.abstract.analyzer import analyze_batch
+from repro.abstract.analyzer import analyze_batch_multi
 from repro.abstract.domains import DEEPPOLY, ZONOTOPE
 from repro.backend import use_backend
 from repro.nn.builders import mlp
@@ -60,6 +60,7 @@ def _workload(n_in, hidden, batch, radius, seed=3):
 def _run_backends(net, regions, domain, rounds):
     """:data:`PAIRS` alternating ``(numpy64, numpy32)`` runs; each run is
     ``(results, best-of-rounds wall clock)``."""
+    labels = [1] * len(regions)
     pairs = []
     for _ in range(PAIRS):
         pair = []
@@ -68,7 +69,7 @@ def _run_backends(net, regions, domain, rounds):
             with use_backend(name):
                 for _ in range(rounds):
                     start = time.perf_counter()
-                    results = analyze_batch(net, regions, 1, domain)
+                    results = analyze_batch_multi(net, regions, labels, domain)
                     best = min(best, time.perf_counter() - start)
             pair.append((results, best))
         pairs.append(pair)

@@ -25,7 +25,7 @@ import time
 import numpy as np
 from conftest import TIMEOUT, load_problems, one_shot
 
-from repro.abstract.analyzer import analyze, analyze_batch
+from repro.abstract.analyzer import analyze, analyze_batch_multi
 from repro.abstract.deeppoly import (
     DeepPolyBatch,
     _DiagBounds,
@@ -128,7 +128,9 @@ def test_batched_kernels_beat_loops(benchmark):
                 config,
                 [np.random.default_rng(i) for i in range(len(regions))],
             )
-            analyze_batch(network, regions, label, DEEPPOLY)
+            analyze_batch_multi(
+                network, regions, [label] * len(regions), DEEPPOLY
+            )
         batch_s = time.perf_counter() - t0
         return loop_s, batch_s
 
@@ -198,13 +200,14 @@ def _live_units_case():
 
 
 def _race(benchmark, net, regions, name, slow_impl):
-    """Best of three alternating timings of ``analyze_batch`` as is and
-    with ``DeepPolyBatch.<name>`` replaced by ``slow_impl``; the two
+    """Best of three alternating timings of ``analyze_batch_multi`` as is
+    and with ``DeepPolyBatch.<name>`` replaced by ``slow_impl``; the two
     legs must agree on verdicts and on margins within 1e-9."""
+    labels = [1] * len(regions)
 
     def timed():
         start = time.perf_counter()
-        results = analyze_batch(net, regions, 1, DEEPPOLY)
+        results = analyze_batch_multi(net, regions, labels, DEEPPOLY)
         return results, time.perf_counter() - start
 
     def run():

@@ -30,7 +30,7 @@ import numpy as np
 from conftest import TIMEOUT, load_problems, one_shot
 
 from repro.abstract import fused
-from repro.abstract.analyzer import analyze, analyze_batch
+from repro.abstract.analyzer import analyze, analyze_batch_multi
 from repro.abstract.deeppoly import DeepPolyBatch, _DiagBounds, _split_signs
 from repro.abstract.domains import DEEPPOLY, ZONOTOPE, bounded_zonotopes
 from repro.bench.fusedref import prefused_stacked_relu, promotion_stack
@@ -110,7 +110,9 @@ def test_batched_kernels_exact_and_faster(benchmark):
             loop_s = time.perf_counter() - start
             start = time.perf_counter()
             batches = [
-                analyze_batch(net, regions, label, domain)
+                analyze_batch_multi(
+                    net, regions, [label] * len(regions), domain
+                )
                 for net, label, regions in workload
             ]
             batch_s = time.perf_counter() - start
@@ -195,7 +197,9 @@ def test_fused_dense_backsub_wider_inputs(benchmark):
     fused_impl = DeepPolyBatch._bound_expr
 
     def run_once():
-        return analyze_batch(net, regions, 1, DEEPPOLY)
+        return analyze_batch_multi(
+            net, regions, [1] * len(regions), DEEPPOLY
+        )
 
     def run():
         run_once()  # warm caches outside the comparison

@@ -38,7 +38,7 @@ from repro.core.policy import (
 )
 from repro.core.verifier import Verifier, verify
 from repro.abstract.domains import DomainSpec, INTERVAL, ZONOTOPE
-from repro.abstract.analyzer import analyze, analyze_batch
+from repro.abstract.analyzer import analyze
 
 __version__ = "1.0.0"
 
@@ -61,6 +61,5 @@ __all__ = [
     "INTERVAL",
     "ZONOTOPE",
     "analyze",
-    "analyze_batch",
     "__version__",
 ]

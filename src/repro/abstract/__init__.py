@@ -10,7 +10,7 @@ Implements the numeric domains the paper's analyzer chooses among (§2.3):
 - :mod:`repro.abstract.domains` — :class:`DomainSpec`, the ``(base, k)``
   pairs the domain policy selects from.
 - :mod:`repro.abstract.analyzer` — pushes a region through a network's op
-  sequence and checks the classification margin (the paper's ``Analyze``).
+  sequence and returns its classification margin (the paper's ``Analyze``).
 - :mod:`repro.abstract.symbolic_interval` — symbolic intervals in the style
   of ReluVal (used by the ReluVal baseline).
 - :mod:`repro.abstract.batched` — the :class:`BatchedElement` protocol the
@@ -34,7 +34,7 @@ from repro.abstract.domains import (
     SYMBOLIC,
     ZONOTOPE,
 )
-from repro.abstract.analyzer import AnalysisResult, analyze, analyze_batch, propagate
+from repro.abstract.analyzer import AnalysisResult, analyze, propagate
 from repro.abstract.deeppoly import DeepPolyBatch, DeepPolyState
 from repro.abstract.symbolic_interval import SymbolicInterval
 
@@ -54,7 +54,6 @@ __all__ = [
     "DEEPPOLY",
     "AnalysisResult",
     "analyze",
-    "analyze_batch",
     "propagate",
     "DeepPolyState",
     "DeepPolyBatch",

@@ -4,14 +4,18 @@ Pushes an abstract element through the network's lowered op sequence and
 checks the robustness condition ``∀j≠K. y_K > y_j`` on the output element
 (using each domain's sharpest available margin bound — relational for
 zonotopes).  This is the role ELINA plays inside the original Charon.
+Algorithm 1 needs one fact per region from it, so every entry point
+returns margins (:class:`AnalysisResult`), never the output element;
+tests that inspect an output element build it with :func:`propagate`.
 
-:func:`analyze_batch` exploits the paper's §6 observation that sub-region
-analyses are independent: every domain with a batched kernel
+:func:`analyze_batch_multi` exploits the paper's §6 observation that
+sub-region analyses are independent: every domain with a batched kernel
 (:meth:`~repro.abstract.domains.DomainSpec.lift_batch` — interval,
 DeepPoly, zonotope, and powerset-of-zonotope) propagates all ``B``
 regions simultaneously, turning every affine transformer into a single
 GEMM over the batch; the remaining domains (symbolic intervals, interval
-powersets) fall back to a per-region loop with identical results.
+powersets) fall back to a per-region :func:`analyze` loop with identical
+results.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.abstract.domains import DomainSpec
-from repro.abstract.element import AbstractElement
 from repro.backend import active as _active_backend
 from repro.nn.network import AffineOp, MaxPoolOp, Network, PadOp, ReluOp
 from repro.obs.metrics import registry as _metrics_registry
@@ -38,66 +41,83 @@ _KERNEL_COUNTERS = _metrics_registry().group(
 )
 
 
-def _count_backend_work(batches: int, rows: int) -> None:
-    """Per-backend kernel-work counters, ``kernel.by_backend.<name>.*``.
-
-    Scalar (non-group) counters so new backend names need no
-    registration; worker-side deltas still merge into the parent through
-    :meth:`~repro.obs.metrics.MetricsRegistry.merge_counters`.
-    """
-    name = _active_backend().name
-    reg = _metrics_registry()
-    reg.inc(f"kernel.by_backend.{name}.analyze_batches", batches)
-    reg.inc(f"kernel.by_backend.{name}.analyze_rows", rows)
-
-
 @dataclass(frozen=True)
 class AnalysisResult:
-    """Outcome of one abstract-interpretation run.
+    """Outcome of one region's abstract-interpretation run.
 
     Attributes:
         verified: True when the output abstraction proves the property.
         margin_lower_bound: sound lower bound on
             ``min_{j≠K} (y_K - y_j)`` over the region; positive iff verified.
-        output: the abstract element at the network output (for debugging
-            and for tests that check containment of concrete runs).
-            Pickling drops it, so ``None`` for results that crossed a
-            process boundary: no engine reads it, and a powerset's
-            ``(T, k, n)`` output stack would dwarf the call it rode in.
     """
 
     verified: bool
     margin_lower_bound: float
-    output: AbstractElement | None
-
-    def __reduce__(self):
-        return AnalysisResult, (self.verified, self.margin_lower_bound, None)
-
-
-def _apply_op(element: AbstractElement, op) -> AbstractElement:
-    """One op of :func:`propagate` (shared with the checkpointed walk)."""
-    if isinstance(op, AffineOp):
-        return element.affine(op.weight, op.bias)
-    if isinstance(op, ReluOp):
-        return element.relu()
-    if isinstance(op, MaxPoolOp):
-        return element.maxpool(op.windows)
-    if isinstance(op, PadOp):
-        return element.pad(op.radii)
-    raise TypeError(f"unknown op type {type(op).__name__}")
 
 
 def propagate(
     ops: list,
-    element: AbstractElement,
+    element,
     deadline: Deadline | None = None,
-) -> AbstractElement:
-    """Run an abstract element through a lowered op sequence."""
+):
+    """Run an abstract element (sequential or batched) through a lowered
+    op sequence: the one op loop every analyzer entry point runs."""
     for op in ops:
         if deadline is not None:
             deadline.check()
-        element = _apply_op(element, op)
+        if isinstance(op, AffineOp):
+            element = element.affine(op.weight, op.bias)
+        elif isinstance(op, ReluOp):
+            element = element.relu()
+        elif isinstance(op, MaxPoolOp):
+            element = element.maxpool(op.windows)
+        elif isinstance(op, PadOp):
+            element = element.pad(op.radii)
+        else:
+            raise TypeError(f"unknown op type {type(op).__name__}")
     return element
+
+
+def _check_operands(
+    network: Network, regions: Sequence[Box], labels: Sequence[int]
+) -> None:
+    """Validate one Analyze call's operands (every entry point's check)."""
+    if len(labels) != len(regions):
+        raise ValueError(
+            f"got {len(labels)} labels for {len(regions)} regions"
+        )
+    if not regions:
+        raise ValueError("Analyze needs at least one region")
+    for region in regions:
+        if region.ndim != network.input_size:
+            raise ValueError(
+                f"region has {region.ndim} dims, network expects "
+                f"{network.input_size}"
+            )
+    for lab in labels:
+        if not 0 <= lab < network.output_size:
+            raise ValueError(
+                f"label {lab} out of range for {network.output_size} outputs"
+            )
+
+
+def _checked_batch(
+    network: Network, regions: Sequence[Box], labels: Sequence[int]
+) -> None:
+    """Validate one batched call's operands, then count it as kernel work.
+
+    The per-backend counters ``kernel.by_backend.<name>.*`` are scalar
+    (non-group) counters, so a backend name needs no registration;
+    worker-side deltas still merge into the parent through
+    :meth:`~repro.obs.metrics.MetricsRegistry.merge_counters`.
+    """
+    _check_operands(network, regions, labels)
+    _KERNEL_COUNTERS["analyze_batches"] += 1
+    _KERNEL_COUNTERS["analyze_rows"] += len(regions)
+    reg = _metrics_registry()
+    name = _active_backend().name
+    reg.inc(f"kernel.by_backend.{name}.analyze_batches", 1)
+    reg.inc(f"kernel.by_backend.{name}.analyze_rows", len(regions))
 
 
 def analyze(
@@ -113,49 +133,16 @@ def analyze(
     as ``label``.  Incomplete: ``verified=False`` only means this abstraction
     could not prove it.
     """
-    if region.ndim != network.input_size:
-        raise ValueError(
-            f"region has {region.ndim} dims, network expects {network.input_size}"
-        )
-    if not 0 <= label < network.output_size:
-        raise ValueError(
-            f"label {label} out of range for {network.output_size} outputs"
-        )
-    element = domain.lift(region)
+    _check_operands(network, [region], [label])
     output = propagate(
-        network.ops_for(_active_backend().dtype), element, deadline
+        network.ops_for(_active_backend().dtype), domain.lift(region), deadline
     )
     margin = output.min_margin(label)
-    return AnalysisResult(
-        verified=margin > 0.0, margin_lower_bound=margin, output=output
-    )
+    return AnalysisResult(verified=margin > 0.0, margin_lower_bound=margin)
 
 
-def analyze_batch(
-    network: Network,
-    regions: Sequence[Box],
-    label: int,
-    domain: DomainSpec,
-    deadline: Deadline | None = None,
-) -> list[AnalysisResult]:
-    """Attempt to verify every ``(region, label)`` at once.
-
-    Semantics are per-region :func:`analyze`; the batched interval and
-    DeepPoly paths differ from the sequential results only by BLAS kernel
-    round-off (reduction order depends on operand shapes), while the
-    zonotope and powerset-of-zonotope kernels are bitwise identical to
-    the sequential elements (their round-based case-split kernels are
-    batch-height-stable by construction — see
-    :mod:`repro.abstract.zonotope_batch`).  Domains without a batched
-    kernel fall back to the per-region loop.
-    """
-    return analyze_batch_multi(
-        network, regions, [label] * len(regions), domain, deadline
-    )
-
-
-def batch_margins(element, labels: Sequence[int]) -> np.ndarray:
-    """Per-row margin lower bounds of a batched element, by label group.
+def _row_results(element, labels: Sequence[int]) -> list[AnalysisResult]:
+    """One result per row of a propagated batched element.
 
     Margin back-substitution scales with rows × batch, so each label
     group is bounded only on its own row subset instead of paying the
@@ -164,47 +151,15 @@ def batch_margins(element, labels: Sequence[int]) -> np.ndarray:
     label_arr = np.asarray(labels, dtype=np.int64)
     distinct = sorted(set(int(lab) for lab in label_arr))
     if len(distinct) == 1:
-        return np.asarray(element.min_margin(distinct[0]))
-    margins = np.empty(label_arr.size)
-    for lab in distinct:
-        rows = np.flatnonzero(label_arr == lab)
-        margins[rows] = element.rows(rows).min_margin(lab)
-    return margins
-
-
-def _row_results(element, labels: Sequence[int]) -> list[AnalysisResult]:
-    """One result per row of a propagated batched element."""
-    margins = batch_margins(element, labels)
+        margins = np.asarray(element.min_margin(distinct[0]))
+    else:
+        margins = np.empty(label_arr.size)
+        for lab in distinct:
+            rows = np.flatnonzero(label_arr == lab)
+            margins[rows] = element.rows(rows).min_margin(lab)
     return [
-        AnalysisResult(bool(margin > 0.0), float(margin), element.row(i))
-        for i, margin in enumerate(margins)
+        AnalysisResult(bool(margin > 0.0), float(margin)) for margin in margins
     ]
-
-
-def _checked_batch(
-    network: Network, regions: Sequence[Box], labels: Sequence[int]
-) -> None:
-    """Validate one batched call's operands, then count it as kernel work."""
-    if len(labels) != len(regions):
-        raise ValueError(
-            f"got {len(labels)} labels for {len(regions)} regions"
-        )
-    if not regions:
-        raise ValueError("analyze_batch needs at least one region")
-    for region in regions:
-        if region.ndim != network.input_size:
-            raise ValueError(
-                f"region has {region.ndim} dims, network expects "
-                f"{network.input_size}"
-            )
-    for lab in labels:
-        if not 0 <= lab < network.output_size:
-            raise ValueError(
-                f"label {lab} out of range for {network.output_size} outputs"
-            )
-    _KERNEL_COUNTERS["analyze_batches"] += 1
-    _KERNEL_COUNTERS["analyze_rows"] += len(regions)
-    _count_backend_work(1, len(regions))
 
 
 def analyze_batch_multi(
@@ -214,15 +169,19 @@ def analyze_batch_multi(
     domain: DomainSpec,
     deadline: Deadline | None = None,
 ) -> list[AnalysisResult]:
-    """:func:`analyze_batch` with one target label per region.
+    """Attempt to verify every ``(regions[i], labels[i])`` at once.
 
     This is the sweep kernel of the multi-property scheduler: sub-regions
     of different properties of the same network share one batched
     propagation (the label plays no role until the output margin check),
     then the margin bound is evaluated per label group on the matching
-    row subset.  Region ``i``'s result is identical to
-    ``analyze(network, regions[i], labels[i], ...)`` up to the usual BLAS
-    kernel round-off of the batched domains.
+    row subset.  Region ``i``'s result is per-region :func:`analyze`'s:
+    the batched interval and DeepPoly paths differ from it only by BLAS
+    kernel round-off (reduction order depends on operand shapes), while
+    the zonotope and powerset-of-zonotope kernels are bitwise identical
+    (their round-based case-split kernels are batch-height-stable by
+    construction — see :mod:`repro.abstract.zonotope_batch`).  Domains
+    without a batched kernel fall back to the per-region loop.
     """
     _checked_batch(network, regions, labels)
     ops = network.ops_for(_active_backend().dtype)
@@ -291,27 +250,24 @@ def _checkpointed_walk(
     if targets:
         chain = layer_digests(network)
     captured: list = []
-    for idx in range(start, len(ops)):
-        if deadline is not None:
-            deadline.check()
-        element = _apply_op(element, ops[idx])
-        boundary = targets.get(idx + 1)
-        if boundary is not None:
-            kind, meta, arrays = capture_element(element, ops)
-            captured.append(
-                PrefixBounds(
-                    boundary=boundary,
-                    op_count=idx + 1,
-                    prefix_digest=chain[boundary - 1],
-                    regions_digest=regions_digest,
-                    domain=(domain.base, domain.disjuncts),
-                    backend=backend,
-                    kind=kind,
-                    meta=meta,
-                    arrays=arrays,
-                )
+    for op_count in sorted(targets):
+        element = propagate(ops[start:op_count], element, deadline)
+        start = op_count
+        kind, meta, arrays = capture_element(element, ops)
+        captured.append(
+            PrefixBounds(
+                boundary=targets[op_count],
+                op_count=op_count,
+                prefix_digest=chain[targets[op_count] - 1],
+                regions_digest=regions_digest,
+                domain=(domain.base, domain.disjuncts),
+                backend=backend,
+                kind=kind,
+                meta=meta,
+                arrays=arrays,
             )
-    return element, captured
+        )
+    return propagate(ops[start:], element, deadline), captured
 
 
 def analyze_batch_checkpointed(

@@ -11,8 +11,12 @@ zonotope and powerset kernels plug into the same dispatch
 analyzer special-casing any domain.
 
 **Row contract.**  Row ``i`` of a batched element must mean exactly what
-the corresponding sequential element means for region ``i`` alone.  How
-tight that "exactly" is depends on the domain's arithmetic:
+the corresponding sequential element means for region ``i`` alone.  The
+tests hold it by comparing arrays: a batched element's row-``i`` bounds
+(for the zonotope family its center, generators and error radii) against
+the sequential element's, both built with
+:func:`~repro.abstract.analyzer.propagate`.  How tight that "exactly" is
+depends on the domain's arithmetic:
 
 - The zonotope-family kernels (``ZonotopeBatch`` / ``PowersetBatch``) are
   *batch-height-stable by construction*: every reduction and product is
@@ -25,10 +29,8 @@ tight that "exactly" is depends on the domain's arithmetic:
   the batch height, so rows agree with the sequential elements up to BLAS
   kernel round-off (bounded at 1e-12 / 1e-9 by the equivalence tests).
 
-``row``/``rows`` recover per-region views: ``row(i)`` yields the
-sequential element type for region ``i`` (used for result reporting),
-``rows(indices)`` the sub-batch (used for per-label margin checks over
-mixed-label batches).
+``rows(indices)`` gives the sub-batch holding those rows (used for
+per-label margin checks over mixed-label batches).
 """
 
 from __future__ import annotations
@@ -54,10 +56,6 @@ class BatchedElement(ABC):
     @abstractmethod
     def size(self) -> int:
         """Dimension of each region's concretization."""
-
-    @abstractmethod
-    def row(self, i: int):
-        """Region ``i``'s state as the matching sequential element."""
 
     @abstractmethod
     def rows(self, indices) -> "BatchedElement":

@@ -443,10 +443,11 @@ class _LiveUnits:
     """The gathered operands of one analysis's live-unit rewrite.
 
     Shared by every :class:`DeepPolyBatch` one lift extends into, so the
-    ``bounds()`` calls of an analysis reuse them; never attached to the
-    relations themselves, which the analyzer's per-row output views keep
-    alive after it returns.  Entries hold their relations, so the
-    ``id`` keys cannot be recycled while an entry lives.
+    ``bounds()`` calls of an analysis reuse them, and freed with the last
+    of those elements; never attached to the relations themselves, which
+    the sub-batches of :meth:`DeepPolyBatch.rows` share while their live
+    sets differ.  Entries hold their relations, so the ``id`` keys cannot
+    be recycled while an entry lives.
 
     Live sets are ``O(B·n)`` and always kept.  Blocks between two ReLUs
     are kept while their bytes fit :attr:`cap` (one dense ``(B, n, n)``
@@ -622,29 +623,6 @@ class DeepPolyBatch(BatchedElement):
             return layer.bl.shape[-1]
         return self.box_low.shape[1]
 
-    def row(self, i: int) -> DeepPolyState:
-        """The ``i``-th region's analysis as a plain :class:`DeepPolyState`."""
-        layers: list[_LayerBounds | _DiagBounds] = []
-        for layer in self.layers:
-            if isinstance(layer, _DiagBounds):
-                layers.append(
-                    _DiagBounds(
-                        layer.dl[i],
-                        layer.du[i],
-                        layer.bu[i],
-                        bl=None if layer.bl is None else layer.bl[i],
-                    )
-                )
-            elif layer.al.ndim == 3:
-                layers.append(
-                    _LayerBounds(
-                        layer.al[i], layer.bl[i], layer.au[i], layer.bu[i]
-                    )
-                )
-            else:
-                layers.append(layer)  # shared affine relation
-        return DeepPolyState(Box(self.box_low[i], self.box_high[i]), layers)
-
     def rows(self, indices) -> "DeepPolyBatch":
         """The sub-batch holding the given rows.
 
@@ -779,7 +757,6 @@ class DeepPolyBatch(BatchedElement):
         are ``sign·W[j]`` gathered to the live columns below — the
         identity's rewrite with rows selected and negated, exactly.
         """
-        mm = _active_backend().matmul
         layers = self.layers
         units = self._units
         b: np.ndarray | float = 0.0
@@ -816,13 +793,13 @@ class DeepPolyBatch(BatchedElement):
             if cols is not None:
                 block, bias = units.block(cols, layer, below)
                 b = b + _dot_rows(a, bias)
-                a, owned = mm(a, block), True
+                a, owned = a @ block, True
                 cols = below
                 continue
             if a.ndim == 3:
                 rows = a.shape[1]
-                b = b + mm(a, layer.bl)
-                a = mm(a.reshape(-1, a.shape[2]), layer.al).reshape(
+                b = b + a @ layer.bl
+                a = (a.reshape(-1, a.shape[2]) @ layer.al).reshape(
                     self.batch_size, rows, -1
                 )
                 owned = True
@@ -832,7 +809,7 @@ class DeepPolyBatch(BatchedElement):
                 a, owned = layer.al, False
             else:
                 b = b + a @ layer.bl
-                a, owned = mm(a, layer.al), True
+                a, owned = a @ layer.al, True
             if below is not None:
                 a, owned = _gather_columns(a, units.live(below)[0]), True
             cols = below
@@ -870,15 +847,14 @@ class DeepPolyBatch(BatchedElement):
                 # against the relation stack built at layer construction
                 # (see _DenseBounds), instead of two half-width GEMMs
                 # plus an add.
-                mm = _active_backend().matmul
                 a = _promote(a)
                 cat = np.concatenate(_split_signs(a), axis=-1)
                 if lower:
                     b = b + _dot_rows(cat, layer.lower_bias)
-                    a = mm(cat, layer.lower_rel)
+                    a = cat @ layer.lower_rel
                 else:
                     b = b + _dot_rows(cat, layer.upper_bias)
-                    a = mm(cat, layer.upper_rel)
+                    a = cat @ layer.upper_rel
             # Dense relation without a stack: only reachable for layers
             # handed directly to the constructor (the transformers and
             # rows() always build _DenseBounds) — kept so externally
@@ -893,15 +869,14 @@ class DeepPolyBatch(BatchedElement):
                     b = b + _dot_rows(pos, layer.bu) + _dot_rows(neg, layer.bl)
                     a = pos @ layer.au + neg @ layer.al
             else:  # shared exact affine relation: no sign split needed
-                mm = _active_backend().matmul
-                b = b + mm(a, layer.bl) if a.ndim == 3 else b + a @ layer.bl
+                b = b + a @ layer.bl
                 if a.ndim == 3:
                     rows = a.shape[1]
-                    a = mm(
-                        a.reshape(batch * rows, -1), layer.al
-                    ).reshape(batch, rows, -1)
+                    a = (a.reshape(batch * rows, -1) @ layer.al).reshape(
+                        batch, rows, -1
+                    )
                 else:
-                    a = mm(a, layer.al)
+                    a = a @ layer.al
             owned = True
         return a, b, owned
 

@@ -193,10 +193,6 @@ class IntervalBatch(BatchedElement):
     def size(self) -> int:
         return self.low.shape[1]
 
-    def row(self, i: int) -> IntervalElement:
-        """The ``i``-th region's bounds as a plain :class:`IntervalElement`."""
-        return IntervalElement(self.low[i].copy(), self.high[i].copy())
-
     def rows(self, indices) -> "IntervalBatch":
         """The sub-batch holding the given rows (used for per-label
         margin checks over mixed-label batches)."""
@@ -204,15 +200,14 @@ class IntervalBatch(BatchedElement):
         return IntervalBatch(self.low[indices], self.high[indices])
 
     def affine(self, weight: np.ndarray, bias: np.ndarray) -> "IntervalBatch":
-        mm = _active_backend().matmul
         pos = np.maximum(weight, 0.0)
         neg = np.minimum(weight, 0.0)
-        low = mm(self.low, pos.T) + mm(self.high, neg.T) + bias
-        high = mm(self.high, pos.T) + mm(self.low, neg.T) + bias
+        low = self.low @ pos.T + self.high @ neg.T + bias
+        high = self.high @ pos.T + self.low @ neg.T + bias
         scale = _slack_for(low.dtype, weight.shape[1])
         if scale:
             mag = np.maximum(np.abs(self.low), np.abs(self.high))
-            slack = scale * (mm(mag, np.abs(weight).T) + np.abs(bias))
+            slack = scale * (mag @ np.abs(weight).T + np.abs(bias))
             low = low - slack
             high = high + slack
         return IntervalBatch(low, high)

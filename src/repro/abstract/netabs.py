@@ -73,9 +73,6 @@ ABSTRACTION_MODES = ("off", "syntactic", "semantic")
 #: is ``ceil(width / 2**level)``, so level 2 merges ~4 neurons per group.
 DEFAULT_LEVEL = 2
 
-#: CEGAR refinement rounds before falling back to the concrete network.
-DEFAULT_MAX_ROUNDS = 4
-
 #: Outward widening on every derived error bound: the bounds are exact
 #: real-interval quantities evaluated in float64, whose rounding we do
 #: not direct, so give away a few relative ulps to stay on the sound

@@ -203,8 +203,7 @@ class PowersetElement(AbstractElement):
                         centers[row], gens[row], errs[row]
                     )
                 else:
-                    # No dead dims either: the ReLU is the identity here
-                    # (matches ``_clamp_nonpositive`` returning ``self``).
+                    # No dead dims either: the ReLU is the identity here.
                     out[i] = element
         return out
 

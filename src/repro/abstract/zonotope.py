@@ -164,10 +164,9 @@ class Zonotope(AbstractElement):
         :class:`~repro.abstract.zonotope_batch.ZonotopeBatch` rows bitwise
         equal to this sequential transformer.
         """
-        bk = _active_backend()
-        center = bk.einsum("ij,j->i", weight, self.center) + bias
+        center = np.einsum("ij,j->i", weight, self.center) + bias
         promoted = self.err[:, None] * weight.T  # row i = err_i * W[:, i]
-        gens = np.vstack([bk.matmul(self.gens, weight.T), promoted])
+        gens = np.vstack([self.gens @ weight.T, promoted])
         scale = _slack_for(center.dtype, weight.shape[1])
         if not scale:
             return Zonotope._make(center, gens, np.zeros(center.size, dtype=center.dtype))
@@ -192,21 +191,6 @@ class Zonotope(AbstractElement):
             self.center[None, :], self.gens[None], self.err[None], [skip_dims]
         )
         return Zonotope._make(center[0], gens[0], err[0])
-
-    def _clamp_nonpositive(self, skip_dims: frozenset[int] = frozenset()) -> "Zonotope":
-        """Project every definitely-non-positive dimension to exactly 0."""
-        low, high = self.bounds()
-        dead = high <= 0.0
-        if skip_dims:
-            keep = np.ones(self.size, dtype=bool)
-            keep[list(skip_dims)] = False
-            dead &= keep
-        if not dead.any():
-            return self
-        center = np.where(dead, 0.0, self.center)
-        gens = np.where(dead[None, :], 0.0, self.gens)
-        err = np.where(dead, 0.0, self.err)
-        return Zonotope._make(center, gens, err)
 
     def _project_dim(self, dim: int) -> "Zonotope":
         """Set one dimension to exactly 0 (the dead ReLU branch)."""
@@ -265,59 +249,6 @@ class Zonotope(AbstractElement):
         crossing = np.flatnonzero((low < 0.0) & (high > 0.0))
         widths = high[crossing] - low[crossing]
         return crossing[np.argsort(-widths, kind="stable")]
-
-    def _contract_from(
-        self,
-        bound: np.ndarray,
-        lower_side: np.ndarray,
-        upper_side: np.ndarray,
-    ) -> "Zonotope":
-        """Apply precomputed per-symbol range cuts (see :meth:`_contract`)."""
-        dtype = self.gens.dtype
-        lo_sym = -np.ones(self.num_gens, dtype=dtype)
-        hi_sym = np.ones(self.num_gens, dtype=dtype)
-        lo_sym = np.where(lower_side, np.maximum(lo_sym, bound), lo_sym)
-        hi_sym = np.where(upper_side, np.minimum(hi_sym, bound), hi_sym)
-        lo_sym = np.minimum(lo_sym, hi_sym)  # guard against numeric inversion
-        mid = (lo_sym + hi_sym) / 2.0
-        half = (hi_sym - lo_sym) / 2.0
-        center = self.center + self.gens.T @ mid
-        err = self.err.copy()
-        scale = _slack_for(dtype, self.num_gens + 4)
-        if scale:
-            err += scale * (np.abs(center) + self.radius())
-        gens = self.gens * half[:, None]
-        return Zonotope._make(center, gens, err)
-
-    def _contract_cuts(
-        self, dim: int, keep_nonneg: bool
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-symbol range cuts under ``x_dim >= 0`` (or ``<= 0``).
-
-        One round of per-symbol interval contraction: with every other
-        symbol relaxed to its full range (``rest``), the constraint
-        ``c + g_j*eta_j ∓ rest >= 0`` (or ``<= 0``) bounds ``eta_j`` below
-        when the coefficient and constraint orientation agree, above
-        otherwise.  The result always over-approximates the intersection.
-        """
-        coeffs = self.gens[:, dim]
-        c = self.center[dim]
-        abs_coeffs = np.abs(coeffs)
-        total = abs_coeffs.sum() + self.err[dim]
-        touched = abs_coeffs > _COEF_TOL
-        rest = total - abs_coeffs
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if keep_nonneg:
-                bound = (-c - rest) / coeffs
-            else:
-                bound = (-c + rest) / coeffs
-        lower_side = touched & ((coeffs > 0) == keep_nonneg)
-        upper_side = touched & ~lower_side
-        return bound, lower_side, upper_side
-
-    def _contract(self, dim: int, keep_nonneg: bool) -> "Zonotope":
-        """Soundly tighten noise symbols under ``x_dim >= 0`` (or ``<= 0``)."""
-        return self._contract_from(*self._contract_cuts(dim, keep_nonneg))
 
     def relu_split(self, dim: int) -> tuple["Zonotope", "Zonotope"]:
         lo, hi = self.dim_bounds(dim)

@@ -59,8 +59,7 @@ import numpy as np
 from repro.abstract.batched import BatchedElement
 from repro.abstract.fused import _COEF_TOL, gen_sum
 from repro.abstract.fused import stacked_relu as _fused_stacked_relu
-from repro.abstract.powerset import PowersetElement
-from repro.abstract.zonotope import Zonotope, _coerce_term
+from repro.abstract.zonotope import _coerce_term
 from repro.backend import active as _active_backend
 from repro.backend import outward_center_radius as _outward_center_radius
 from repro.backend import slack_for as _slack_for
@@ -108,11 +107,10 @@ def _stacked_affine(
     Centers go through ``einsum`` (height-stable, see module docstring);
     generator rows of all batched elements share one reshaped GEMM.
     """
-    bk = _active_backend()
     rows, num_gens, n = gens.shape
     out = weight.shape[0]
-    new_centers = bk.einsum("ij,bj->bi", weight, centers) + bias
-    rotated = bk.matmul(gens.reshape(rows * num_gens, n), weight.T).reshape(
+    new_centers = np.einsum("ij,bj->bi", weight, centers) + bias
+    rotated = (gens.reshape(rows * num_gens, n) @ weight.T).reshape(
         rows, num_gens, out
     )
     promoted = errs[:, :, None] * weight.T[None, :, :]
@@ -123,7 +121,7 @@ def _stacked_affine(
     # Outward rounding (float32 path): absorb the rotation/einsum
     # round-off into the error radii, mirroring ``Zonotope.affine``.
     mag = np.abs(centers) + _stacked_radius(gens, errs)
-    new_errs = scale * (bk.matmul(mag, np.abs(weight).T) + np.abs(bias))
+    new_errs = scale * (mag @ np.abs(weight).T + np.abs(bias))
     return new_centers, new_gens, new_errs.astype(new_centers.dtype, copy=False)
 
 
@@ -316,8 +314,9 @@ class ZonotopeBatch(BatchedElement):
     """Zonotopes for ``B`` regions at once: ``(B, n)`` centers,
     ``(B, k, n)`` generators, ``(B, n)`` error radii.
 
-    Row ``i`` is bitwise identical to the :class:`Zonotope` the sequential
-    analyzer computes for region ``i`` alone (see the module docstring's
+    Row ``i`` is bitwise identical to the
+    :class:`~repro.abstract.zonotope.Zonotope` the sequential analyzer
+    computes for region ``i`` alone (see the module docstring's
     batch-height-stability argument).
     """
 
@@ -367,11 +366,6 @@ class ZonotopeBatch(BatchedElement):
     @property
     def num_gens(self) -> int:
         return self.gens.shape[1]
-
-    def row(self, i: int) -> Zonotope:
-        return Zonotope._make(
-            self.centers[i].copy(), self.gens[i].copy(), self.errs[i].copy()
-        )
 
     def rows(self, indices) -> "ZonotopeBatch":
         indices = np.asarray(indices, dtype=np.int64)
@@ -426,7 +420,8 @@ class PowersetBatch(BatchedElement):
 
     All disjuncts of all regions live in one ``(T, k, n)`` stack (the
     affine transformer's unconditional error promotion guarantees one
-    shared generator shape, exactly as in :class:`PowersetElement`), with
+    shared generator shape, exactly as in
+    :class:`~repro.abstract.powerset.PowersetElement`), with
     ``offsets`` marking each region's contiguous row span.  The ReLU
     case-split loop runs the same round-based global dim order as
     :func:`_stacked_relu`, with each *region* additionally applying its
@@ -497,15 +492,6 @@ class PowersetBatch(BatchedElement):
 
     def _region_rows(self, b: int) -> range:
         return range(int(self.offsets[b]), int(self.offsets[b + 1]))
-
-    def row(self, i: int) -> PowersetElement:
-        elements = [
-            Zonotope._make(
-                self.centers[r].copy(), self.gens[r].copy(), self.errs[r].copy()
-            )
-            for r in self._region_rows(i)
-        ]
-        return PowersetElement(elements, self.max_disjuncts)
 
     def rows(self, indices) -> "PowersetBatch":
         indices = np.asarray(indices, dtype=np.int64)

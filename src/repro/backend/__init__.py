@@ -1,17 +1,14 @@
-"""Pluggable array backends: the dtype/op seam under the kernel stack.
+"""Array backends: the named dtype a run's kernels compute in.
 
 The abstract-interpretation kernels (interval, zonotope, DeepPoly, the
-fused split+join) are BLAS-bound: their hot loops are GEMMs and einsums
-over dense operands.  This module abstracts *which* array engine and
-precision those operands use behind a tiny protocol so the same kernel
-code can run
+fused split+join) are BLAS-bound numpy code.  A backend is a name plus
+the dtype those kernels lift their operands into:
 
-- ``numpy64`` — float64 numpy, the **bitwise reference**.  Every
-  equivalence matrix in the test suite pins against this backend; its
-  ops are literally ``np.matmul``/``np.einsum`` and its outward-rounding
-  slack is exactly ``0.0``, so routing a kernel through the backend seam
-  changes nothing on the reference path.
-- ``numpy32`` — float32 numpy, the fast path (float32 GEMMs measure
+- ``numpy64`` — float64, the **bitwise reference**.  Every equivalence
+  matrix in the test suite pins against this backend; its
+  outward-rounding slack is exactly ``0.0``, so the reference path runs
+  no widening code at all.
+- ``numpy32`` — float32, the fast path (float32 GEMMs measure
   ~2.2-2.5x float64 on commodity BLAS).  Analyzer bounds stay *sound*
   by outward rounding: every concretization widens its bounds by a
   directed-rounding slack proportional to the accumulated magnitude
@@ -20,45 +17,54 @@ code can run
 
 Design rule (keeps the reference path bitwise and the kernels pure):
 kernels consult the *active* backend only at lift boundaries (element
-constructors, ``from_box``/``from_boxes``) and at the hot GEMM call
-sites; everything in between derives its dtype from the arrays it is
-handed.  The outward-rounding slack is likewise dtype-driven
-(:func:`slack_for` returns 0.0 for float64), so transformer math never
-depends on mutable global state.
+constructors, ``from_box``/``from_boxes``) and when picking a network's
+lowered op list; everything in between derives its dtype from the
+arrays it is handed.  The outward-rounding slack is likewise
+dtype-driven (:func:`slack_for` returns 0.0 for float64), so
+transformer math never depends on mutable global state.
 
-The active backend is a module-level default (``numpy64``) with a
-thread-local override stack for scoped switches (:func:`use_backend`).
-Nothing reads the environment: a run names its backend in its
-``RunOptions``, and kernel calls crossing the process boundary carry
-their backend tag in the ``KernelCall`` and re-enter it on the worker
-(see ``repro.exec.calls``).
+The active backend is ``numpy64`` unless a thread-local
+:func:`use_backend` scope names another.  Nothing reads the
+environment: a run names its backend in its ``RunOptions``, and kernel
+calls crossing the process boundary carry their backend tag in the
+``KernelCall`` and re-enter it on the worker (see ``repro.exec.calls``).
 """
 
 from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 __all__ = [
-    "ArrayBackend",
     "BACKEND_CHOICES",
+    "Backend",
     "active",
-    "available",
-    "get",
     "outward_cast",
     "outward_center_radius",
-    "register",
-    "set_active",
     "slack_for",
-    "unit_roundoff",
     "use_backend",
 ]
 
+
+@dataclass(frozen=True)
+class Backend:
+    """A named array precision: the dtype a run's kernels lift into."""
+
+    name: str
+    dtype: np.dtype
+
+
+_BACKENDS = {
+    "numpy64": Backend("numpy64", np.dtype(np.float64)),
+    "numpy32": Backend("numpy32", np.dtype(np.float32)),
+}
+
 #: The names the CLI exposes.
-BACKEND_CHOICES = ("numpy64", "numpy32")
+BACKEND_CHOICES = tuple(_BACKENDS)
 
 #: Unit roundoff by dtype char.  float64 is deliberately absent: it is
 #: the bitwise reference precision, so its slack must be exactly zero.
@@ -70,11 +76,6 @@ _UNIT_ROUNDOFF = {"f": 2.0 ** -24, "e": 2.0 ** -11}
 #: so the bound is amplified and then validated empirically by the
 #: containment fuzz tests (tests/backend/test_containment.py).
 _SLACK_SAFETY = 4.0
-
-
-def unit_roundoff(dtype) -> float:
-    """Unit roundoff ``u`` of ``dtype`` (0.0 for the float64 reference)."""
-    return _UNIT_ROUNDOFF.get(np.dtype(dtype).char, 0.0)
 
 
 def outward_cast(
@@ -134,134 +135,30 @@ def slack_for(dtype, terms: int) -> float:
     return nu / (1.0 - nu)
 
 
-class ArrayBackend:
-    """A named array engine: dtype + the op/allocation protocol.
-
-    The base class *is* the numpy implementation — ``numpy64`` and
-    ``numpy32`` are instances differing only in dtype, and their ops
-    forward straight to numpy so the float64 instance is bitwise
-    transparent.
-    """
-
-    def __init__(self, name: str, dtype) -> None:
-        self.name = name
-        self.dtype = np.dtype(dtype)
-
-    @property
-    def unit_roundoff(self) -> float:
-        return unit_roundoff(self.dtype)
-
-    def slack(self, terms: int) -> float:
-        """Outward-rounding slack scale for this backend's dtype."""
-        return slack_for(self.dtype, terms)
-
-    # ------------------------------------------------------------------
-    # Ops (the hot-kernel protocol)
-    # ------------------------------------------------------------------
-
-    def matmul(self, a, b):
-        return np.matmul(a, b)
-
-    def einsum(self, spec, *operands, **kwargs):
-        return np.einsum(spec, *operands, **kwargs)
-
-    def relu(self, x):
-        return np.maximum(x, 0.0)
-
-    def take(self, a, indices, axis=None, mode="raise"):
-        return np.take(a, indices, axis=axis, mode=mode)
-
-    def where(self, cond, a, b):
-        return np.where(cond, a, b)
-
-    # ------------------------------------------------------------------
-    # Allocation hooks (lift boundaries)
-    # ------------------------------------------------------------------
-
-    def asarray(self, x) -> np.ndarray:
-        return np.asarray(x, dtype=self.dtype)
-
-    def zeros(self, shape) -> np.ndarray:
-        return np.zeros(shape, dtype=self.dtype)
-
-    def empty(self, shape) -> np.ndarray:
-        return np.empty(shape, dtype=self.dtype)
-
-    def full(self, shape, fill) -> np.ndarray:
-        return np.full(shape, fill, dtype=self.dtype)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ArrayBackend({self.name!r}, dtype={self.dtype.name})"
-
-
-# ----------------------------------------------------------------------
-# Registry + active-backend management
-# ----------------------------------------------------------------------
-
-_REGISTRY: dict[str, ArrayBackend] = {}
-_LOCK = threading.Lock()
 _TLS = threading.local()
 
-#: Module-level default; :func:`set_active` moves it.
-_ACTIVE_NAME = "numpy64"
 
-
-def register(backend: ArrayBackend, *, replace: bool = False) -> ArrayBackend:
-    """Register a backend under its name (idempotent unless ``replace``)."""
-    with _LOCK:
-        if backend.name in _REGISTRY and not replace:
-            return _REGISTRY[backend.name]
-        _REGISTRY[backend.name] = backend
-    return backend
-
-
-def available() -> tuple[str, ...]:
-    """Names of the registered backends."""
-    return tuple(sorted(_REGISTRY))
-
-
-def get(name: str) -> ArrayBackend:
-    """Resolve a backend by name (``KeyError`` naming the choices)."""
-    backend = _REGISTRY.get(name)
-    if backend is None:
-        raise KeyError(
-            f"unknown backend {name!r}; available: {available()}"
-        )
-    return backend
-
-
-def active() -> ArrayBackend:
-    """The backend kernels should lift into right now.
-
-    Thread-local ``use_backend`` overrides win over the module default,
-    so a scoped switch on one thread never leaks into another.
-    """
+def active() -> Backend:
+    """The backend kernels should lift into right now: the innermost
+    :func:`use_backend` scope on this thread, else ``numpy64``."""
     stack = getattr(_TLS, "stack", None)
-    name = stack[-1] if stack else _ACTIVE_NAME
-    return get(name)
-
-
-def set_active(name: str) -> ArrayBackend:
-    """Set the module-level default backend (validates the name)."""
-    global _ACTIVE_NAME
-    backend = get(name)
-    _ACTIVE_NAME = backend.name
-    return backend
+    return stack[-1] if stack else _BACKENDS["numpy64"]
 
 
 @contextmanager
-def use_backend(name: str) -> Iterator[ArrayBackend]:
-    """Scoped backend switch (thread-local, re-entrant)."""
-    backend = get(name)
+def use_backend(name: str) -> Iterator[Backend]:
+    """Scoped backend switch (thread-local, re-entrant); ``KeyError``
+    naming the choices for an unknown name."""
+    backend = _BACKENDS.get(name)
+    if backend is None:
+        raise KeyError(
+            f"unknown backend {name!r}; available: {BACKEND_CHOICES}"
+        )
     stack = getattr(_TLS, "stack", None)
     if stack is None:
         stack = _TLS.stack = []
-    stack.append(backend.name)
+    stack.append(backend)
     try:
         yield backend
     finally:
         stack.pop()
-
-
-register(ArrayBackend("numpy64", np.float64))
-register(ArrayBackend("numpy32", np.float32))

@@ -23,9 +23,9 @@ thread.  The pickler's dispatch table rewrites two kinds of operand:
 
 Pickle and ``.npz`` round-trips keep float64 bit patterns, so a worker
 computes exactly what the caller would have.  Results come back by plain
-pickle; :class:`~repro.abstract.analyzer.AnalysisResult` drops its output
-element when pickled, which keeps abstract output elements (a powerset's
-is a ``(T, k, n)`` stack) off the wire for every caller.
+pickle; an Analyze call returns only margins
+(:class:`~repro.abstract.analyzer.AnalysisResult`), so no abstract output
+element ever crosses the wire.
 """
 
 from __future__ import annotations

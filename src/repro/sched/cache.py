@@ -32,8 +32,8 @@ states at layer boundaries, keyed by (prefix digest, region-batch digest,
 domain, backend) via :func:`prefix_key`.  Because prefix digests are
 links of the per-layer chain (:func:`repro.nn.serialize.layer_digests`),
 checkpoints written while verifying one network are found verbatim when a
-fine-tuned successor probes with its own chain —
-:meth:`ResultCache.longest_reusable_prefix` is that probe.  Both families
+fine-tuned successor probes with its own chain (the scheduler's
+incremental mode probes its boundaries deepest first).  Both families
 share the LRU budget accounting: :meth:`ResultCache.prune` sees ``.json``
 and ``.px.npz`` entries through one mtime-ordered scan, so a burst of
 prefix captures ages out stale result records and vice versa, and the
@@ -52,10 +52,10 @@ track an in-memory size estimate and prune once a budget is crossed
 (down to 7/8 of it, so eviction cost amortizes over many puts); because
 several processes may share one cache directory — each only observing
 its *own* puts — the estimate is re-scanned from disk every
-``estimate_refresh`` puts (and by every prune), bounding how far a
-concurrent writer can push the directory past budget.  Unbudgeted caches
-never evict (``python -m repro cache prune`` covers one-off
-housekeeping).
+:attr:`ResultCache.ESTIMATE_REFRESH` puts (and by every prune),
+bounding how far a concurrent writer can push the directory past
+budget.  Unbudgeted caches never evict (``python -m repro cache prune``
+covers one-off housekeeping).
 
 Beyond exact-key lookups the cache answers **certified-radius queries**:
 jobs created from L∞ manifests record ``center_digest`` and ``epsilon``
@@ -404,37 +404,32 @@ class ResultCache:
         max_entries: optional record-count budget enforced by
             :meth:`prune` (and opportunistically after every :meth:`put`).
         max_bytes: optional total-size budget, same discipline.
-        estimate_refresh: re-scan the directory after this many
-            estimate-only puts.  The in-memory size estimate counts only
-            *this instance's* puts, so when several processes share a
-            cache directory each one's estimate drifts below the true
-            size; the periodic scan picks up the other writers' records
-            and bounds the overshoot.
     """
+
+    #: Re-scan the directory after this many estimate-only puts.  The
+    #: in-memory size estimate counts only *this instance's* puts, so
+    #: when several processes share a cache directory each one's estimate
+    #: drifts below the true size; the periodic scan picks up the other
+    #: writers' records and bounds the overshoot.
+    ESTIMATE_REFRESH = 64
 
     def __init__(
         self,
         root: str | Path,
         max_entries: int | None = None,
         max_bytes: int | None = None,
-        estimate_refresh: int = 64,
     ) -> None:
         if max_entries is not None and max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         if max_bytes is not None and max_bytes < 1:
             raise ValueError(f"max_bytes must be >= 1, got {max_bytes}")
-        if estimate_refresh < 1:
-            raise ValueError(
-                f"estimate_refresh must be >= 1, got {estimate_refresh}"
-            )
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.max_entries = max_entries
         self.max_bytes = max_bytes
-        self.estimate_refresh = estimate_refresh
         # In-memory (entries, bytes) estimate so budgeted puts don't
         # re-scan the directory; initialized lazily, refreshed by every
-        # prune and every `estimate_refresh` puts, and only ever used to
+        # prune and every `ESTIMATE_REFRESH` puts, and only ever used to
         # decide *whether* to prune (a stale estimate from a concurrent
         # writer delays eviction, never corrupts it).
         self._estimate: tuple[int, int] | None = None
@@ -601,48 +596,6 @@ class ResultCache:
             _CACHE_COUNTERS["read_bytes"] += size
         return record
 
-    def longest_reusable_prefix(
-        self,
-        old_net: Network,
-        new_net: Network,
-        regions,
-        domain,
-        backend: str = "numpy64",
-    ):
-        """The deepest stored checkpoint reusable for ``new_net``.
-
-        Probes the checkpoint boundaries of ``new_net`` that fall inside
-        its digest-chain overlap with ``old_net``, deepest first, for
-        this exact ordered region batch.  Returns ``(common_layers,
-        record)`` where ``record`` is ``None`` when nothing resumable is
-        stored (including when the chains diverge at layer one).  Note
-        the probe keys on *new_net's own chain* — shared prefix layers
-        share digest links, so ``old_net`` only bounds the search depth.
-        """
-        from repro.abstract.checkpoint import (
-            checkpoint_boundaries,
-            region_batch_digest,
-        )
-        from repro.nn.serialize import common_prefix_layers, layer_digests
-
-        common = common_prefix_layers(old_net, new_net)
-        if common == 0:
-            return 0, None
-        chain = layer_digests(new_net)
-        regions_digest = region_batch_digest(regions)
-        for boundary in reversed(checkpoint_boundaries(new_net)):
-            if boundary > common:
-                continue
-            record = self.get_prefix(
-                chain[boundary - 1],
-                regions_digest,
-                (domain.base, domain.disjuncts),
-                backend,
-            )
-            if record is not None:
-                return common, record
-        return common, None
-
     # ------------------------------------------------------------------
     # Eviction
     # ------------------------------------------------------------------
@@ -698,14 +651,14 @@ class ResultCache:
     def _note_put(self, payload_bytes: int) -> None:
         """Update the size estimate after a put; prune when over budget.
 
-        Every ``estimate_refresh`` puts the estimate is re-scanned from
+        Every :attr:`ESTIMATE_REFRESH` puts the estimate is re-scanned from
         disk instead of incremented: an instance only observes its own
         puts, so on a shared cache directory the increment-only estimate
         drifts below the true size and would delay eviction indefinitely.
         """
         if (
             self._estimate is None
-            or self._puts_since_scan >= self.estimate_refresh
+            or self._puts_since_scan >= self.ESTIMATE_REFRESH
         ):
             self._scan_estimate()
         else:

@@ -18,12 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.abstract.netabs import (
-    ABSTRACTION_MODES,
-    DEFAULT_LEVEL,
-    DEFAULT_MAX_ROUNDS,
-)
-from repro.backend import available as available_backends
+from repro.abstract.netabs import ABSTRACTION_MODES, DEFAULT_LEVEL
+from repro.backend import BACKEND_CHOICES
 from repro.exec import EXECUTOR_KINDS, validate_executor_spec
 
 
@@ -63,8 +59,6 @@ class RunOptions:
             ``"syntactic"`` or ``"semantic"``.
         abstraction_level: merge aggressiveness; each hidden layer keeps
             ~``width / 2**level`` groups (``>= 1`` when abstraction is on).
-        netabs_max_rounds: refinement rounds before the pre-pass falls
-            back to the concrete network.
         incremental: prefix-checkpoint reuse for the fused Analyze
             groups: each resumes from the deepest cached checkpoint whose
             digest-chain link its network still shares (bitwise the cold
@@ -80,7 +74,6 @@ class RunOptions:
     escalation_margin: float = 1e-2
     abstraction: str = "off"
     abstraction_level: int = DEFAULT_LEVEL
-    netabs_max_rounds: int = DEFAULT_MAX_ROUNDS
     incremental: bool = False
 
     def __post_init__(self) -> None:
@@ -93,9 +86,9 @@ class RunOptions:
         checks = (
             (
                 "backend",
-                self.backend is None or self.backend in available_backends(),
+                self.backend is None or self.backend in BACKEND_CHOICES,
                 f"unknown backend {self.backend!r}; "
-                f"available: {available_backends()}",
+                f"available: {BACKEND_CHOICES}",
             ),
             (
                 "escalation_margin",

@@ -108,6 +108,11 @@ ROUND_ITEMS = 512
 #: batch-height-stable, while zonotope and powerset rows are (DESIGN §7).
 ANALYZE_CALL_REGIONS = 8
 
+#: Refinement rounds the network-abstraction pre-pass runs before its
+#: undecided jobs fall back to the concrete network.  Read at run time,
+#: like :data:`ROUND_ITEMS`.
+NETABS_MAX_ROUNDS = 4
+
 
 class _JobState:
     """Mutable per-job scheduling state: one Algorithm-1 frontier."""
@@ -531,10 +536,10 @@ class Scheduler:
         reproduces on the *concrete* float64 network; everything else is
         spurious or undecided and triggers one refinement round (a
         quarter of the merged groups split) before the retry.  Jobs
-        still undecided after
-        ``netabs_max_rounds`` (or once refinement bottoms out at
-        singletons) re-run on the concrete network, so job-level
-        outcomes always match an ``--abstraction off`` run.
+        still undecided after :data:`NETABS_MAX_ROUNDS` (or once
+        refinement bottoms out at singletons) re-run on the concrete
+        network, so job-level outcomes always match an
+        ``--abstraction off`` run.
         """
         obs = metrics_registry()
         by_net: dict[int, list[tuple[int, VerificationJob]]] = {}
@@ -622,7 +627,7 @@ class Scheduler:
                     survivors = []
                     break
                 if (
-                    rounds >= self.options.netabs_max_rounds
+                    rounds >= NETABS_MAX_ROUNDS
                     or not abstraction.refine_round()
                 ):
                     concrete.extend(undecided)

@@ -19,7 +19,6 @@ import pytest
 from repro.abstract import deeppoly
 from repro.abstract.analyzer import (
     analyze,
-    analyze_batch,
     analyze_batch_checkpointed,
     analyze_batch_multi,
     propagate,
@@ -39,6 +38,18 @@ from repro.nn.network import Network
 from repro.utils.boxes import Box
 
 
+def _one_label_batch(net, regions, label, domain):
+    """One batched call with the same target label for every region."""
+    return analyze_batch_multi(net, regions, [label] * len(regions), domain)
+
+
+def _outputs(net, regions, domain):
+    """The batched output element and the per-region sequential ones."""
+    batched = propagate(net.ops(), domain.lift_batch(regions))
+    singles = [propagate(net.ops(), domain.lift(r)) for r in regions]
+    return batched, singles
+
+
 def _regions(seed: int, count: int, n: int, lo=-0.6, hi=0.6) -> list[Box]:
     rng = np.random.default_rng(seed)
     return [
@@ -53,22 +64,22 @@ class TestIntervalBatch:
     def test_bounds_match_per_region(self):
         net = mlp(6, [14, 10], 4, rng=0)
         regions = _regions(1, 6, 6)
-        batch = analyze_batch(net, regions, 2, INTERVAL)
+        batch = _one_label_batch(net, regions, 2, INTERVAL)
+        element, outputs = _outputs(net, regions, INTERVAL)
         for i, region in enumerate(regions):
             single = analyze(net, region, 2, INTERVAL)
             assert batch[i].verified == single.verified
             assert batch[i].margin_lower_bound == pytest.approx(
                 single.margin_lower_bound, abs=1e-12
             )
-            lo_b, hi_b = batch[i].output.bounds()
-            lo_s, hi_s = single.output.bounds()
-            np.testing.assert_allclose(lo_b, lo_s, atol=1e-12)
-            np.testing.assert_allclose(hi_b, hi_s, atol=1e-12)
+            lo_s, hi_s = outputs[i].bounds()
+            np.testing.assert_allclose(element.low[i], lo_s, atol=1e-12)
+            np.testing.assert_allclose(element.high[i], hi_s, atol=1e-12)
 
     def test_conv_with_maxpool(self):
         net = lenet_conv(input_shape=(1, 8, 8), num_classes=4, rng=0)
         regions = _regions(2, 3, net.input_size, lo=0.2, hi=0.8)
-        batch = analyze_batch(net, regions, 1, INTERVAL)
+        batch = _one_label_batch(net, regions, 1, INTERVAL)
         for i, region in enumerate(regions):
             single = analyze(net, region, 1, INTERVAL)
             assert batch[i].verified == single.verified
@@ -79,10 +90,10 @@ class TestIntervalBatch:
     def test_soundness_on_samples(self):
         net = mlp(4, [12], 3, rng=3)
         regions = _regions(4, 4, 4)
-        batch = analyze_batch(net, regions, 0, INTERVAL)
+        element, _ = _outputs(net, regions, INTERVAL)
         rng = np.random.default_rng(0)
         for i, region in enumerate(regions):
-            lo, hi = batch[i].output.bounds()
+            lo, hi = element.low[i], element.high[i]
             for x in region.sample(rng, 50):
                 y = net.logits(x)
                 assert np.all(y >= lo - 1e-9) and np.all(y <= hi + 1e-9)
@@ -160,8 +171,9 @@ class TestDeepPolyBatch:
                 assert idx.shape[1] == relu.dl.shape[1]
                 assert (du != 0).all()
         low, high = element.bounds()
-        for i in range(count):
-            row_low, row_high = element.row(i).bounds()
+        for i, region in enumerate(regions):
+            row = propagate(net.ops(), DEEPPOLY.lift(region))
+            row_low, row_high = row.bounds()
             np.testing.assert_allclose(low[i], row_low, atol=1e-9)
             np.testing.assert_allclose(high[i], row_high, atol=1e-9)
 
@@ -267,22 +279,23 @@ class TestDeepPolyBatch:
     def test_bounds_match_per_region(self):
         net = mlp(6, [14, 12, 8], 4, rng=1)
         regions = _regions(5, 6, 6)
-        batch = analyze_batch(net, regions, 3, DEEPPOLY)
+        batch = _one_label_batch(net, regions, 3, DEEPPOLY)
+        element, outputs = _outputs(net, regions, DEEPPOLY)
+        low, high = element.bounds()
         for i, region in enumerate(regions):
             single = analyze(net, region, 3, DEEPPOLY)
             assert batch[i].verified == single.verified
             assert batch[i].margin_lower_bound == pytest.approx(
                 single.margin_lower_bound, abs=1e-9
             )
-            lo_b, hi_b = batch[i].output.bounds()
-            lo_s, hi_s = single.output.bounds()
-            np.testing.assert_allclose(lo_b, lo_s, atol=1e-9)
-            np.testing.assert_allclose(hi_b, hi_s, atol=1e-9)
+            lo_s, hi_s = outputs[i].bounds()
+            np.testing.assert_allclose(low[i], lo_s, atol=1e-9)
+            np.testing.assert_allclose(high[i], hi_s, atol=1e-9)
 
     def test_conv_with_maxpool(self):
         net = lenet_conv(input_shape=(1, 8, 8), num_classes=4, rng=1)
         regions = _regions(6, 3, net.input_size, lo=0.2, hi=0.8)
-        batch = analyze_batch(net, regions, 2, DEEPPOLY)
+        batch = _one_label_batch(net, regions, 2, DEEPPOLY)
         for i, region in enumerate(regions):
             single = analyze(net, region, 2, DEEPPOLY)
             assert batch[i].verified == single.verified
@@ -293,10 +306,11 @@ class TestDeepPolyBatch:
     def test_soundness_on_samples(self):
         net = mlp(4, [10, 10], 3, rng=2)
         regions = _regions(7, 3, 4)
-        batch = analyze_batch(net, regions, 1, DEEPPOLY)
+        element, _ = _outputs(net, regions, DEEPPOLY)
+        low, high = element.bounds()
         rng = np.random.default_rng(1)
         for i, region in enumerate(regions):
-            lo, hi = batch[i].output.bounds()
+            lo, hi = low[i], high[i]
             for x in region.sample(rng, 50):
                 y = net.logits(x)
                 assert np.all(y >= lo - 1e-9) and np.all(y <= hi + 1e-9)
@@ -311,7 +325,7 @@ class TestExactDomains:
     def test_exactly_matches_per_region(self, domain):
         net = mlp(5, [12, 10], 3, rng=4)
         regions = _regions(8, 4, 5)
-        batch = analyze_batch(net, regions, 1, domain)
+        batch = _one_label_batch(net, regions, 1, domain)
         for i, region in enumerate(regions):
             single = analyze(net, region, 1, domain)
             assert batch[i].verified == single.verified
@@ -323,7 +337,7 @@ class TestBatchOfOne:
     def test_single_region_batch(self, domain):
         net = xor_network()
         region = Box(np.array([0.3, 0.3]), np.array([0.7, 0.7]))
-        batch = analyze_batch(net, [region], 1, domain)
+        batch = _one_label_batch(net, [region], 1, domain)
         single = analyze(net, region, 1, domain)
         assert len(batch) == 1
         assert batch[0].verified == single.verified
@@ -335,12 +349,12 @@ class TestBatchOfOne:
 class TestValidation:
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            analyze_batch(xor_network(), [], 0, INTERVAL)
+            analyze_batch_multi(xor_network(), [], [], INTERVAL)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            analyze_batch(xor_network(), [Box.unit(3)], 0, INTERVAL)
+            analyze_batch_multi(xor_network(), [Box.unit(3)], [0], INTERVAL)
 
     def test_label_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            analyze_batch(xor_network(), [Box.unit(2)], 5, INTERVAL)
+            analyze_batch_multi(xor_network(), [Box.unit(2)], [5], INTERVAL)

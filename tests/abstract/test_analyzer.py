@@ -100,8 +100,10 @@ class TestAnalyze:
         box = Box.linf_ball(x, 0.01, clip_low=0.0, clip_high=1.0)
         label = net.classify(x)
         result = analyze(net, box, label, ZONOTOPE)
+        output = propagate(net.ops(), ZONOTOPE.lift(box))
+        assert result.margin_lower_bound == output.min_margin(label)
         # Soundness: concrete outputs stay inside the output abstraction.
-        lo, hi = result.output.bounds()
+        lo, hi = output.bounds()
         for sample in box.sample(rng, 50):
             y = net.logits(sample)
             assert np.all(y >= lo - 1e-8) and np.all(y <= hi + 1e-8)

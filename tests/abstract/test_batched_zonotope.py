@@ -14,13 +14,12 @@ import numpy as np
 import pytest
 
 from repro.abstract import fused
-from repro.abstract.analyzer import analyze, analyze_batch, analyze_batch_multi
+from repro.abstract.analyzer import analyze, analyze_batch_multi, propagate
 from repro.abstract.batched import BatchedElement
 from repro.abstract.domains import ZONOTOPE, DomainSpec, bounded_zonotopes
-from repro.abstract.powerset import PowersetElement
 from repro.abstract.zonotope import Zonotope
 from repro.abstract.zonotope_batch import PowersetBatch, ZonotopeBatch
-from repro.nn.builders import lenet_conv, mlp, xor_network
+from repro.nn.builders import lenet_conv, mlp
 from repro.utils.boxes import Box
 
 
@@ -45,11 +44,40 @@ def _random_batch(seed, batch, k, n):
     )
 
 
-def _assert_rows_equal(element, batch_row):
-    assert type(batch_row) is Zonotope
-    np.testing.assert_array_equal(element.center, batch_row.center)
-    np.testing.assert_array_equal(element.gens, batch_row.gens)
-    np.testing.assert_array_equal(element.err, batch_row.err)
+def _one_label_batch(net, regions, label, domain):
+    """One batched call with the same target label for every region."""
+    return analyze_batch_multi(net, regions, [label] * len(regions), domain)
+
+
+def _outputs(net, regions, domain):
+    """The batched output element and the per-region sequential ones."""
+    batched = propagate(net.ops(), domain.lift_batch(regions))
+    singles = [propagate(net.ops(), domain.lift(r)) for r in regions]
+    return batched, singles
+
+
+def _row(batch, i):
+    """Row ``i`` of a :class:`ZonotopeBatch` as a sequential zonotope."""
+    return Zonotope(
+        batch.centers[i].copy(), batch.gens[i].copy(), batch.errs[i].copy()
+    )
+
+
+def _assert_row_equal(element, batch, i):
+    """Row ``i`` of a batched zonotope-family element equals the
+    sequential ``element`` bitwise: every disjunct's center, generators
+    and error radii."""
+    if isinstance(batch, PowersetBatch):
+        rows = range(batch.offsets[i], batch.offsets[i + 1])
+        disjuncts = element.elements
+    else:
+        rows, disjuncts = [i], [element]
+    assert len(disjuncts) == len(rows)
+    for zonotope, r in zip(disjuncts, rows):
+        assert type(zonotope) is Zonotope
+        np.testing.assert_array_equal(zonotope.center, batch.centers[r])
+        np.testing.assert_array_equal(zonotope.gens, batch.gens[r])
+        np.testing.assert_array_equal(zonotope.err, batch.errs[r])
 
 
 class TestZonotopeBatchTransformers:
@@ -58,7 +86,7 @@ class TestZonotopeBatchTransformers:
         batch = _random_batch(seed, batch=7, k=9, n=6)
         out = batch.relu()
         for i in range(batch.batch_size):
-            _assert_rows_equal(batch.row(i).relu(), out.row(i))
+            _assert_row_equal(_row(batch, i).relu(), out, i)
 
     def test_affine_matches_sequential_bitwise(self):
         batch = _random_batch(11, batch=5, k=6, n=4)
@@ -67,26 +95,26 @@ class TestZonotopeBatchTransformers:
         bias = rng.standard_normal(7)
         out = batch.affine(weight, bias)
         for i in range(batch.batch_size):
-            _assert_rows_equal(batch.row(i).affine(weight, bias), out.row(i))
+            _assert_row_equal(_row(batch, i).affine(weight, bias), out, i)
 
     def test_maxpool_matches_sequential_bitwise(self):
         batch = _random_batch(13, batch=6, k=8, n=8)
         windows = np.array([[0, 1, 2], [3, 4, 5], [5, 6, 7]])
         out = batch.maxpool(windows)
         for i in range(batch.batch_size):
-            _assert_rows_equal(batch.row(i).maxpool(windows), out.row(i))
+            _assert_row_equal(_row(batch, i).maxpool(windows), out, i)
 
     def test_min_margin_matches_sequential_bitwise(self):
         batch = _random_batch(17, batch=6, k=10, n=5)
         margins = batch.min_margin(2)
         for i in range(batch.batch_size):
-            assert margins[i] == batch.row(i).min_margin(2)
+            assert margins[i] == _row(batch, i).min_margin(2)
 
     def test_rows_slicing(self):
         batch = _random_batch(19, batch=6, k=4, n=3)
         sub = batch.rows([4, 1])
-        _assert_rows_equal(batch.row(4), sub.row(0))
-        _assert_rows_equal(batch.row(1), sub.row(1))
+        _assert_row_equal(_row(batch, 4), sub, 0)
+        _assert_row_equal(_row(batch, 1), sub, 1)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -100,7 +128,7 @@ class TestZonotopeBatchTransformers:
 
 
 class TestAnalyzeDispatch:
-    """End-to-end: analyze_batch routes zonotope domains through the
+    """End-to-end: analyze_batch_multi routes zonotope domains through the
     batched kernels and still matches per-region analyze exactly."""
 
     @pytest.mark.parametrize(
@@ -110,15 +138,16 @@ class TestAnalyzeDispatch:
     def test_mlp_exact(self, domain):
         net = mlp(5, [12, 10], 3, rng=4)
         regions = _regions(8, 5, 5, rmax=0.5)
-        batch = analyze_batch(net, regions, 1, domain)
+        batch = _one_label_batch(net, regions, 1, domain)
+        element, outputs = _outputs(net, regions, domain)
+        low, high = element.bounds()
         for i, region in enumerate(regions):
             single = analyze(net, region, 1, domain)
             assert batch[i].verified == single.verified
             assert batch[i].margin_lower_bound == single.margin_lower_bound
-            lo_b, hi_b = batch[i].output.bounds()
-            lo_s, hi_s = single.output.bounds()
-            np.testing.assert_array_equal(lo_b, lo_s)
-            np.testing.assert_array_equal(hi_b, hi_s)
+            lo_s, hi_s = outputs[i].bounds()
+            np.testing.assert_array_equal(low[i], lo_s)
+            np.testing.assert_array_equal(high[i], hi_s)
 
     @pytest.mark.parametrize(
         "domain", [ZONOTOPE, bounded_zonotopes(3)], ids=str
@@ -126,7 +155,7 @@ class TestAnalyzeDispatch:
     def test_conv_with_maxpool_exact(self, domain):
         net = lenet_conv(input_shape=(1, 8, 8), num_classes=4, rng=0)
         regions = _regions(2, 3, net.input_size, lo=0.2, hi=0.8, rmax=0.1)
-        batch = analyze_batch(net, regions, 1, domain)
+        batch = _one_label_batch(net, regions, 1, domain)
         for i, region in enumerate(regions):
             single = analyze(net, region, 1, domain)
             assert batch[i].margin_lower_bound == single.margin_lower_bound
@@ -148,22 +177,14 @@ class TestAnalyzeDispatch:
         net = mlp(6, [16, 12], 4, rng=7)
         regions = _regions(11, 12, 6, rmax=0.5)
         for domain in (ZONOTOPE, bounded_zonotopes(4)):
-            full = analyze_batch(net, regions, 2, domain)
+            full = _one_label_batch(net, regions, 2, domain)
             for cut in (1, 3, 7):
-                part = analyze_batch(net, regions[:cut], 2, domain)
+                part = _one_label_batch(net, regions[:cut], 2, domain)
                 for i in range(cut):
                     assert (
                         part[i].margin_lower_bound
                         == full[i].margin_lower_bound
                     )
-
-    def test_outputs_are_sequential_element_types(self):
-        net = xor_network()
-        region = Box(np.array([0.3, 0.3]), np.array([0.7, 0.7]))
-        zono = analyze_batch(net, [region], 1, ZONOTOPE)[0].output
-        power = analyze_batch(net, [region], 1, bounded_zonotopes(2))[0].output
-        assert type(zono) is Zonotope
-        assert type(power) is PowersetElement
 
     def test_batched_element_protocol(self):
         boxes = [Box.unit(3), Box.unit(3)]
@@ -192,7 +213,7 @@ class TestPowersetBatchRelu:
         # budgets keep splitting — both paths compared exactly.
         regions = _regions(seed + 40, 5, 5, rmax=0.8)
         domain = DomainSpec("zonotope", budget)
-        batch = analyze_batch(net, regions, 1, domain)
+        batch = _one_label_batch(net, regions, 1, domain)
         for i, region in enumerate(regions):
             single = analyze(net, region, 1, domain)
             assert batch[i].verified == single.verified
@@ -202,21 +223,16 @@ class TestPowersetBatchRelu:
         """Same disjunct count, same per-disjunct arrays as sequential."""
         net = mlp(4, [12], 3, rng=9)
         regions = _regions(5, 4, 4, rmax=0.7)
-        batch = analyze_batch(net, regions, 0, bounded_zonotopes(4))
-        for i, region in enumerate(regions):
-            single = analyze(net, region, 0, bounded_zonotopes(4))
-            got = batch[i].output
-            want = single.output
-            assert got.num_disjuncts == want.num_disjuncts
-            for d in range(want.num_disjuncts):
-                _assert_rows_equal(want.elements[d], got.elements[d])
+        element, outputs = _outputs(net, regions, bounded_zonotopes(4))
+        for i, want in enumerate(outputs):
+            _assert_row_equal(want, element, i)
 
     def test_no_crossing_clamp_only(self):
         """Regions whose activations never cross take the one-pass clamp
         path; results must still be exact."""
         net = mlp(3, [6], 2, rng=1)
         regions = _regions(6, 4, 3, rmax=0.01)
-        batch = analyze_batch(net, regions, 0, bounded_zonotopes(2))
+        batch = _one_label_batch(net, regions, 0, bounded_zonotopes(2))
         for i, region in enumerate(regions):
             single = analyze(net, region, 0, bounded_zonotopes(2))
             assert batch[i].margin_lower_bound == single.margin_lower_bound
@@ -300,7 +316,7 @@ class TestGeneratorCompaction:
             try:
                 out = zb.relu()
                 for i in range(zb.batch_size):
-                    _assert_rows_equal(zb.row(i).relu(), out.row(i))
+                    _assert_row_equal(_row(zb, i).relu(), out, i)
             finally:
                 fused.set_compaction(previous)
 
@@ -312,24 +328,27 @@ class TestGeneratorCompaction:
         net = mlp(5, [14, 10], 3, rng=31)
         regions = _regions(51, 4, 5, rmax=0.8)
         domain = DomainSpec("zonotope", budget)
-        with_compaction = analyze_batch(net, regions, 1, domain)
+        with_compaction = _one_label_batch(net, regions, 1, domain)
+        got, _ = _outputs(net, regions, domain)
         previous = fused.set_compaction(False)
         try:
-            reference = analyze_batch(net, regions, 1, domain)
+            reference = _one_label_batch(net, regions, 1, domain)
+            want, _ = _outputs(net, regions, domain)
             sequential = [analyze(net, r, 1, domain) for r in regions]
         finally:
             fused.set_compaction(previous)
-        for got, want, solo in zip(with_compaction, reference, sequential):
-            assert got.margin_lower_bound == want.margin_lower_bound
-            assert got.margin_lower_bound == solo.margin_lower_bound
-            if budget == 1:  # plain zonotope outputs, no disjunct structure
-                _assert_rows_equal(want.output, got.output)
-            else:
-                assert got.output.num_disjuncts == want.output.num_disjuncts
-                for d in range(want.output.num_disjuncts):
-                    _assert_rows_equal(
-                        want.output.elements[d], got.output.elements[d]
-                    )
+        for got_row, want_row, solo in zip(
+            with_compaction, reference, sequential
+        ):
+            assert got_row.margin_lower_bound == want_row.margin_lower_bound
+            assert got_row.margin_lower_bound == solo.margin_lower_bound
+        # Every disjunct array of every row, and (powersets) the same
+        # disjunct count per row.
+        np.testing.assert_array_equal(got.centers, want.centers)
+        np.testing.assert_array_equal(got.gens, want.gens)
+        np.testing.assert_array_equal(got.errs, want.errs)
+        if budget > 1:
+            np.testing.assert_array_equal(got.offsets, want.offsets)
 
     def test_no_compaction_fixture_disables_counters(self, no_compaction):
         zb = self._promoted_batch(3, batch=4, k=8, n=5, dead=3)
@@ -347,10 +366,11 @@ class TestSoundness:
     def test_contains_concrete_runs(self, domain):
         net = mlp(4, [10, 8], 3, rng=6)
         regions = _regions(9, 3, 4, rmax=0.5)
-        batch = analyze_batch(net, regions, 0, domain)
+        element, _ = _outputs(net, regions, domain)
+        lows, highs = element.bounds()
         rng = np.random.default_rng(0)
         for i, region in enumerate(regions):
-            low, high = batch[i].output.bounds()
+            low, high = lows[i], highs[i]
             for x in region.sample(rng, 40):
                 y = net.logits(x)
                 assert np.all(y >= low - 1e-9) and np.all(y <= high + 1e-9)

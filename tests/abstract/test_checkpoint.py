@@ -17,8 +17,10 @@ import numpy as np
 import pytest
 
 from repro.abstract.analyzer import (
+    _checkpointed_walk,
     analyze_batch_checkpointed,
     analyze_batch_multi,
+    propagate,
 )
 from repro.abstract.checkpoint import (
     PrefixBounds,
@@ -37,6 +39,7 @@ from repro.abstract.domains import (
     DomainSpec,
     bounded_zonotopes,
 )
+from repro.abstract.interval import IntervalBatch
 from repro.backend import use_backend
 from repro.nn.builders import lenet_conv, mlp
 from repro.nn.layers import ReLU
@@ -84,10 +87,29 @@ def assert_results_bitwise_equal(cold, resumed):
     for a, b in zip(cold, resumed):
         assert a.verified == b.verified
         assert a.margin_lower_bound == b.margin_lower_bound  # exact
-        lo_a, hi_a = a.output.bounds()
-        lo_b, hi_b = b.output.bounds()
-        np.testing.assert_array_equal(lo_a, lo_b)
-        np.testing.assert_array_equal(hi_a, hi_b)
+
+
+def _bounds(element):
+    """Per-row ``(low, high)`` output bounds of a batched element."""
+    if isinstance(element, IntervalBatch):
+        return element.low, element.high
+    return element.bounds()
+
+
+def output_bounds(net, regions, domain, resume=None, capture=()):
+    """Output bounds of the walk ``analyze_batch_checkpointed`` runs,
+    cold or resumed from ``resume``, on the active backend."""
+    element = domain.lift_batch(regions) if resume is None else None
+    output, _ = _checkpointed_walk(
+        net, element, region_batch_digest(regions), domain, None, resume,
+        capture,
+    )
+    return _bounds(output)
+
+
+def assert_bounds_bitwise_equal(a, b):
+    for x, y in zip(a, b):
+        np.testing.assert_array_equal(x, y)
 
 
 class TestBoundaries:
@@ -138,6 +160,7 @@ class TestResumeMatrix:
                 net, regions, labels, domain,
                 capture_boundaries=boundaries,
             )
+            cold_bounds = output_bounds(net, regions, domain)
             assert [c.boundary for c in captured] == boundaries
             for record in captured:
                 resumed, later = analyze_batch_checkpointed(
@@ -145,6 +168,9 @@ class TestResumeMatrix:
                     capture_boundaries=boundaries,
                 )
                 assert_results_bitwise_equal(cold, resumed)
+                assert_bounds_bitwise_equal(
+                    cold_bounds, output_bounds(net, regions, domain, record)
+                )
                 # Only boundaries past the resume point are re-captured.
                 assert [c.boundary for c in later] == [
                     b for b in boundaries if b > record.boundary
@@ -164,6 +190,7 @@ class TestResumeMatrix:
                 net, regions, labels, domain,
                 capture_boundaries=checkpoint_boundaries(net),
             )
+            cold_bounds = output_bounds(net, regions, domain)
             for record in captured:
                 cache.put_prefix(record)
                 stored = cache.get_prefix(
@@ -180,6 +207,9 @@ class TestResumeMatrix:
                     net, regions, labels, domain, resume=stored
                 )
                 assert_results_bitwise_equal(cold, resumed)
+                assert_bounds_bitwise_equal(
+                    cold_bounds, output_bounds(net, regions, domain, stored)
+                )
 
     @pytest.mark.parametrize("domain", DOMAINS, ids=lambda d: d.base)
     def test_conv_network_resume_is_bitwise(self, domain):
@@ -195,6 +225,7 @@ class TestResumeMatrix:
         cold, captured = analyze_batch_checkpointed(
             net, regions, labels, domain, capture_boundaries=boundaries
         )
+        cold_bounds = output_bounds(net, regions, domain)
         for record in captured:
             # op_count differs from the layer boundary on conv nets
             # (Flatten lowers to no op); both address the same state.
@@ -203,6 +234,9 @@ class TestResumeMatrix:
                 net, regions, labels, domain, resume=record
             )
             assert_results_bitwise_equal(cold, resumed)
+            assert_bounds_bitwise_equal(
+                cold_bounds, output_bounds(net, regions, domain, record)
+            )
 
     @pytest.mark.parametrize("domain", DOMAINS, ids=lambda d: d.base)
     def test_cold_checkpointed_equals_plain_batched(self, domain):
@@ -218,6 +252,18 @@ class TestResumeMatrix:
         )
         assert_results_bitwise_equal(plain, mute)
         assert_results_bitwise_equal(plain, loud)
+        plain_bounds = _bounds(
+            propagate(net.ops(), domain.lift_batch(regions))
+        )
+        assert_bounds_bitwise_equal(
+            plain_bounds, output_bounds(net, regions, domain)
+        )
+        assert_bounds_bitwise_equal(
+            plain_bounds,
+            output_bounds(
+                net, regions, domain, capture=checkpoint_boundaries(net)
+            ),
+        )
 
 
 class TestGuards:

@@ -11,12 +11,10 @@ spurious counterexamples are never accepted.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 import numpy as np
 import pytest
 
-from repro.abstract.analyzer import analyze
+from repro.abstract.analyzer import analyze, propagate
 from repro.abstract.domains import BASE_DOMAINS, DomainSpec
 from repro.abstract.netabs import (
     NetworkAbstraction,
@@ -25,7 +23,7 @@ from repro.abstract.netabs import (
     _gram_bound,
     abstraction_for,
 )
-from repro.backend import active, set_active, use_backend
+from repro.backend import use_backend
 from repro.core.config import VerifierConfig
 from repro.core.policy import BisectionPolicy
 from repro.core.property import linf_property
@@ -34,7 +32,7 @@ from repro.nn.builders import lenet_conv, mlp, redundant_mlp
 from repro.nn.layers import ErrorPad
 from repro.nn.serialize import load_network, network_digest, save_network
 from repro.obs.metrics import registry as metrics_registry
-from repro.sched import JobResult, Scheduler, VerificationJob
+from repro.sched import JobResult, Scheduler, VerificationJob, scheduler
 from repro.utils.boxes import Box
 
 #: Slack for comparing abstract bounds against concrete float64 forwards.
@@ -99,7 +97,7 @@ def test_interval_output_box_contains_concrete_outputs():
     interval = DomainSpec("interval")
     while True:
         abstract = abstraction.build()
-        output = analyze(abstract, region, 0, interval).output
+        output = propagate(abstract.ops(), interval.lift(region))
         low, high = output.bounds()
         assert (logits >= low - _TOL).all() and (logits <= high + _TOL).all()
         if abstract is net or not abstraction.refine():
@@ -165,9 +163,9 @@ def test_cegar_spurious_counterexample_refines_then_falls_back(monkeypatch):
         monkeypatch, net,
         lambda _job: Falsified(center, -1.0, VerificationStats()),
     )
+    monkeypatch.setattr(scheduler, "NETABS_MAX_ROUNDS", 3)
     report = Scheduler(
-        [job], abstraction="syntactic", abstraction_level=2,
-        netabs_max_rounds=3,
+        [job], abstraction="syntactic", abstraction_level=2
     ).run()
     result = report.results[0]
     assert report.metrics["sched.netabs.spurious"] >= 1
@@ -484,27 +482,12 @@ def test_abstract_network_digest_pinned(mode):
     )
 
 
-@contextmanager
-def _module_default(name):
-    """Switch the process-wide default backend, as ``--backend`` does,
-    and restore it afterwards."""
-    previous = active().name
-    set_active(name)
-    try:
-        yield
-    finally:
-        set_active(previous)
-
-
-@pytest.mark.parametrize(
-    "switch", [use_backend, _module_default], ids=["use_backend", "set_active"]
-)
 @pytest.mark.parametrize("mode", sorted(_PINNED_ABSTRACT_DIGESTS))
-def test_abstract_network_ignores_active_backend(mode, switch):
+def test_abstract_network_ignores_active_backend(mode):
     """``repro schedule --backend numpy32`` builds the same abstract
     network, digest and cache keyspace as a float64 run."""
     abstraction = _pinned_abstraction(mode)
-    with switch("numpy32"):
+    with use_backend("numpy32"):
         abstract = abstraction.build()
     assert network_digest(abstract) == _PINNED_ABSTRACT_DIGESTS[mode]
 

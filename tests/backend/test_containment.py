@@ -10,7 +10,7 @@ the float32 abstraction failed to contain the float64 one).
 import numpy as np
 import pytest
 
-from repro.abstract.analyzer import analyze, analyze_batch_multi
+from repro.abstract.analyzer import analyze, analyze_batch_multi, propagate
 from repro.abstract.domains import DomainSpec
 from repro.backend import use_backend
 from repro.nn.builders import mlp
@@ -70,9 +70,11 @@ def test_interval_output_bounds_contain():
     for seed in range(8):
         network = random_mlp(seed, hidden=(8, 8))
         region = random_box(300 + seed)
-        reference = analyze(network, region, 0, domain).output
+        reference = propagate(network.ops(), domain.lift(region))
         with use_backend("numpy32"):
-            screened = analyze(network, region, 0, domain).output
+            screened = propagate(
+                network.ops_for(np.float32), domain.lift(region)
+            )
         assert np.all(
             screened.low.astype(np.float64) <= reference.low + 1e-12
         )

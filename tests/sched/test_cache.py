@@ -411,7 +411,7 @@ class TestEviction:
         assert cache.get(keys[1]) is None
         assert cache.get(keys[2]) is None
 
-    def test_shared_directory_estimate_rescan(self, tmp_path):
+    def test_shared_directory_estimate_rescan(self, tmp_path, monkeypatch):
         """A budgeted instance must notice records another process wrote.
 
         The in-memory size estimate counts only this instance's own
@@ -421,7 +421,8 @@ class TestEviction:
         """
         record = CacheRecord(kind="verified", stats={"pgd_calls": 1})
         shared = tmp_path / "c"
-        budgeted = ResultCache(shared, max_entries=6, estimate_refresh=2)
+        monkeypatch.setattr(ResultCache, "ESTIMATE_REFRESH", 2)
+        budgeted = ResultCache(shared, max_entries=6)
         other = ResultCache(shared)  # e.g. another scheduler process
         # Initialize the budgeted instance's estimate with two puts...
         for i in range(2):
@@ -436,10 +437,6 @@ class TestEviction:
         for i in range(2, 6):
             budgeted.put(f"{i:02x}" + "a" * 62, record)
         assert len(budgeted._entries()) <= 6
-
-    def test_estimate_refresh_validation(self, tmp_path):
-        with pytest.raises(ValueError, match="estimate_refresh"):
-            ResultCache(tmp_path / "c", estimate_refresh=0)
 
 
 class TestRadiusTable:
@@ -608,50 +605,6 @@ class TestPrefixFamily:
             record.domain,
             record.backend,
         ) is None
-
-
-class TestLongestReusablePrefix:
-    def test_fine_tune_finds_deepest_boundary(self, tmp_path):
-        from repro.abstract.analyzer import analyze_batch_checkpointed
-        from repro.abstract.checkpoint import checkpoint_boundaries
-        from repro.abstract.domains import DEEPPOLY
-        from repro.utils.boxes import Box
-
-        net = mlp(4, [8, 6, 5], 3, rng=0)  # boundaries [2, 4, 6]
-        regions = [
-            Box.from_center_radius(np.full(4, 0.3), 0.05),
-            Box.from_center_radius(np.full(4, -0.2), 0.05),
-        ]
-        cache = ResultCache(tmp_path / "c")
-        _, captured = analyze_batch_checkpointed(
-            net, regions, [0, 1], DEEPPOLY,
-            capture_boundaries=checkpoint_boundaries(net),
-        )
-        for record in captured:
-            cache.put_prefix(record)
-
-        tuned = mlp(4, [8, 6, 5], 3, rng=0)
-        tuned.layers[-1].weight += 1e-6  # only the output layer moved
-        common, record = cache.longest_reusable_prefix(
-            net, tuned, regions, DEEPPOLY
-        )
-        assert common == len(net.layers) - 1
-        assert record is not None
-        assert record.boundary == 6  # the deepest stored boundary
-
-    def test_divergent_networks_reuse_nothing(self, tmp_path):
-        from repro.abstract.domains import DEEPPOLY
-        from repro.utils.boxes import Box
-
-        cache = ResultCache(tmp_path / "c")
-        net = mlp(4, [8], 3, rng=0)
-        other = mlp(4, [8], 3, rng=5)
-        regions = [Box.from_center_radius(np.full(4, 0.3), 0.05)]
-        common, record = cache.longest_reusable_prefix(
-            net, other, regions, DEEPPOLY
-        )
-        assert common == 0
-        assert record is None
 
 
 class TestFaultInjection:

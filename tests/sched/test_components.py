@@ -9,7 +9,7 @@ replaced.  These tests compare them directly.
 import numpy as np
 import pytest
 
-from repro.abstract.analyzer import analyze, analyze_batch, analyze_batch_multi
+from repro.abstract.analyzer import analyze, analyze_batch_multi
 from repro.abstract.domains import (
     DEEPPOLY,
     INTERVAL,
@@ -118,16 +118,20 @@ class TestAnalyzeBatchMulti:
                 solo.margin_lower_bound, abs=1e-9
             )
 
-    def test_uniform_labels_match_analyze_batch(self, net):
+    def test_uniform_labels_match_label_groups(self, net):
+        """One label bounds the whole batch at once; mixed labels bound
+        each label group on its own rows.  Both agree."""
         rng = np.random.default_rng(4)
         regions = [
-            Box.linf_ball(rng.uniform(0.3, 0.7, 4), 0.05) for _ in range(4)
+            Box.linf_ball(rng.uniform(0.3, 0.7, 4), 0.05) for _ in range(5)
         ]
-        multi = analyze_batch_multi(net, regions, [2] * 4, DEEPPOLY)
-        single = analyze_batch(net, regions, 2, DEEPPOLY)
-        for a, b in zip(multi, single):
+        uniform = analyze_batch_multi(net, regions[:4], [2] * 4, DEEPPOLY)
+        grouped = analyze_batch_multi(net, regions, [2] * 4 + [0], DEEPPOLY)
+        for a, b in zip(uniform, grouped):
             assert a.verified == b.verified
-            assert a.margin_lower_bound == b.margin_lower_bound
+            assert a.margin_lower_bound == pytest.approx(
+                b.margin_lower_bound, abs=1e-9
+            )
 
     def test_validates_inputs(self, net):
         region = Box.linf_ball(np.full(4, 0.5), 0.1)

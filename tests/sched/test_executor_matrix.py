@@ -317,12 +317,10 @@ class TestAbstractNetworks:
         return jobs
 
     def test_process_matches_serial_with_abstraction_and_escalation(
-        self, redundant_jobs, process_executors
+        self, redundant_jobs, process_executors, monkeypatch
     ):
-        options = dict(
-            abstraction="syntactic", precision_escalation=True,
-            netabs_max_rounds=1,
-        )
+        monkeypatch.setattr(sched_mod, "NETABS_MAX_ROUNDS", 1)
+        options = dict(abstraction="syntactic", precision_escalation=True)
         serial = Scheduler(
             redundant_jobs, executor=SerialExecutor(), **options
         ).run()

@@ -13,6 +13,15 @@ implementation — must pass on the real code and fail under the mutant.
   the first output weighs both positively, so its upper bound is exact
   at the region's upper end, where both chords meet ReLU, and the grid's
   last point reaches it.
+- **M2** — every ``ErrorPad`` the network abstraction builds
+  (``NetworkAbstraction._build``) has its radii halved, so the abstract
+  network no longer over-approximates the concrete one.  Check: at every
+  corner of [0, 1]², the concrete outputs stay within the pad radii of
+  the abstract network's, whose pad is the identity in a forward pass.
+  The network ``Dense([[1, .5], [1, .7]], [1, 1]) → ReLU →
+  Dense([[1, -1], [.3, .2]], 0)`` merges its two hidden units into one
+  group at level 1; their output-0 weights have opposite signs, so that
+  output's pad is exact at the corners with x₂ = 1.
 - **M3** — ``backend.outward_cast`` casts to float32 to nearest, with no
   one-ulp widening, patched where the interval and DeepPoly lifts look
   it up.  Check: under ``numpy32`` the lifted interval and DeepPoly
@@ -47,21 +56,29 @@ implementation — must pass on the real code and fail under the mutant.
   only Analyze guards that leaf.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
 from repro import backend
-from repro.abstract import deeppoly, interval
-from repro.abstract.analyzer import analyze_batch
+from repro.abstract import deeppoly, interval, netabs
+from repro.abstract.analyzer import propagate
 from repro.abstract.domains import DEEPPOLY, INTERVAL
 from repro.attack.pgd import PGDConfig
 from repro.core.config import VerifierConfig
 from repro.core.property import RobustnessProperty
 from repro.nn.builders import example_2_2_network, mlp
-from repro.nn.layers import Dense
+from repro.nn.layers import Dense, ErrorPad, ReLU
 from repro.nn.network import Network
 from repro.sched import Scheduler, VerificationJob, scheduler
 from repro.utils.boxes import Box
+
+
+def _batched_output(network, regions, domain):
+    """The batched output element of ``regions`` on the active backend."""
+    ops = network.ops_for(backend.active().dtype)
+    return propagate(ops, domain.lift_batch(regions))
 
 
 def _m1_low_chord_intercept(monkeypatch):
@@ -83,14 +100,41 @@ def _deeppoly_grid_escapes() -> int:
         Box(np.array([-0.8]), np.array([1.5])),
     ]
     escapes = 0
-    for region, result in zip(
-        regions, analyze_batch(network, regions, 1, DEEPPOLY)
-    ):
-        low, high = result.output.bounds()
+    lows, highs = _batched_output(network, regions, DEEPPOLY).bounds()
+    for region, low, high in zip(regions, lows, highs):
         outputs = network.forward(np.linspace(region.low, region.high, 301))
         outside = (outputs < low - 1e-9) | (outputs > high + 1e-9)
         escapes += int(outside.any(axis=1).sum())
     return escapes
+
+
+def _m2_half_pads(monkeypatch):
+    pad = netabs.ErrorPad
+    monkeypatch.setattr(
+        netabs, "ErrorPad", lambda radii: pad(0.5 * np.asarray(radii))
+    )
+
+
+def _abstract_network_escapes() -> int:
+    """Corners of [0, 1]² where the concrete outputs stray from the
+    level-1 abstract network's by more than its pad radii."""
+    network = Network(
+        [
+            Dense(np.array([[1.0, 0.5], [1.0, 0.7]]), np.ones(2)),
+            ReLU(),
+            Dense(np.array([[1.0, -1.0], [0.3, 0.2]]), np.zeros(2)),
+        ],
+        input_shape=(2,),
+    )
+    region = Box.unit(2)
+    abstract = netabs.NetworkAbstraction(
+        network, "syntactic", 1, regions=[region]
+    ).build()
+    pad = abstract.layers[-1]
+    assert isinstance(pad, ErrorPad) and len(abstract.layers[0].bias) == 1
+    corners = np.array(list(itertools.product(*zip(region.low, region.high))))
+    deviation = np.abs(network.forward(corners) - abstract.forward(corners))
+    return int((deviation > pad.radii).any(axis=1).sum())
 
 
 def _m3_nearest_cast(monkeypatch):
@@ -235,10 +279,8 @@ def _deeppoly_output_escapes() -> int:
         for radius in (0.05, 0.2, 0.4)
     ]
     escapes = 0
-    for region, result in zip(
-        regions, analyze_batch(network, regions, 0, DEEPPOLY)
-    ):
-        low, high = result.output.bounds()
+    lows, highs = _batched_output(network, regions, DEEPPOLY).bounds()
+    for region, low, high in zip(regions, lows, highs):
         outputs = network.forward(region.sample(rng, 200))
         outside = (outputs < low - 1e-9) | (outputs > high + 1e-9)
         escapes += int(outside.any(axis=1).sum())
@@ -268,16 +310,16 @@ def _float32_interval_misses() -> int:
         for _ in range(4)
     ]
     with backend.use_backend("numpy32"):
-        results = analyze_batch(network, regions, 0, INTERVAL)
+        output = _batched_output(network, regions, INTERVAL)
     misses = 0
-    for region, result in zip(regions, results):
+    for region, box_low, box_high in zip(
+        regions, output.low.astype(np.float64), output.high.astype(np.float64)
+    ):
         # Output k peaks at the corner taking high where row k's weight
         # is positive, and bottoms out at the opposite corner.
         rows = np.arange(len(weight))
         top = network.forward(np.where(weight > 0, region.high, region.low))
         bottom = network.forward(np.where(weight > 0, region.low, region.high))
-        box_low = result.output.low.astype(np.float64)
-        box_high = result.output.high.astype(np.float64)
         misses += int((box_high < top[rows, rows]).sum())
         misses += int((box_low > bottom[rows, rows]).sum())
     return misses
@@ -287,6 +329,10 @@ MUTANTS = [
     pytest.param(
         _m1_low_chord_intercept, _deeppoly_grid_escapes,
         id="M1-deeppoly-chord-intercept-low",
+    ),
+    pytest.param(
+        _m2_half_pads, _abstract_network_escapes,
+        id="M2-netabs-pad-radii-halved",
     ),
     pytest.param(
         _m3_nearest_cast, _float32_lift_escapes,

@@ -36,7 +36,7 @@ class TestSymbolicDomainSpec:
         net = mlp(4, [10, 10], 3, rng=0)
         box = Box.from_center_radius(np.full(4, 0.2), 0.1)
         via_spec = analyze(net, box, 0, SYMBOLIC)
-        assert isinstance(via_spec.output, SymbolicInterval)
+        assert isinstance(SYMBOLIC.lift(box), SymbolicInterval)
         margin = propagate(
             net.ops(), SymbolicInterval.identity(box)
         ).min_margin(0)

@@ -17,6 +17,7 @@ from repro import (
     analyze,
     verify,
 )
+from repro.abstract.analyzer import propagate
 from repro.core.policy import BisectionPolicy
 from repro.nn.builders import example_2_2_network, example_2_3_network, xor_network
 
@@ -87,7 +88,8 @@ class TestExample23:
         box = Box(np.zeros(2), np.ones(2))
         result = analyze(net, box, 1, DomainSpec("zonotope", 1))
         assert result.margin_lower_bound == pytest.approx(-0.2)
-        lo, hi = result.output.bounds()
+        output = propagate(net.ops(), DomainSpec("zonotope", 1).lift(box))
+        lo, hi = output.bounds()
         assert lo[0] <= 1.2 <= hi[0]
         assert lo[1] <= 1.2 <= hi[1]
 
