@@ -35,6 +35,7 @@ from repro.backend import use_backend
 from repro.nn.builders import lenet_conv, mlp, xor_network
 from repro.nn.layers import Dense, ReLU
 from repro.nn.network import Network
+from repro.obs.metrics import registry as metrics_registry
 from repro.utils.boxes import Box
 
 
@@ -358,3 +359,38 @@ class TestValidation:
     def test_label_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             analyze_batch_multi(xor_network(), [Box.unit(2)], [5], INTERVAL)
+
+    @pytest.mark.parametrize(
+        "entry", ["analyze", "analyze_batch_multi", "analyze_batch_checkpointed"]
+    )
+    def test_entry_points_share_operand_check(self, entry):
+        """Every Analyze entry point rejects the same bad operands with the
+        same message, and a rejected call counts no kernel work."""
+        calls = {
+            "analyze": lambda net, regions, labels: [
+                analyze(net, regions[0], labels[0], DEEPPOLY)
+            ],
+            "analyze_batch_multi": lambda net, regions, labels: (
+                analyze_batch_multi(net, regions, labels, DEEPPOLY)
+            ),
+            "analyze_batch_checkpointed": lambda net, regions, labels: (
+                analyze_batch_checkpointed(net, regions, labels, DEEPPOLY)[0]
+            ),
+        }
+        call = calls[entry]
+        net = xor_network()
+        before = metrics_registry().counters_snapshot()
+        with pytest.raises(
+            ValueError, match="region has 3 dims, network expects 2"
+        ):
+            call(net, [Box.unit(3)], [0])
+        with pytest.raises(
+            ValueError, match="label 5 out of range for 2 outputs"
+        ):
+            call(net, [Box.unit(2)], [5])
+        assert not any(
+            name.startswith("kernel.")
+            for name in metrics_registry().counters_since(before)
+        )
+        (result,) = call(net, [Box.unit(2)], [0])
+        assert result == analyze(net, Box.unit(2), 0, DEEPPOLY)

@@ -1,9 +1,12 @@
 """Tests for the network-level analyzer, including Example 2.3."""
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.abstract.analyzer import analyze, propagate
+from repro.abstract.analyzer import AnalysisResult, analyze, propagate
 from repro.abstract.domains import DomainSpec, INTERVAL, ZONOTOPE
 from repro.abstract.interval import IntervalElement
 from repro.nn.builders import example_2_3_network, lenet_conv, mlp, xor_network
@@ -46,6 +49,20 @@ class TestAnalyze:
         box = Box(np.array([0.3, 0.3]), np.array([0.7, 0.7]))
         result = analyze(net, box, 1, DomainSpec("zonotope", 2))
         assert result.verified == (result.margin_lower_bound > 0)
+
+    def test_result_is_verdict_and_margin(self):
+        """A result carries the verdict and its margin bound, nothing
+        else, and pickles by value (as process workers return it)."""
+        net = xor_network()
+        box = Box(np.array([0.3, 0.3]), np.array([0.7, 0.7]))
+        result = analyze(net, box, 1, ZONOTOPE)
+        assert [field.name for field in dataclasses.fields(result)] == [
+            "verified",
+            "margin_lower_bound",
+        ]
+        clone = pickle.loads(pickle.dumps(result))
+        assert type(clone) is AnalysisResult
+        assert clone == result
 
     def test_example_2_3_domain_hierarchy(self):
         """The paper's Example 2.3: only (Z, >=2) verifies."""

@@ -6,6 +6,7 @@ kernel-call descriptor round trip that carries a backend across the
 process boundary.
 """
 
+import dataclasses
 import threading
 
 import numpy as np
@@ -41,6 +42,14 @@ class TestChoices:
             with backend.use_backend("numpy128"):
                 pass
         assert backend.active().name == "numpy64"
+
+    def test_backend_is_frozen(self):
+        # A scope hands out the shared instance; nothing may retarget it.
+        with backend.use_backend("numpy32") as chosen:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                chosen.dtype = np.dtype(np.float64)
+        with backend.use_backend("numpy32") as again:
+            assert again.dtype == np.float32
 
 
 class TestActiveManagement:

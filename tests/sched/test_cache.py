@@ -607,6 +607,82 @@ class TestPrefixFamily:
         ) is None
 
 
+
+class TestPrefixProbeAcrossNetworks:
+    """The scheduler probes prefix checkpoints under the *current*
+    network's digest chain: a fine-tune keeps the chain link of every
+    unchanged prefix layer, so what the old network stored stays
+    reachable without naming the old network."""
+
+    @staticmethod
+    def _regions():
+        return [
+            Box.from_center_radius(np.full(4, 0.3), 0.05),
+            Box.from_center_radius(np.full(4, -0.2), 0.05),
+        ]
+
+    @staticmethod
+    def _store(cache, net, regions):
+        from repro.abstract.analyzer import analyze_batch_checkpointed
+        from repro.abstract.checkpoint import checkpoint_boundaries
+        from repro.abstract.domains import DEEPPOLY
+
+        _, captured = analyze_batch_checkpointed(
+            net, regions, [0] * len(regions), DEEPPOLY,
+            capture_boundaries=checkpoint_boundaries(net),
+        )
+        for record in captured:
+            cache.put_prefix(record)
+
+    @staticmethod
+    def _reachable(cache, net, regions):
+        """The boundaries whose link in ``net``'s own chain finds a
+        stored checkpoint, probed as the scheduler does."""
+        from repro.abstract.checkpoint import (
+            checkpoint_boundaries,
+            region_batch_digest,
+        )
+        from repro.abstract.domains import DEEPPOLY
+        from repro.nn.serialize import layer_digests
+
+        chain = layer_digests(net)
+        digest = region_batch_digest(regions)
+        found = []
+        for boundary in checkpoint_boundaries(net):
+            record = cache.get_prefix(
+                chain[boundary - 1], digest,
+                (DEEPPOLY.base, DEEPPOLY.disjuncts), "numpy64",
+            )
+            if record is not None:
+                assert record.boundary == boundary
+                found.append(boundary)
+        return found
+
+    def test_fine_tune_finds_deepest_boundary(self, tmp_path):
+        net = mlp(4, [8, 6, 5], 3, rng=0)  # boundaries [2, 4, 6]
+        regions = self._regions()
+        cache = ResultCache(tmp_path / "c")
+        self._store(cache, net, regions)
+
+        tuned = mlp(4, [8, 6, 5], 3, rng=0)
+        tuned.layers[-1].weight += 1e-6  # only the output layer moved
+        assert network_digest(tuned) != network_digest(net)
+        # The deepest stored boundary is the last layer before the change.
+        assert self._reachable(cache, tuned, regions) == [2, 4, 6]
+
+        middle = mlp(4, [8, 6, 5], 3, rng=0)
+        middle.layers[2].weight += 1e-6  # the second Dense moved
+        assert self._reachable(cache, middle, regions) == [2]
+
+    def test_divergent_networks_reuse_nothing(self, tmp_path):
+        net = mlp(4, [8], 3, rng=0)
+        other = mlp(4, [8], 3, rng=5)
+        regions = self._regions()[:1]
+        cache = ResultCache(tmp_path / "c")
+        self._store(cache, net, regions)
+        assert self._reachable(cache, net, regions) == [2]
+        assert self._reachable(cache, other, regions) == []
+
 class TestFaultInjection:
     """Truncated or byte-flipped records of either family are misses (or,
     when the damage leaves a well-formed file, a decoded record) — never

@@ -13,7 +13,9 @@ from repro.abstract.analyzer import analyze, analyze_batch_multi
 from repro.abstract.domains import (
     DEEPPOLY,
     INTERVAL,
+    SYMBOLIC,
     ZONOTOPE,
+    bounded_intervals,
     bounded_zonotopes,
 )
 from repro.abstract.powerset import PowersetElement
@@ -102,7 +104,16 @@ class TestMultiLabelObjective:
 
 class TestAnalyzeBatchMulti:
     @pytest.mark.parametrize(
-        "domain", [INTERVAL, DEEPPOLY, ZONOTOPE, bounded_zonotopes(4)]
+        "domain",
+        [
+            INTERVAL,
+            DEEPPOLY,
+            ZONOTOPE,
+            bounded_zonotopes(4),
+            # No batched kernel: the per-region fallback takes the labels.
+            SYMBOLIC,
+            bounded_intervals(2),
+        ],
     )
     def test_matches_per_region_analyze(self, net, domain):
         rng = np.random.default_rng(3)
