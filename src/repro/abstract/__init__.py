@@ -9,10 +9,12 @@ Implements the numeric domains the paper's analyzer chooses among (§2.3):
   which keeps ReLU case splits as disjuncts up to a budget.
 - :mod:`repro.abstract.domains` — :class:`DomainSpec`, the ``(base, k)``
   pairs the domain policy selects from.
-- :mod:`repro.abstract.analyzer` — pushes a region through a network's op
-  sequence and returns its classification margin (the paper's ``Analyze``).
+- :mod:`repro.abstract.analyzer` — pushes regions through a network's op
+  sequence on the batched kernels and returns their classification
+  margins (the paper's ``Analyze``).
 - :mod:`repro.abstract.symbolic_interval` — symbolic intervals in the style
-  of ReluVal (used by the ReluVal baseline).
+  of ReluVal (the ReluVal baseline's domain; the scheduler reaches it
+  through ``--domain symbolic`` and ``SolverAwareLinearPolicy``).
 - :mod:`repro.abstract.batched` — the :class:`BatchedElement` protocol the
   batched kernels implement (``IntervalBatch``, ``DeepPolyBatch``,
   ``ZonotopeBatch``, ``PowersetBatch``).

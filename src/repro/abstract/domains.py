@@ -76,8 +76,7 @@ class DomainSpec:
         Returns a :class:`~repro.abstract.batched.BatchedElement` whose
         row ``i`` tracks ``boxes[i]``, or ``None`` when no batched kernel
         exists for this domain (symbolic intervals, interval powersets) —
-        the analyzer then falls back to a per-region loop with identical
-        results.
+        Analyze then propagates each region from :meth:`lift`.
         """
         if self.base == "interval" and self.disjuncts == 1:
             from repro.abstract.interval import IntervalBatch

@@ -586,7 +586,6 @@ def abstraction_for(
     mode: str | None,
     level: int,
     regions: list[Box] | None = None,
-    seed: int = 0,
 ) -> NetworkAbstraction | None:
     """A :class:`NetworkAbstraction`, or ``None`` when abstraction is a
     no-op — mode off, level below 1, an architecture the construction
@@ -599,9 +598,7 @@ def abstraction_for(
         return None
     if _affine_chain(network) is None:
         return None
-    abstraction = NetworkAbstraction(
-        network, mode, level, regions=regions, seed=seed
-    )
+    abstraction = NetworkAbstraction(network, mode, level, regions=regions)
     if abstraction.is_identity:
         return None
     return abstraction

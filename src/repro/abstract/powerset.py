@@ -11,15 +11,12 @@ across disjuncts (widest first — the widest crossing loses the most
 precision when joined) and split while the budget allows; all remaining
 ReLU behaviour is delegated to the base domain's transformer.
 
-Disjuncts of a zonotope powerset always share one generator shape (the
-affine transformer promotes error terms unconditionally to guarantee it),
-so the per-disjunct transformer loops vectorize: ``affine`` stacks all
-disjuncts into ``(D, k, n)`` tensors and runs fused GEMMs, and the final
-ReLU pass batches the dead-dimension clamp for every disjunct whose
-remaining dimensions no longer cross zero — the common case once the case
-splits above have consumed the crossings.  Disjuncts that still need
-data-dependent case handling fall back to the per-element transformer with
-identical results.
+For zonotopes this sequential element is only the reference that the
+batched kernel (:class:`~repro.abstract.zonotope_batch.PowersetBatch`,
+which every Analyze call runs) is tested against; powersets of
+intervals have no batched kernel and run here.  Every transformer runs
+the base domain's own transformer disjunct by disjunct, so each
+disjunct carries that transformer's float32 outward rounding.
 """
 
 from __future__ import annotations
@@ -27,7 +24,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.abstract.element import AbstractElement
-from repro.abstract.zonotope import Zonotope
 
 
 class PowersetElement(AbstractElement):
@@ -78,46 +74,7 @@ class PowersetElement(AbstractElement):
         return PowersetElement(elements, self.max_disjuncts)
 
     def affine(self, weight: np.ndarray, bias: np.ndarray) -> "PowersetElement":
-        stacked = self._stacked_zonotopes(self.elements)
-        if stacked is None:
-            return self._wrap([e.affine(weight, bias) for e in self.elements])
-        # One fused GEMM pair over all disjuncts instead of D small ones;
-        # row d reproduces Zonotope.affine on disjunct d exactly (the error
-        # promotion included — see that method's docstring).
-        centers, gens, errs = stacked
-        disjuncts, num_gens, n = gens.shape
-        out = weight.shape[0]
-        # einsum keeps the center rows bitwise equal to Zonotope.affine
-        # at every disjunct count (see that method's docstring).
-        new_centers = np.einsum("ij,dj->di", weight, centers) + bias
-        rotated = (gens.reshape(disjuncts * num_gens, n) @ weight.T).reshape(
-            disjuncts, num_gens, out
-        )
-        promoted = errs[:, :, None] * weight.T[None, :, :]
-        new_gens = np.concatenate([rotated, promoted], axis=1)
-        return self._wrap(
-            [
-                Zonotope._make(new_centers[d], new_gens[d], np.zeros(out))
-                for d in range(disjuncts)
-            ]
-        )
-
-    @staticmethod
-    def _stacked_zonotopes(
-        elements: list[AbstractElement],
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """``(centers, gens, errs)`` stacked over disjuncts, or ``None``
-        when the disjuncts are not same-shape plain zonotopes."""
-        if not all(type(e) is Zonotope for e in elements):
-            return None
-        shape = elements[0].gens.shape
-        if any(e.gens.shape != shape for e in elements[1:]):
-            return None
-        return (
-            np.stack([e.center for e in elements]),
-            np.stack([e.gens for e in elements]),
-            np.stack([e.err for e in elements]),
-        )
+        return self._wrap([e.affine(weight, bias) for e in self.elements])
 
     def maxpool(self, windows: np.ndarray) -> "PowersetElement":
         return self._wrap([e.maxpool(windows) for e in self.elements])
@@ -151,61 +108,8 @@ class PowersetElement(AbstractElement):
                     nxt.append((element, done))
             current = nxt
         # Whatever crossing behaviour remains (budget exhausted, residual
-        # tails after contraction) is handled by the base transformer —
-        # batched across disjuncts for the common no-crossing case.
-        return self._wrap(self._final_relu(current))
-
-    @staticmethod
-    def _final_relu(
-        current: list[tuple[AbstractElement, frozenset[int]]],
-    ) -> list[AbstractElement]:
-        """The per-disjunct base ReLU pass, vectorized where data allows.
-
-        A zonotope disjunct whose un-skipped dimensions never cross zero
-        reduces to the dead-dimension clamp, an elementwise operation that
-        batches across disjuncts (per generator shape) with bit-identical
-        results.  Disjuncts with residual crossings — data-dependent case
-        splits — keep the per-element transformer.
-        """
-        out: list[AbstractElement | None] = [None] * len(current)
-        clampable: dict[tuple, list[tuple[int, Zonotope, frozenset, np.ndarray]]] = {}
-        for i, (element, done) in enumerate(current):
-            if type(element) is not Zonotope:
-                out[i] = element.relu(skip_dims=done)
-                continue
-            low, high = element.bounds()
-            crossing = (low < 0.0) & (high > 0.0)
-            if done and crossing.any():
-                crossing = crossing.copy()
-                crossing[list(done)] = False
-            if crossing.any():
-                out[i] = element.relu(skip_dims=done)
-            else:
-                clampable.setdefault(element.gens.shape, []).append(
-                    (i, element, done, high)
-                )
-        for entries in clampable.values():
-            dead = np.stack([high <= 0.0 for _, _, _, high in entries])
-            for row, (_, _, done, _) in enumerate(entries):
-                if done:
-                    dead[row, list(done)] = False
-            rows_dead = dead.any(axis=1)
-            if rows_dead.any():
-                centers = np.stack([e.center for _, e, _, _ in entries])
-                gens = np.stack([e.gens for _, e, _, _ in entries])
-                errs = np.stack([e.err for _, e, _, _ in entries])
-                centers = np.where(dead, 0.0, centers)
-                gens = np.where(dead[:, None, :], 0.0, gens)
-                errs = np.where(dead, 0.0, errs)
-            for row, (i, element, _, _) in enumerate(entries):
-                if rows_dead[row]:
-                    out[i] = Zonotope._make(
-                        centers[row], gens[row], errs[row]
-                    )
-                else:
-                    # No dead dims either: the ReLU is the identity here.
-                    out[i] = element
-        return out
+        # tails after contraction) is handled by the base transformer.
+        return self._wrap([e.relu(skip_dims=done) for e, done in current])
 
     @staticmethod
     def _ranked_crossing_dims(elements: list[AbstractElement]) -> list[int]:

@@ -8,9 +8,12 @@ relaxations.  Because lower and upper equations share the input variables,
 the output margin check stays relational — the property that lets ReluVal
 beat plain interval propagation.
 
-Used by the ReluVal baseline (:mod:`repro.baselines.reluval`).  Max pooling
-is unsupported, matching the original tool (the paper excludes the conv
-network from the ReluVal/Reluplex comparison for the same reason).
+Used by the ReluVal baseline (:mod:`repro.baselines.reluval`), and by the
+scheduler through ``--domain symbolic`` and ``SolverAwareLinearPolicy``.
+It has no float32 outward rounding, so Analyze runs it on the float64
+lowering under every backend.  Max pooling is unsupported, matching the
+original tool (the paper excludes the conv network from the
+ReluVal/Reluplex comparison for the same reason).
 """
 
 from __future__ import annotations

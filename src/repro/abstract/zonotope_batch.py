@@ -279,13 +279,6 @@ def _stacked_pad_errs(errs: np.ndarray, radii: np.ndarray) -> np.ndarray:
     return out
 
 
-def _crossing_order(low: np.ndarray, high: np.ndarray) -> np.ndarray:
-    """One row's crossing dims, widest first (``Zonotope.crossing_dims``)."""
-    crossing = np.flatnonzero((low < 0.0) & (high > 0.0))
-    widths = high[crossing] - low[crossing]
-    return crossing[np.argsort(-widths, kind="stable")]
-
-
 def _stacked_relu(
     centers: np.ndarray,
     gens: np.ndarray,
@@ -728,9 +721,10 @@ class PowersetBatch(BatchedElement):
         """The residual base-domain ReLU pass, batched across *all*
         disjuncts of *all* regions.
 
-        Mirrors ``PowersetElement._final_relu``: disjuncts whose
-        un-skipped dims no longer cross reduce to the elementwise
-        dead-dimension clamp; disjuncts with residual crossings go through
+        Bitwise ``Zonotope.relu(skip_dims=done)`` per disjunct, as
+        ``PowersetElement.relu`` runs it: disjuncts whose un-skipped dims
+        no longer cross reduce to the elementwise dead-dimension clamp;
+        disjuncts with residual crossings go through
         :func:`_stacked_relu` — the formerly-serial split+join loop —
         together, in one round-based stacked pass.
         """

@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.abstract.fused import gen_sum
+from repro.abstract.fused import _crossing_order, gen_sum
 from repro.abstract.zonotope_batch import (
-    _crossing_order,
     _stacked_join,
     _stacked_radius,
     _stacked_relu_split,

@@ -5,14 +5,11 @@ four kinds — ``verified``, ``falsified``, ``timeout``, ``unknown`` —
 matching the four bars of the paper's Figure 6.  ``solved`` means verified
 or falsified (how the paper counts).
 
-Multi-property suites have two execution routes: :func:`run_suite` runs
-every (tool, problem) pair one at a time — the paper's setup — while
-:func:`run_suite_scheduled` routes the whole problem list through the
-multi-property scheduler (:mod:`repro.sched`) in one run, fusing kernel
-batches across properties.  Both run the same engine — the Charon
-adapter's :class:`~repro.core.verifier.Verifier` is a one-job scheduler
-run — so outcomes per problem match by the scheduler's reproducibility
-contract.
+:func:`run_suite` runs every (tool, problem) pair one at a time — the
+paper's setup.  The Charon adapter's
+:class:`~repro.core.verifier.Verifier` is a one-job scheduler run
+(:mod:`repro.sched`), so each problem's outcome is the one a many-job
+scheduler run would report for it.
 """
 
 from __future__ import annotations
@@ -129,51 +126,6 @@ class ResultTable:
 
     def of(self, tool_name: str) -> list[BenchRecord]:
         return self.records[tool_name]
-
-
-def run_suite_scheduled(
-    problems: list[BenchmarkProblem],
-    networks: dict[str, Network],
-    timeout: float,
-    policy: VerificationPolicy | None = None,
-    cache=None,
-    batch_size: int = 16,
-    rng_seed: int = 0,
-    tool_name: str = "Charon-sched",
-) -> ResultTable:
-    """Verify a whole multi-property suite in one scheduler run.
-
-    Builds one :class:`~repro.sched.VerificationJob` per problem (same
-    timeout/seed discipline as :func:`charon_adapter`), drives them through
-    a shared frontier, and returns a :class:`ResultTable` aligned with
-    ``problems`` under ``tool_name``.  Record times are per-job completion
-    latencies, which overlap inside fused sweeps — sum the table's wall
-    clock from the scheduler report, not from the records, when comparing
-    engine throughput.
-    """
-    from repro.sched import Scheduler, VerificationJob
-
-    if not problems:
-        raise ValueError("need at least one problem")
-    config = VerifierConfig(timeout=timeout, batch_size=batch_size)
-    jobs = [
-        VerificationJob(
-            networks[problem.network_name],
-            problem.prop,
-            config=config,
-            policy=policy,
-            seed=rng_seed,
-            name=problem.prop.name,
-        )
-        for problem in problems
-    ]
-    report = Scheduler(jobs, cache=cache).run()
-    table = ResultTable(problems=list(problems))
-    for result in report.results:
-        table.add(
-            tool_name, BenchRecord(result.outcome.kind, result.elapsed)
-        )
-    return table
 
 
 def run_suite(

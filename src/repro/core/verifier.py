@@ -40,10 +40,12 @@ per-chunk steps live here as hooks
 from Algorithm 1's per-chunk semantics.
 
 :func:`sequential_reference` is the paper-faithful stack loop, one item
-at a time.  No entry point runs it: it is what the engine-equivalence
+at a time (its Analyze is a one-region call of the same batched
+kernels).  No entry point runs it: it is what the engine-equivalence
 tests and the engine-throughput contracts compare :class:`Verifier`
 against.  Soundness, δ-completeness, budgets, and statistics semantics
-are identical; differences are traversal order and BLAS round-off.
+are identical; differences are traversal order and the BLAS round-off
+of different batch heights.
 """
 
 from __future__ import annotations

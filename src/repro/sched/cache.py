@@ -23,7 +23,8 @@ Every decided job (verified or falsified) is recorded under a sha256 key of
 
 Records live one-per-file under a two-level fan-out directory (like git's
 object store), written atomically (temp file + rename) so concurrent
-scheduler runs can share a cache directory.
+scheduler runs can share a cache directory.  A record carries no clock
+reading, so identical runs write identical bytes.
 
 **Prefix records.**  Next to the result records lives a second family:
 ``<key>.px.npz`` files holding
@@ -72,7 +73,6 @@ import json
 import os
 import re
 import tempfile
-import time
 import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -309,7 +309,9 @@ class CacheRecord:
         label: the property's target class.
         metadata: caller-provided job metadata (e.g. ``center_digest`` and
             ``epsilon`` for L∞ jobs).
-        created_unix: record creation time (seconds since the epoch).
+
+    A record carries no clock reading (no creation time, no run time),
+    so its bytes are a function of the outcome it records.
     """
 
     kind: str
@@ -319,7 +321,6 @@ class CacheRecord:
     network_digest: str = ""
     label: int = 0
     metadata: dict = field(default_factory=dict)
-    created_unix: float = 0.0
     reason: str = ""
 
     def to_outcome(self):
@@ -366,7 +367,6 @@ class CacheRecord:
             "splits": outcome.stats.splits,
             "max_depth_reached": outcome.stats.max_depth_reached,
             "domains_used": dict(outcome.stats.domains_used),
-            "time_seconds": outcome.stats.time_seconds,
         }
         margin = None
         counterexample = None
@@ -381,7 +381,6 @@ class CacheRecord:
             network_digest=net_digest,
             label=label,
             metadata=dict(metadata or {}),
-            created_unix=time.time(),
             reason=getattr(outcome, "reason", ""),
         )
 
@@ -446,45 +445,55 @@ class ResultCache:
         path = self._path(key)
         with _span("cache.probe", cat="cache"):
             try:
-                text = path.read_text()
-                record = CacheRecord(**json.loads(text))
+                payload = path.read_bytes()
+                record = CacheRecord(**json.loads(payload))
             except (OSError, ValueError, TypeError):
                 _CACHE_COUNTERS["misses"] += 1
                 return None
-            try:
-                os.utime(path)
-            except OSError:
-                pass  # recency refresh is best-effort
-            _CACHE_COUNTERS["hits"] += 1
-            _CACHE_COUNTERS["read_bytes"] += len(text)
+            self._hit(path, len(payload))
         return record
 
     def put(self, key: str, record: CacheRecord) -> None:
-        """Store ``record`` under ``key`` atomically (temp file + rename).
+        """Store ``record`` under ``key`` atomically (temp file + rename)."""
+        with _span("cache.put", cat="cache"):
+            payload = json.dumps(record.__dict__, sort_keys=True)
+            self._write(self._path(key), payload.encode(), ".tmp")
+
+    def _hit(self, path: Path, size: int) -> None:
+        """Count a hit of ``size`` bytes (both families) and refresh the
+        record's mtime, the LRU recency every hit keeps current."""
+        try:
+            os.utime(path)
+        except OSError:
+            pass  # recency refresh is best-effort
+        _CACHE_COUNTERS["hits"] += 1
+        _CACHE_COUNTERS["read_bytes"] += size
+
+    def _write(self, path: Path, payload, suffix: str) -> None:
+        """Write one record file of either family atomically (temp file +
+        rename) and count it.
 
         Budgeted caches track an in-memory size estimate and prune once
         it crosses a budget — down to 7/8 of the budget, so a steady
         stream of puts pays the directory scan once per batch of
         evictions instead of once per record."""
-        path = self._path(key)
-        with _span("cache.put", cat="cache"):
-            path.parent.mkdir(parents=True, exist_ok=True)
-            payload = json.dumps(record.__dict__, sort_keys=True)
-            fd, tmp = _writer_temp(path.parent, ".tmp")
+        path.parent.mkdir(parents=True, exist_ok=True)
+        size = memoryview(payload).nbytes
+        fd, tmp = _writer_temp(path.parent, suffix)
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(payload)
+            os.replace(tmp, path)
+        except OSError:
             try:
-                with os.fdopen(fd, "w") as handle:
-                    handle.write(payload)
-                os.replace(tmp, path)
+                os.unlink(tmp)
             except OSError:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-            _CACHE_COUNTERS["puts"] += 1
-            _CACHE_COUNTERS["write_bytes"] += len(payload)
-            if self.max_entries is not None or self.max_bytes is not None:
-                self._note_put(len(payload))
+                pass
+            raise
+        _CACHE_COUNTERS["puts"] += 1
+        _CACHE_COUNTERS["write_bytes"] += size
+        if self.max_entries is not None or self.max_bytes is not None:
+            self._note_put(size)
 
     # ------------------------------------------------------------------
     # Prefix records (see repro.abstract.checkpoint.PrefixBounds)
@@ -514,7 +523,6 @@ class ResultCache:
         )
         path = self._prefix_path(key)
         with _span("cache.put_prefix", cat="cache"):
-            path.parent.mkdir(parents=True, exist_ok=True)
             meta = json.dumps(
                 {
                     "boundary": record.boundary,
@@ -530,23 +538,7 @@ class ResultCache:
             )
             archive = io.BytesIO()
             np.savez(archive, __meta__=np.array(meta), **record.arrays)
-            payload = archive.getbuffer()
-            size = payload.nbytes
-            fd, tmp = _writer_temp(path.parent, ".tmp.npz")
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(payload)
-                os.replace(tmp, path)
-            except OSError:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-            _CACHE_COUNTERS["puts"] += 1
-            _CACHE_COUNTERS["write_bytes"] += size
-            if self.max_entries is not None or self.max_bytes is not None:
-                self._note_put(size)
+            self._write(path, archive.getbuffer(), ".tmp.npz")
 
     def get_prefix(
         self,
@@ -556,8 +548,10 @@ class ResultCache:
         backend: str,
     ):
         """The stored checkpoint for this exact (prefix, batch, domain,
-        backend), or ``None``.  Unreadable files are misses; hits refresh
-        the file's mtime like result-record hits."""
+        backend), or ``None``.  The file is read in one call and the
+        archive opened from memory (over a path, ``np.load`` reads each
+        array's zip member from disk).  Unreadable files are misses;
+        hits refresh the file's mtime like result-record hits."""
         from repro.abstract.checkpoint import PrefixBounds
 
         key = prefix_key(
@@ -566,8 +560,9 @@ class ResultCache:
         path = self._prefix_path(key)
         with _span("cache.probe_prefix", cat="cache"):
             try:
-                size = path.stat().st_size
-                with np.load(path, allow_pickle=False) as archive:
+                payload = path.read_bytes()
+                buffer = io.BytesIO(payload)
+                with np.load(buffer, allow_pickle=False) as archive:
                     meta = json.loads(str(archive["__meta__"]))
                     arrays = {
                         name: archive[name]
@@ -588,12 +583,7 @@ class ResultCache:
             except _DAMAGED_PREFIX_ERRORS:
                 _CACHE_COUNTERS["misses"] += 1
                 return None
-            try:
-                os.utime(path)
-            except OSError:
-                pass  # recency refresh is best-effort
-            _CACHE_COUNTERS["hits"] += 1
-            _CACHE_COUNTERS["read_bytes"] += size
+            self._hit(path, len(payload))
         return record
 
     # ------------------------------------------------------------------

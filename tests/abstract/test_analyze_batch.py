@@ -1,4 +1,5 @@
-"""Batched analysis must match per-region analysis, region by region.
+"""Batched analysis must match each region's sequential twin
+(``propagate(ops, domain.lift(region))``), region by region.
 
 Tolerances: the batched interval/DeepPoly paths run the same arithmetic as
 the sequential elements but through GEMMs whose BLAS reduction order depends
@@ -18,6 +19,7 @@ import pytest
 
 from repro.abstract import deeppoly
 from repro.abstract.analyzer import (
+    AnalysisResult,
     analyze,
     analyze_batch_checkpointed,
     analyze_batch_multi,
@@ -44,6 +46,13 @@ def _one_label_batch(net, regions, label, domain):
     return analyze_batch_multi(net, regions, [label] * len(regions), domain)
 
 
+def _twin(net, region, label, domain):
+    """The sequential twin's result: ``domain.lift(region)`` propagated
+    alone through the float64 lowering."""
+    margin = propagate(net.ops(), domain.lift(region)).min_margin(label)
+    return AnalysisResult(bool(margin > 0.0), float(margin))
+
+
 def _outputs(net, regions, domain):
     """The batched output element and the per-region sequential ones."""
     batched = propagate(net.ops(), domain.lift_batch(regions))
@@ -68,7 +77,7 @@ class TestIntervalBatch:
         batch = _one_label_batch(net, regions, 2, INTERVAL)
         element, outputs = _outputs(net, regions, INTERVAL)
         for i, region in enumerate(regions):
-            single = analyze(net, region, 2, INTERVAL)
+            single = _twin(net, region, 2, INTERVAL)
             assert batch[i].verified == single.verified
             assert batch[i].margin_lower_bound == pytest.approx(
                 single.margin_lower_bound, abs=1e-12
@@ -82,7 +91,7 @@ class TestIntervalBatch:
         regions = _regions(2, 3, net.input_size, lo=0.2, hi=0.8)
         batch = _one_label_batch(net, regions, 1, INTERVAL)
         for i, region in enumerate(regions):
-            single = analyze(net, region, 1, INTERVAL)
+            single = _twin(net, region, 1, INTERVAL)
             assert batch[i].verified == single.verified
             assert batch[i].margin_lower_bound == pytest.approx(
                 single.margin_lower_bound, abs=1e-10
@@ -180,7 +189,7 @@ class TestDeepPolyBatch:
 
         batch = analyze_batch_multi(net, regions, labels, DEEPPOLY)
         for result, region, label in zip(batch, regions, labels):
-            single = analyze(net, region, label, DEEPPOLY)
+            single = _twin(net, region, label, DEEPPOLY)
             assert result.verified == single.verified
             assert result.margin_lower_bound == pytest.approx(
                 single.margin_lower_bound, abs=1e-9
@@ -212,7 +221,7 @@ class TestDeepPolyBatch:
         assert _live_width(_batched_output(net, regions).layers) is not None
         batch = analyze_batch_multi(net, regions, [0, 1, 2, 0], DEEPPOLY)
         for result, region, label in zip(batch, regions, [0, 1, 2, 0]):
-            single = analyze(net, region, label, DEEPPOLY)
+            single = _twin(net, region, label, DEEPPOLY)
             assert result.verified == single.verified
             assert result.margin_lower_bound == pytest.approx(
                 single.margin_lower_bound, abs=1e-9
@@ -284,7 +293,7 @@ class TestDeepPolyBatch:
         element, outputs = _outputs(net, regions, DEEPPOLY)
         low, high = element.bounds()
         for i, region in enumerate(regions):
-            single = analyze(net, region, 3, DEEPPOLY)
+            single = _twin(net, region, 3, DEEPPOLY)
             assert batch[i].verified == single.verified
             assert batch[i].margin_lower_bound == pytest.approx(
                 single.margin_lower_bound, abs=1e-9
@@ -298,7 +307,7 @@ class TestDeepPolyBatch:
         regions = _regions(6, 3, net.input_size, lo=0.2, hi=0.8)
         batch = _one_label_batch(net, regions, 2, DEEPPOLY)
         for i, region in enumerate(regions):
-            single = analyze(net, region, 2, DEEPPOLY)
+            single = _twin(net, region, 2, DEEPPOLY)
             assert batch[i].verified == single.verified
             assert batch[i].margin_lower_bound == pytest.approx(
                 single.margin_lower_bound, abs=1e-9
@@ -328,7 +337,7 @@ class TestExactDomains:
         regions = _regions(8, 4, 5)
         batch = _one_label_batch(net, regions, 1, domain)
         for i, region in enumerate(regions):
-            single = analyze(net, region, 1, domain)
+            single = _twin(net, region, 1, domain)
             assert batch[i].verified == single.verified
             assert batch[i].margin_lower_bound == single.margin_lower_bound
 
@@ -339,7 +348,7 @@ class TestBatchOfOne:
         net = xor_network()
         region = Box(np.array([0.3, 0.3]), np.array([0.7, 0.7]))
         batch = _one_label_batch(net, [region], 1, domain)
-        single = analyze(net, region, 1, domain)
+        single = _twin(net, region, 1, domain)
         assert len(batch) == 1
         assert batch[0].verified == single.verified
         assert batch[0].margin_lower_bound == pytest.approx(

@@ -14,7 +14,11 @@ import numpy as np
 import pytest
 
 from repro.abstract import fused
-from repro.abstract.analyzer import analyze, analyze_batch_multi, propagate
+from repro.abstract.analyzer import (
+    AnalysisResult,
+    analyze_batch_multi,
+    propagate,
+)
 from repro.abstract.batched import BatchedElement
 from repro.abstract.domains import ZONOTOPE, DomainSpec, bounded_zonotopes
 from repro.abstract.zonotope import Zonotope
@@ -47,6 +51,13 @@ def _random_batch(seed, batch, k, n):
 def _one_label_batch(net, regions, label, domain):
     """One batched call with the same target label for every region."""
     return analyze_batch_multi(net, regions, [label] * len(regions), domain)
+
+
+def _twin(net, region, label, domain):
+    """The sequential twin's result: ``domain.lift(region)`` propagated
+    alone."""
+    margin = propagate(net.ops(), domain.lift(region)).min_margin(label)
+    return AnalysisResult(bool(margin > 0.0), float(margin))
 
 
 def _outputs(net, regions, domain):
@@ -129,7 +140,8 @@ class TestZonotopeBatchTransformers:
 
 class TestAnalyzeDispatch:
     """End-to-end: analyze_batch_multi routes zonotope domains through the
-    batched kernels and still matches per-region analyze exactly."""
+    batched kernels and still matches each region's sequential twin
+    exactly."""
 
     @pytest.mark.parametrize(
         "domain", [ZONOTOPE, bounded_zonotopes(2), bounded_zonotopes(4)],
@@ -142,7 +154,7 @@ class TestAnalyzeDispatch:
         element, outputs = _outputs(net, regions, domain)
         low, high = element.bounds()
         for i, region in enumerate(regions):
-            single = analyze(net, region, 1, domain)
+            single = _twin(net, region, 1, domain)
             assert batch[i].verified == single.verified
             assert batch[i].margin_lower_bound == single.margin_lower_bound
             lo_s, hi_s = outputs[i].bounds()
@@ -157,7 +169,7 @@ class TestAnalyzeDispatch:
         regions = _regions(2, 3, net.input_size, lo=0.2, hi=0.8, rmax=0.1)
         batch = _one_label_batch(net, regions, 1, domain)
         for i, region in enumerate(regions):
-            single = analyze(net, region, 1, domain)
+            single = _twin(net, region, 1, domain)
             assert batch[i].margin_lower_bound == single.margin_lower_bound
 
     def test_mixed_labels_exact(self):
@@ -168,7 +180,7 @@ class TestAnalyzeDispatch:
             net, regions, labels, bounded_zonotopes(2)
         )
         for i, (region, label) in enumerate(zip(regions, labels)):
-            single = analyze(net, region, label, bounded_zonotopes(2))
+            single = _twin(net, region, label, bounded_zonotopes(2))
             assert batch[i].margin_lower_bound == single.margin_lower_bound
 
     def test_batch_height_stability(self):
@@ -215,7 +227,7 @@ class TestPowersetBatchRelu:
         domain = DomainSpec("zonotope", budget)
         batch = _one_label_batch(net, regions, 1, domain)
         for i, region in enumerate(regions):
-            single = analyze(net, region, 1, domain)
+            single = _twin(net, region, 1, domain)
             assert batch[i].verified == single.verified
             assert batch[i].margin_lower_bound == single.margin_lower_bound
 
@@ -234,7 +246,7 @@ class TestPowersetBatchRelu:
         regions = _regions(6, 4, 3, rmax=0.01)
         batch = _one_label_batch(net, regions, 0, bounded_zonotopes(2))
         for i, region in enumerate(regions):
-            single = analyze(net, region, 0, bounded_zonotopes(2))
+            single = _twin(net, region, 0, bounded_zonotopes(2))
             assert batch[i].margin_lower_bound == single.margin_lower_bound
 
     def test_powerset_rows_and_bounds(self):
@@ -324,7 +336,7 @@ class TestGeneratorCompaction:
     def test_powerset_budget_cases_match_reference(self, budget):
         """Overflow-join/budget pipelines end to end: margins and every
         disjunct array agree between compaction and the reference path,
-        and with the sequential analyzer."""
+        and with the sequential twin."""
         net = mlp(5, [14, 10], 3, rng=31)
         regions = _regions(51, 4, 5, rmax=0.8)
         domain = DomainSpec("zonotope", budget)
@@ -334,7 +346,7 @@ class TestGeneratorCompaction:
         try:
             reference = _one_label_batch(net, regions, 1, domain)
             want, _ = _outputs(net, regions, domain)
-            sequential = [analyze(net, r, 1, domain) for r in regions]
+            sequential = [_twin(net, r, 1, domain) for r in regions]
         finally:
             fused.set_compaction(previous)
         for got_row, want_row, solo in zip(

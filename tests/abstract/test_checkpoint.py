@@ -291,6 +291,17 @@ class TestGuards:
                 net, regions, [0, 1], INTERVAL, resume=rec
             )
 
+    def test_wrong_batch_raises(self, record):
+        # A record resumes only the ordered batch it was captured for:
+        # resuming another batch is refused, never served the record's
+        # own rows as that batch's margins.
+        net, _, rec = record
+        other = _batch(5, 2, 0, seed=77)
+        with pytest.raises(ValueError, match="different batch"):
+            analyze_batch_checkpointed(
+                net, other, [0, 1], DEEPPOLY, resume=rec
+            )
+
     def test_wrong_batch_never_found(self, record, tmp_path):
         # The batch guard lives in the cache address: a checkpoint for
         # one ordered batch is unreachable when probing with another.

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.abstract.analyzer import analyze, analyze_batch_multi, propagate
-from repro.abstract.domains import DomainSpec
+from repro.abstract.domains import SYMBOLIC, DomainSpec
 from repro.backend import use_backend
 from repro.nn.builders import mlp
 from repro.utils.boxes import Box
@@ -64,6 +64,43 @@ def test_batched_margin_containment(domain):
         assert scr.margin_lower_bound <= ref.margin_lower_bound + 1e-12
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_sequential_powerset_twin_contained(seed):
+    """The sequential (Z, 2) element, the batched kernel's twin, carries
+    each disjunct's float32 affine slack: on small regions, where
+    round-off is a large share of the margin, its float32 margin never
+    beats the float64 one."""
+    domain = DomainSpec("zonotope", 2)
+    network = random_mlp(seed)
+    rng = np.random.default_rng(seed + 500)
+    for _ in range(10):
+        region = Box.from_center_radius(
+            rng.uniform(-1.0, 1.0, 4), float(rng.uniform(5e-4, 1e-2))
+        )
+        label = int(network.classify(region.center))
+        reference = propagate(network.ops(), domain.lift(region))
+        with use_backend("numpy32"):
+            screened = propagate(
+                network.ops_for(np.float32), domain.lift(region)
+            )
+        assert screened.min_margin(label) <= reference.min_margin(label)
+
+
+def test_symbolic_stays_float64_under_numpy32():
+    """Symbolic intervals have no outward rounding, so they run the
+    float64 lowering under every backend: numpy32 margins are the
+    numpy64 ones, bit for bit."""
+    network = random_mlp(5, hidden=(12, 12))
+    regions = [random_box(400 + i, max_radius=0.1) for i in range(8)]
+    labels = [i % 3 for i in range(8)]
+    reference = analyze_batch_multi(network, regions, labels, SYMBOLIC)
+    with use_backend("numpy32"):
+        screened = analyze_batch_multi(network, regions, labels, SYMBOLIC)
+    assert [r.margin_lower_bound for r in screened] == [
+        r.margin_lower_bound for r in reference
+    ]
+
+
 def test_interval_output_bounds_contain():
     """Elementwise: the float32 output box contains the float64 box."""
     domain = DomainSpec("interval", 1)
@@ -111,7 +148,9 @@ def test_deeppoly_float32_slack_counts_hidden_widths():
     reference = analyze(network, region, 0, domain).margin_lower_bound
     assert reference == pytest.approx(true_min, abs=1e-12)
     with use_backend("numpy32"):
-        sequential = analyze(network, region, 0, domain)
+        sequential = propagate(
+            network.ops_for(np.float32), domain.lift(region)
+        ).min_margin(0)
         (batched,) = analyze_batch_multi(network, [region], [0], domain)
-    assert sequential.margin_lower_bound <= true_min
+    assert sequential <= true_min
     assert batched.margin_lower_bound <= true_min

@@ -12,7 +12,6 @@ from repro.bench.harness import (
     reluplex_adapter,
     reluval_adapter,
     run_suite,
-    run_suite_scheduled,
 )
 from repro.bench.suites import BenchmarkProblem
 from repro.core.property import RobustnessProperty
@@ -102,28 +101,3 @@ class TestRunSuite:
         bad = ToolAdapter("Bad", lambda n, p: BenchRecord("maybe", 0.0))
         with pytest.raises(ValueError, match="unknown kind"):
             run_suite([bad], xor_problems()[:1], {"xor": xor_network()})
-
-
-class TestScheduledSuite:
-    def test_matches_per_problem_route(self):
-        """The scheduler route must report the per-problem outcomes."""
-        problems = xor_problems()
-        networks = {"xor": xor_network()}
-        table = run_suite_scheduled(problems, networks, timeout=10.0)
-        assert table.tools() == ["Charon-sched"]
-        records = table.of("Charon-sched")
-        assert len(records) == len(problems)
-        assert records[0].kind == "verified"
-        assert records[1].kind == "falsified"
-
-    def test_name_knob(self):
-        problems = xor_problems()
-        networks = {"xor": xor_network()}
-        table = run_suite_scheduled(
-            problems, networks, timeout=10.0, tool_name="Sched"
-        )
-        assert table.tools() == ["Sched"]
-
-    def test_rejects_empty_problems(self):
-        with pytest.raises(ValueError, match="at least one problem"):
-            run_suite_scheduled([], {}, timeout=1.0)

@@ -1,15 +1,14 @@
 """The scheduler's fused-kernel building blocks, pinned row by row.
 
 Cross-property sweeps are only correct if the per-region-label kernels
-compute exactly what their single-label counterparts compute per row, and
-if the vectorized powerset transformers match the per-disjunct loops they
-replaced.  These tests compare them directly.
+compute exactly what their single-label counterparts compute per row.
+These tests compare them directly.
 """
 
 import numpy as np
 import pytest
 
-from repro.abstract.analyzer import analyze, analyze_batch_multi
+from repro.abstract.analyzer import analyze_batch_multi, propagate
 from repro.abstract.domains import (
     DEEPPOLY,
     INTERVAL,
@@ -18,8 +17,6 @@ from repro.abstract.domains import (
     bounded_intervals,
     bounded_zonotopes,
 )
-from repro.abstract.powerset import PowersetElement
-from repro.abstract.zonotope import Zonotope
 from repro.attack.objective import MarginObjective, MultiLabelMarginObjective
 from repro.attack.pgd import PGDConfig, pgd_minimize_batch
 from repro.nn.builders import mlp
@@ -123,11 +120,9 @@ class TestAnalyzeBatchMulti:
         labels = [0, 3, 1, 2, 0]
         results = analyze_batch_multi(net, regions, labels, domain)
         for region, label, result in zip(regions, labels, results):
-            solo = analyze(net, region, label, domain)
-            assert result.verified == solo.verified
-            assert result.margin_lower_bound == pytest.approx(
-                solo.margin_lower_bound, abs=1e-9
-            )
+            solo = propagate(net.ops(), domain.lift(region)).min_margin(label)
+            assert result.verified == (solo > 0.0)
+            assert result.margin_lower_bound == pytest.approx(solo, abs=1e-9)
 
     def test_uniform_labels_match_label_groups(self, net):
         """One label bounds the whole batch at once; mixed labels bound
@@ -154,93 +149,3 @@ class TestAnalyzeBatchMulti:
             analyze_batch_multi(
                 net, [Box.linf_ball(np.zeros(3), 0.1)], [0], INTERVAL
             )
-
-
-def _random_powerset(rng, disjuncts, gens, dim):
-    """Same-shape random zonotope disjuncts inside one powerset."""
-    elements = [
-        Zonotope(
-            rng.normal(size=dim),
-            rng.normal(size=(gens, dim)) * 0.3,
-            np.abs(rng.normal(size=dim)) * 0.1,
-        )
-        for _ in range(disjuncts)
-    ]
-    return PowersetElement(elements, max_disjuncts=max(disjuncts, 4))
-
-
-class TestPowersetVectorization:
-    def test_affine_matches_per_disjunct_loop(self):
-        rng = np.random.default_rng(5)
-        element = _random_powerset(rng, disjuncts=3, gens=6, dim=5)
-        weight = rng.normal(size=(4, 5))
-        bias = rng.normal(size=4)
-        fused = element.affine(weight, bias)
-        for disjunct, reference in zip(
-            fused.elements, [e.affine(weight, bias) for e in element.elements]
-        ):
-            np.testing.assert_allclose(
-                disjunct.center, reference.center, atol=1e-12
-            )
-            np.testing.assert_allclose(
-                disjunct.gens, reference.gens, atol=1e-12
-            )
-            np.testing.assert_array_equal(disjunct.err, reference.err)
-
-    def test_relu_matches_per_disjunct_loop(self, monkeypatch):
-        rng = np.random.default_rng(6)
-        elements = [_random_powerset(rng, 4, 5, 6) for _ in range(10)]
-        fused = [e.relu() for e in elements]
-        # The pre-vectorization semantics: per-disjunct base transformer.
-        monkeypatch.setattr(
-            PowersetElement,
-            "_final_relu",
-            staticmethod(
-                lambda current: [e.relu(skip_dims=done) for e, done in current]
-            ),
-        )
-        for element, fast in zip(elements, fused):
-            slow = element.relu()
-            assert fast.num_disjuncts == slow.num_disjuncts
-            for a, b in zip(fast.elements, slow.elements):
-                np.testing.assert_array_equal(a.center, b.center)
-                np.testing.assert_array_equal(a.gens, b.gens)
-                np.testing.assert_array_equal(a.err, b.err)
-
-    def test_final_relu_no_split_matches_clamp(self):
-        """Disjuncts with no remaining crossings take the batched clamp;
-        it must equal each disjunct's own ReLU transformer output."""
-        rng = np.random.default_rng(7)
-        # Shift centers so dimensions are decisively positive or negative:
-        # no crossings, the batched-clamp path.
-        elements = []
-        for _ in range(3):
-            center = np.where(rng.uniform(size=5) < 0.5, -3.0, 3.0)
-            elements.append(
-                Zonotope(
-                    center,
-                    rng.normal(size=(4, 5)) * 0.2,
-                    np.abs(rng.normal(size=5)) * 0.05,
-                )
-            )
-        element = PowersetElement(elements, max_disjuncts=3)
-        fused = element.relu()
-        for disjunct, base in zip(fused.elements, elements):
-            reference = base.relu()
-            np.testing.assert_array_equal(disjunct.center, reference.center)
-            np.testing.assert_array_equal(disjunct.gens, reference.gens)
-            np.testing.assert_array_equal(disjunct.err, reference.err)
-
-    def test_mixed_shapes_fall_back(self):
-        """Disjuncts with unequal generator shapes use the loop path."""
-        a = Zonotope(np.array([1.0, -2.0]), np.zeros((2, 2)), np.zeros(2))
-        b = Zonotope(np.array([-1.0, 2.0]), np.zeros((3, 2)), np.zeros(2))
-        element = PowersetElement.__new__(PowersetElement)
-        element.elements = [a, b]
-        element.max_disjuncts = 2
-        weight = np.array([[1.0, 0.5], [-0.5, 2.0]])
-        fused = element.affine(weight, np.zeros(2))
-        for disjunct, reference in zip(
-            fused.elements, [e.affine(weight, np.zeros(2)) for e in (a, b)]
-        ):
-            np.testing.assert_array_equal(disjunct.center, reference.center)

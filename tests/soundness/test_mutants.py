@@ -54,17 +54,28 @@ implementation — must pass on the real code and fail under the mutant.
   one-step, one-restart PGD.  The root splits at 0.3 into a verified left
   leaf and a right leaf whose misclassified points (x > 4/3) PGD misses, so
   only Analyze guards that leaf.
+- **M9** — ``zonotope_batch._stacked_affine`` adds no float32 slack, so
+  the batched zonotope and powerset kernels (which every Analyze call
+  runs) return zero error radii under ``numpy32``.  Check: M6's corner
+  check on the ``(Z, 1)`` and ``(Z, 2)`` output bounds; after one affine
+  layer on a box, zonotope bounds are exact too.
 """
 
+import functools
 import itertools
 
 import numpy as np
 import pytest
 
 from repro import backend
-from repro.abstract import deeppoly, interval, netabs
+from repro.abstract import deeppoly, interval, netabs, zonotope_batch
 from repro.abstract.analyzer import propagate
-from repro.abstract.domains import DEEPPOLY, INTERVAL
+from repro.abstract.domains import (
+    DEEPPOLY,
+    INTERVAL,
+    ZONOTOPE,
+    bounded_zonotopes,
+)
 from repro.attack.pgd import PGDConfig
 from repro.core.config import VerifierConfig
 from repro.core.property import RobustnessProperty
@@ -298,9 +309,23 @@ def _m6_no_interval_affine_slack(monkeypatch):
     monkeypatch.setattr(interval.IntervalBatch, "affine", unpadded)
 
 
-def _float32_interval_misses() -> int:
+def _m9_no_zonotope_affine_slack(monkeypatch):
+    affine = zonotope_batch._stacked_affine
+
+    def unpadded(*args):
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                zonotope_batch, "_slack_for", lambda dtype, terms: 0.0
+            )
+            return affine(*args)
+
+    monkeypatch.setattr(zonotope_batch, "_stacked_affine", unpadded)
+
+
+def _float32_corner_misses(*domains) -> int:
     """Float64 outputs at the corners that attain each output's bounds on
-    a one-layer network, outside its ``numpy32`` interval output box."""
+    a one-layer network, outside its ``numpy32`` output bounds in each of
+    ``domains``."""
     rng = np.random.default_rng(5)
     weight = rng.normal(size=(32, 8))
     bias = rng.normal(scale=100.0, size=32)
@@ -309,19 +334,28 @@ def _float32_interval_misses() -> int:
         Box.from_center_radius(rng.uniform(-1.0, 1.0, 8), 0.05)
         for _ in range(4)
     ]
-    with backend.use_backend("numpy32"):
-        output = _batched_output(network, regions, INTERVAL)
+    # Output k peaks at the corner taking high where row k's weight is
+    # positive, and bottoms out at the opposite corner.
+    rows = np.arange(len(weight))
+    tops = [
+        network.forward(np.where(weight > 0, r.high, r.low))[rows, rows]
+        for r in regions
+    ]
+    bottoms = [
+        network.forward(np.where(weight > 0, r.low, r.high))[rows, rows]
+        for r in regions
+    ]
     misses = 0
-    for region, box_low, box_high in zip(
-        regions, output.low.astype(np.float64), output.high.astype(np.float64)
-    ):
-        # Output k peaks at the corner taking high where row k's weight
-        # is positive, and bottoms out at the opposite corner.
-        rows = np.arange(len(weight))
-        top = network.forward(np.where(weight > 0, region.high, region.low))
-        bottom = network.forward(np.where(weight > 0, region.low, region.high))
-        misses += int((box_high < top[rows, rows]).sum())
-        misses += int((box_low > bottom[rows, rows]).sum())
+    for domain in domains:
+        with backend.use_backend("numpy32"):
+            output = _batched_output(network, regions, domain)
+        lows, highs = (
+            (output.low, output.high) if domain == INTERVAL
+            else output.bounds()
+        )
+        for low, high, top, bottom in zip(lows, highs, tops, bottoms):
+            misses += int((high.astype(np.float64) < top).sum())
+            misses += int((low.astype(np.float64) > bottom).sum())
     return misses
 
 
@@ -347,7 +381,8 @@ MUTANTS = [
         id="M5-falsified-above-delta",
     ),
     pytest.param(
-        _m6_no_interval_affine_slack, _float32_interval_misses,
+        _m6_no_interval_affine_slack,
+        functools.partial(_float32_corner_misses, INTERVAL),
         id="M6-interval-affine-no-float32-slack",
     ),
     pytest.param(
@@ -358,6 +393,13 @@ MUTANTS = [
         _m8_capped_siblings_unanalyzed,
         _capped_leaf_verified_but_misclassified,
         id="M8-capped-chunk-second-stage-skipped",
+    ),
+    pytest.param(
+        _m9_no_zonotope_affine_slack,
+        functools.partial(
+            _float32_corner_misses, ZONOTOPE, bounded_zonotopes(2)
+        ),
+        id="M9-zonotope-affine-no-float32-slack",
     ),
 ]
 
